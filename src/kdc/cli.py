@@ -27,7 +27,7 @@ from .harness import (
     write_records_csv,
 )
 from .spectral_model import build_problem, dataset_to_csv, problem_to_json, sample_dataset
-from .trainers import Constant, SgmConfig
+from .trainers import CLAMP_SAFETY, Constant, SgmConfig
 
 _PROBLEM_KEYS = ("dim", "gamma", "zeta", "source_norm", "noise_sd")
 
@@ -128,7 +128,7 @@ def _cmd_decompose(args) -> int:
     if "eta" in raw:
         eta = float(raw["eta"])
     else:
-        eta = 1.0 / (4.0 * 1.01 * problem.kappa_sq * max(1.0, math.log(iterations)))
+        eta = 1.0 / (4.0 * CLAMP_SAFETY * problem.kappa_sq * max(1.0, math.log(iterations)))
     seed = args.seed if args.seed is not None else int(raw.get("base_seed", 0))
     config = SgmConfig(
         partitions=m, batch_size=batch_size, iterations=iterations,

@@ -32,7 +32,8 @@ class EigendecompositionError(KdcError, ArithmeticError):
 
 class KernelMismatchError(KdcError, ValueError):
     """A model was evaluated against a problem whose kernel it was not
-    trained with (e.g. spectral-exact risk on a Gaussian-kernel model)."""
+    trained with (e.g. spectral-exact risk for another problem's model), or
+    models trained with different kernels were combined."""
 
 
 class DegenerateInputError(KdcError, ValueError):

@@ -1,9 +1,10 @@
 """Risk evaluation, error decomposition, and log-log rate fitting.
 
-For synthetic spectral problems the excess risk of a coefficient-space
-model is computed exactly by projecting the predictor onto the problem's
-eigenbasis; a Monte Carlo estimate is kept alongside as the generic route
-(and as a cross-check of the exact one).
+For synthetic spectral problems the excess risk of a model is computed
+exactly by projecting its predictor onto the problem's eigenbasis, which
+needs only the n x dim feature matrix of its inputs; a Monte Carlo
+estimate from pointwise predictions is kept alongside as a cross-check of
+the exact one.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     KernelMismatchError,
 )
-from .kernels import gram, spectral_kernel
+from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 from .spectral_model import SpectralProblem, basis_matrix, regression_value, sample_dataset
 from .trainers import (
@@ -171,19 +172,14 @@ def decompose_error(
     for d in range(n_data):
         ds = sample_dataset(problem, n_total, derive_seed(base, TAG_DATA, d))
         subs = partition_data(ds, partitions, derive_seed(base, TAG_PARTITION, d))
-        grams = [gram(kernel, sub.inputs) for sub in subs]
 
         pseudo = np.zeros(problem.dim)
         batch = np.zeros(problem.dim)
         for s, sub in enumerate(subs):
             h = pseudo_gm_local(
-                sub, problem, config.step_schedule, config.iterations, kernel,
-                partition_index=s, gram_matrix=grams[s],
+                sub, problem, config.step_schedule, config.iterations, kernel, partition_index=s
             )
-            g = gm_local(
-                sub, config.step_schedule, config.iterations, kernel,
-                partition_index=s, gram_matrix=grams[s],
-            )
+            g = gm_local(sub, config.step_schedule, config.iterations, kernel, partition_index=s)
             pseudo += mode_projection(problem, h)
             batch += mode_projection(problem, g)
         pseudo /= partitions
@@ -198,7 +194,7 @@ def decompose_error(
             cfg_r = replace(config, base_seed=derive_seed(base, TAG_INDEX, d, r))
             sgm = np.zeros(problem.dim)
             for s, sub in enumerate(subs):
-                mdl = sgm_local(sub, cfg_r, kernel, s, gram_matrix=grams[s])
+                mdl = sgm_local(sub, cfg_r, kernel, s)
                 sgm += mode_projection(problem, mdl)
             sgm /= partitions
             cv_r[r] = float(np.sum((sgm - batch) ** 2))

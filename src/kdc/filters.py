@@ -151,6 +151,18 @@ def residual_product(step_sizes, u, start: int = 1) -> np.ndarray | float:
     return out
 
 
+def landweber_recurrence(step_sizes, u: np.ndarray) -> np.ndarray:
+    """Gradient-descent filter G_t(u) by the recurrence g <- g (1 - eta u) + eta.
+
+    Takes any schedule, zero steps included; the Landweber filter, the
+    gradient-descent trainers and the population iterates all use it.
+    """
+    g = np.zeros_like(u, dtype=float)
+    for eta in step_sizes:
+        g = g * (1.0 - eta * u) + eta
+    return g
+
+
 def _filter_values(spec: FilterSpec, lam: float | None, u: np.ndarray) -> np.ndarray:
     if spec.kind == "tikhonov":
         return 1.0 / (u + lam)
@@ -162,10 +174,7 @@ def _filter_values(spec: FilterSpec, lam: float | None, u: np.ndarray) -> np.nda
     if spec.kind == "tikhonov_bc":
         return lam / (lam + u) ** 2 + 1.0 / (lam + u)
     if spec.kind == "landweber":
-        g = np.zeros_like(u)
-        for eta in spec.step_sizes:
-            g = g * (1.0 - eta * u) + eta
-        return g
+        return landweber_recurrence(spec.step_sizes, u)
     raise InvalidParameterError(f"unknown filter kind {spec.kind!r}")
 
 
@@ -192,6 +201,9 @@ def apply_filter(spec: FilterSpec, lam: float | None, g: GramMatrix, rhs) -> np.
 
     This is the spectral-algorithm estimator in coefficient space: the
     returned alpha weight the kernel sections at the training inputs.
+    :func:`kdc.trainers.sa_local` computes the same coefficients from the
+    feature matrix; this n x n route is kept as the reference it is tested
+    against.
     """
     y = np.asarray(rhs, dtype=float)
     if y.shape != (g.n,):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._version import __version__
-from .errors import InvalidParameterError, InvalidRegimeError
+from .errors import InvalidParameterError, InvalidRegimeError, KdcError
 from .evaluation import excess_risk_exact, fit_rate, theory_exponent
 from .filters import filter_from_tag, FILTER_TAGS
 from .kernels import spectral_kernel
@@ -277,7 +277,7 @@ def _run_point(payload: dict) -> dict:
             "wall_ms": 1e3 * (time.perf_counter() - t0),
             "plan": (plan.batch_size, plan.iterations, plan.eta, plan.lam),
         }
-    except Exception as exc:  # recorded per row, sweep continues
+    except (KdcError, np.linalg.LinAlgError, FloatingPointError) as exc:  # recorded per row
         return {
             "risk": math.nan, "error": f"{type(exc).__name__}: {exc}",
             "wall_ms": 1e3 * (time.perf_counter() - t0), "plan": None,

@@ -1,9 +1,13 @@
-"""Kernel evaluation and Gram-matrix algebra shared by all trainers.
+"""Kernel evaluation, plus the Gram-matrix algebra kept as a reference.
 
-Two kernel families: the spectrally truncated sine kernel tied to a
-:class:`~kdc.spectral_model.SpectralProblem` (whose integral operator has a
-known spectrum), and a generic Gaussian kernel kept for API completeness
-(it carries no ground-truth regression function).
+The kernel is the spectrally truncated sine kernel tied to a
+:class:`~kdc.spectral_model.SpectralProblem`, whose integral operator has a
+known spectrum. It has an exact rank-``dim`` feature map,
+K(x, u) = sum_i sigma_i phi_i(x) phi_i(u), so the trainers work on the
+n x dim feature matrix and never form an n x n array. ``gram``,
+``GramMatrix`` and ``sym_eigendecompose`` are the coefficient-space
+(dual) route; tests and :func:`kdc.filters.apply_filter` use them as an
+independent check of the trainers.
 """
 from __future__ import annotations
 
@@ -24,27 +28,20 @@ EIG_RECONSTRUCT_REL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Tagged kernel description: ``spectral`` or ``gaussian``."""
+    """Tagged kernel description; ``spectral`` is the only kind."""
 
     kind: str
     problem: SpectralProblem | None = None
-    bandwidth: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "spectral":
-            if self.problem is None:
-                raise InvalidParameterError("spectral kernel needs a problem")
-        elif self.kind == "gaussian":
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise InvalidParameterError("gaussian kernel needs bandwidth > 0")
-        else:
+        if self.kind != "spectral":
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
+        if self.problem is None:
+            raise InvalidParameterError("spectral kernel needs a problem")
 
     def key(self):
         """Hashable identity used to check that models share a kernel."""
-        if self.kind == "spectral":
-            return ("spectral", self.problem.problem_id)
-        return ("gaussian", self.bandwidth)
+        return ("spectral", self.problem.problem_id)
 
 
 def spectral_kernel(problem: SpectralProblem) -> KernelSpec:
@@ -52,52 +49,33 @@ def spectral_kernel(problem: SpectralProblem) -> KernelSpec:
     return KernelSpec(kind="spectral", problem=problem)
 
 
-def gaussian_kernel(bandwidth: float) -> KernelSpec:
-    """K(x,u) = exp(-(x-u)^2 / (2 bandwidth^2))."""
-    return KernelSpec(kind="gaussian", bandwidth=bandwidth)
-
-
 def kernel_bound(spec: KernelSpec) -> float:
-    """Upper bound on K(x,x): kappa_sq for spectral, 1 for Gaussian."""
-    if spec.kind == "spectral":
-        return spec.problem.kappa_sq
-    return 1.0
+    """Upper bound kappa_sq on K(x,x)."""
+    return spec.problem.kappa_sq
 
 
-def _check_spectral_domain(spec: KernelSpec, *arrays) -> None:
-    if spec.kind != "spectral":
-        return
-    for arr in arrays:
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("spectral kernel is defined on [0, 1]")
+def kernel_features(spec: KernelSpec, xs) -> np.ndarray:
+    """Feature matrix Phi = basis_matrix(dim, xs), shape (len(xs), dim).
+
+    K(xs[j], us[k]) = sum_i sigma_i Phi[j, i] Phi_u[k, i]. Raises
+    DomainError for points outside [0, 1].
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.any(xs < 0.0) or np.any(xs > 1.0):
+        raise DomainError("spectral kernel is defined on [0, 1]")
+    return basis_matrix(spec.problem.dim, xs)
 
 
 def kernel_eval(spec: KernelSpec, x: float, u: float) -> float:
     """Evaluate K(x, u) for a single pair of points."""
-    xa = np.asarray(x, dtype=float)
-    ua = np.asarray(u, dtype=float)
-    _check_spectral_domain(spec, xa, ua)
-    if spec.kind == "spectral":
-        p = spec.problem
-        px = basis_matrix(p.dim, xa)[0]
-        pu = basis_matrix(p.dim, ua)[0]
-        return float(np.sum(p.eigenvalues * px * pu))
-    d = float(xa) - float(ua)
-    return float(np.exp(-(d * d) / (2.0 * spec.bandwidth**2)))
+    return float(kernel_cross(spec, x, u)[0, 0])
 
 
 def kernel_cross(spec: KernelSpec, xs, us) -> np.ndarray:
     """Matrix of kernel values K(xs[j], us[k]), shape (len(xs), len(us))."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    _check_spectral_domain(spec, xs, us)
-    if spec.kind == "spectral":
-        p = spec.problem
-        fx = basis_matrix(p.dim, xs)
-        fu = basis_matrix(p.dim, us)
-        return (fx * p.eigenvalues) @ fu.T
-    diff = xs[:, None] - us[None, :]
-    return np.exp(-(diff**2) / (2.0 * spec.bandwidth**2))
+    fx = kernel_features(spec, xs)
+    fu = kernel_features(spec, us)
+    return (fx * spec.problem.eigenvalues) @ fu.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -247,19 +247,6 @@ def effective_dimension(problem: SpectralProblem, lam: float) -> float:
     return float(np.sum(ev / (ev + lam)))
 
 
-def capacity_constant(
-    problem: SpectralProblem, lambda_grid: np.ndarray | None = None
-) -> float:
-    """Observed capacity constant sup_lambda N(lambda) * lambda^gamma.
-
-    Computed over a log-spaced grid in [1e-6, 1] by default.
-    """
-    if lambda_grid is None:
-        lambda_grid = np.logspace(-6.0, 0.0, 200)
-    vals = [effective_dimension(problem, lam) * lam**problem.gamma for lam in lambda_grid]
-    return float(max(vals))
-
-
 def capacity_certificate(
     problem: SpectralProblem, lambda_grid: np.ndarray | None = None
 ) -> dict:

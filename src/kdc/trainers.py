@@ -2,10 +2,14 @@
 spectral-filter estimators, together with the parameter planner that maps
 a regime tag to concrete (eta, batch size, iterations) or lambda choices.
 
-All estimators work in coefficient space: a model is a weight vector alpha
-over its training inputs, predicting x -> sum_j alpha_j K(x, x_j).
-Distributed training partitions one dataset uniformly at random, trains
-each block independently, and averages the block predictors uniformly.
+A model is a weight vector alpha over its training inputs, predicting
+x -> sum_j alpha_j K(x, x_j). The estimators compute alpha in mode space,
+from the n x dim feature matrix Phi of the spectral kernel
+(K = Phi diag(sigma) Phi^T), and never form the n x n Gram matrix; the
+Gram route in :mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is
+the reference they are tested against. Distributed training partitions
+one dataset uniformly at random, trains each block independently, and
+averages the block predictors uniformly.
 """
 from __future__ import annotations
 
@@ -23,8 +27,8 @@ from .errors import (
     InvalidRegimeError,
     KernelMismatchError,
 )
-from .filters import FilterSpec, apply_filter
-from .kernels import GramMatrix, KernelSpec, gram, kernel_bound, kernel_cross
+from .filters import FilterSpec, filter_value, landweber_recurrence
+from .kernels import KernelSpec, kernel_bound, kernel_cross, kernel_features
 from .seeding import partition_stream_seed
 from .spectral_model import Dataset, SpectralProblem, regression_value
 
@@ -194,13 +198,25 @@ def partition_data(dataset: Dataset, partitions: int, seed: int) -> list[Dataset
     return out
 
 
-def _validate_steps(etas: np.ndarray, ksq: float, *, positive: bool = False) -> None:
-    if positive and np.any(etas <= 0):
-        raise InvalidParameterError("step sizes must be positive")
+def _validate_steps(etas: np.ndarray, ksq: float) -> None:
     if np.max(etas) > (1.0 + 1e-12) / ksq:
         raise InvalidParameterError(
             f"step sizes must not exceed 1/kappa_sq = {1.0 / ksq:.6g}"
         )
+
+
+def _mode_filter(kernel: KernelSpec, inputs: np.ndarray, y: np.ndarray, g) -> np.ndarray:
+    """Coefficients alpha = G(K/n) y / n for a filter function ``g``.
+
+    With the thin SVD Phi diag(sqrt(sigma)) / sqrt(n) = U S V^T, K/n is
+    U S^2 U^T and vanishes on the complement of range(U), where G takes the
+    value G(0). Costs O(n dim^2); no n x n array is formed.
+    """
+    n = y.size
+    psi = kernel_features(kernel, inputs) * np.sqrt(kernel.problem.eigenvalues / n)
+    vecs, s, _ = np.linalg.svd(psi, full_matrices=False)
+    gv = np.asarray(g(np.concatenate(([0.0], s**2))))
+    return (gv[0] * y + vecs @ ((gv[1:] - gv[0]) * (vecs.T @ y))) / n
 
 
 def sgm_local(
@@ -208,8 +224,6 @@ def sgm_local(
     config: SgmConfig,
     kernel: KernelSpec,
     partition_index: int,
-    *,
-    gram_matrix: GramMatrix | None = None,
 ) -> LocalModel:
     """Mini-batch SGM on one partition, sampling with replacement.
 
@@ -219,10 +233,11 @@ def sgm_local(
         alpha[j] -= (eta_t / b) * sum over batch slots with index j of
                     (prediction(x_j) - y_j),
 
-    all residuals evaluated at the iteration-start coefficients. Index
-    draws come from a dedicated stream seeded by (base_seed,
-    partition_index) so partitions and replications are independent and
-    reproducible. Raises DivergenceError if coefficients blow past
+    all residuals evaluated at the iteration-start coefficients. The
+    predictions come from the mode vector v = sigma * Phi^T alpha, updated
+    alongside alpha, so a step costs O(batch_size * dim). Index draws come
+    from a dedicated stream seeded by (base_seed, partition_index) so
+    partitions and replications are independent and reproducible. Raises DivergenceError if coefficients blow past
     DIVERGENCE_LIMIT or go non-finite.
     """
     n = len(subset)
@@ -240,25 +255,24 @@ def sgm_local(
                 f"theory-compliant runs need eta <= {cap:.6g}"
             )
 
-    g = gram_matrix if gram_matrix is not None else gram(kernel, subset.inputs)
-    if g.n != n:
-        raise InvalidParameterError("gram matrix size does not match the partition")
-    gm = g.entries
+    feats = kernel_features(kernel, subset.inputs)
+    sigma = kernel.problem.eigenvalues
     y = subset.labels
 
     rng = np.random.default_rng(partition_stream_seed(config.base_seed, partition_index))
     idx = rng.integers(0, n, size=(config.iterations, config.batch_size))
 
     alpha = np.zeros(n)
+    v = np.zeros(sigma.size)
     b = float(config.batch_size)
     for t in range(config.iterations):
         rows = idx[t]
-        resid = gm[rows, :] @ alpha - y[rows]
-        upd = np.zeros(n)
-        np.add.at(upd, rows, resid)
-        alpha -= (etas[t] / b) * upd
-        touched = alpha[rows]
-        if not np.all(np.isfinite(touched)) or np.max(np.abs(touched)) > DIVERGENCE_LIMIT:
+        batch = feats[rows]
+        step = (etas[t] / b) * (batch @ v - y[rows])
+        np.subtract.at(alpha, rows, step)
+        v -= sigma * (step @ batch)
+        # Written so that a NaN or an infinity fails the comparison too.
+        if not np.max(np.abs(alpha[rows])) <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"SGM diverged at iteration {t + 1} on partition {partition_index}"
             )
@@ -267,14 +281,12 @@ def sgm_local(
     return LocalModel(inputs=subset.inputs, coeffs=alpha, partition_index=partition_index, kernel=kernel)
 
 
-def _gm_iterate(gm: np.ndarray, labels: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    n = labels.size
-    alpha = np.zeros(n)
-    for t, eta in enumerate(etas):
-        alpha = alpha - eta * (gm @ alpha - labels) / n
-        if not np.all(np.isfinite(alpha)) or np.max(np.abs(alpha)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"gradient iteration diverged at step {t + 1}")
-    return alpha
+def _gradient_descent(
+    kernel: KernelSpec, inputs: np.ndarray, labels: np.ndarray, step_schedule, iterations: int
+) -> np.ndarray:
+    etas = resolve_schedule(step_schedule, iterations)
+    _validate_steps(etas, kernel_bound(kernel))
+    return _mode_filter(kernel, inputs, labels, lambda u: landweber_recurrence(etas, u))
 
 
 def gm_local(
@@ -283,20 +295,14 @@ def gm_local(
     iterations: int,
     kernel: KernelSpec,
     partition_index: int = 0,
-    *,
-    gram_matrix: GramMatrix | None = None,
 ) -> LocalModel:
     """Full-batch gradient descent on one partition.
 
     This is the batch limit of sgm_local and coincides with the Landweber
-    filter estimator for the same step schedule.
+    filter estimator for the same step schedule; T steps are applied at once
+    as the gradient-descent filter G_T of the empirical covariance.
     """
-    etas = resolve_schedule(step_schedule, iterations)
-    _validate_steps(etas, kernel_bound(kernel))
-    g = gram_matrix if gram_matrix is not None else gram(kernel, subset.inputs)
-    if g.n != len(subset):
-        raise InvalidParameterError("gram matrix size does not match the partition")
-    alpha = _gm_iterate(g.entries, subset.labels, etas)
+    alpha = _gradient_descent(kernel, subset.inputs, subset.labels, step_schedule, iterations)
     return LocalModel(inputs=subset.inputs, coeffs=alpha, partition_index=partition_index, kernel=kernel)
 
 
@@ -307,23 +313,16 @@ def pseudo_gm_local(
     iterations: int,
     kernel: KernelSpec,
     partition_index: int = 0,
-    *,
-    gram_matrix: GramMatrix | None = None,
 ) -> LocalModel:
     """Gradient descent against noiseless labels f(x_j) at the same inputs.
 
     Only available for synthetic problems where the regression function is
     known; used to split estimation error into bias and variance pieces.
     """
-    if kernel.kind != "spectral" or kernel.problem.problem_id != problem.problem_id:
+    if kernel.problem.problem_id != problem.problem_id:
         raise KernelMismatchError("pseudo iterates need the problem's own kernel")
-    etas = resolve_schedule(step_schedule, iterations)
-    _validate_steps(etas, kernel_bound(kernel))
-    g = gram_matrix if gram_matrix is not None else gram(kernel, subset.inputs)
-    if g.n != len(subset):
-        raise InvalidParameterError("gram matrix size does not match the partition")
     clean = regression_value(problem, subset.inputs)
-    alpha = _gm_iterate(g.entries, clean, etas)
+    alpha = _gradient_descent(kernel, subset.inputs, clean, step_schedule, iterations)
     return LocalModel(inputs=subset.inputs, coeffs=alpha, partition_index=partition_index, kernel=kernel)
 
 
@@ -333,11 +332,7 @@ def population_sequence(problem: SpectralProblem, step_schedule, iterations: int
     Returned per eigenmode; the population iterate after T steps has mode
     coefficients a_i * sigma_i * G_T(sigma_i).
     """
-    etas = resolve_schedule(step_schedule, iterations)
-    g = np.zeros(problem.dim)
-    for eta in etas:
-        g = g * (1.0 - eta * problem.eigenvalues) + eta
-    return g
+    return landweber_recurrence(resolve_schedule(step_schedule, iterations), problem.eigenvalues)
 
 
 def population_bias(problem: SpectralProblem, step_schedule, iterations: int) -> float:
@@ -353,21 +348,16 @@ def sa_local(
     lam: float | None,
     kernel: KernelSpec,
     partition_index: int = 0,
-    *,
-    gram_matrix: GramMatrix | None = None,
 ) -> LocalModel:
     """Spectral-algorithm estimator on one partition.
 
-    Applies the filter to the scaled Gram matrix and the label vector;
+    Applies the filter to the scaled kernel matrix K/n and the label vector,
+    which gives the same coefficients as :func:`kdc.filters.apply_filter`;
     ``lam`` must be positive except for Landweber, whose schedule fixes it.
     """
-    if filter_spec.kind != "landweber":
-        if lam is None or lam <= 0:
-            raise InvalidParameterError("lambda must be positive")
-    g = gram_matrix if gram_matrix is not None else gram(kernel, subset.inputs)
-    if g.n != len(subset):
-        raise InvalidParameterError("gram matrix size does not match the partition")
-    coeffs = apply_filter(filter_spec, lam, g, subset.labels)
+    coeffs = _mode_filter(
+        kernel, subset.inputs, subset.labels, lambda u: filter_value(filter_spec, lam, u)
+    )
     return LocalModel(inputs=subset.inputs, coeffs=coeffs, partition_index=partition_index, kernel=kernel)
 
 

@@ -26,6 +26,7 @@ from kdc import (
     landweber,
     pseudo_gm_local,
     residual_product,
+    sa_local,
     sample_dataset,
     sgm_local,
     spectral_kernel,
@@ -236,6 +237,7 @@ def test_a6_estimator_cross_checks():
     rng = np.random.default_rng(2024)
     max_tik = 0.0
     max_gm = 0.0
+    max_sa = 0.0
     for trial in range(20):
         dim = int(rng.integers(5, 40))
         n = int(rng.integers(10, 51))
@@ -252,10 +254,19 @@ def test_a6_estimator_cross_checks():
 
         t = int(rng.integers(5, 60))
         eta = float(rng.uniform(0.01, 1.0 / problem.kappa_sq))
-        iterate = gm_local(data, eta, t, kernel, gram_matrix=g).coeffs
+        iterate = gm_local(data, eta, t, kernel).coeffs
         filtered = apply_filter(landweber(np.full(t, eta), kappa_sq=problem.kappa_sq), None, g, data.labels)
         denom = max(1.0, float(np.max(np.abs(filtered))))
         max_gm = max(max_gm, float(np.max(np.abs(iterate - filtered)) / denom))
+
+        # sa_local's mode-space route against the Gram route, every filter.
+        for tag in FILTER_TAGS:
+            steps = {"step_sizes": np.full(t, eta)} if tag == "landweber" else {}
+            spec = filter_from_tag(tag, problem.kappa_sq, **steps)
+            dual = apply_filter(spec, lam, g, data.labels)
+            primal = sa_local(data, spec, lam, kernel).coeffs
+            denom = max(1.0, float(np.max(np.abs(dual))))
+            max_sa = max(max_sa, float(np.max(np.abs(primal - dual)) / denom))
 
     clean = build_problem(dim=20, gamma=1.0, zeta=0.5, noise_sd=0.0)
     kernel = spectral_kernel(clean)
@@ -269,12 +280,13 @@ def test_a6_estimator_cross_checks():
         )
     )
 
-    ok = max_tik <= 1e-8 and max_gm <= 1e-10 and exact_gap == 0.0
+    ok = max_tik <= 1e-8 and max_gm <= 1e-10 and max_sa <= 1e-10 and exact_gap == 0.0
     report(
         "A6",
         ok,
         f"tikhonov vs direct solve rel err={max_tik:.2e} (gate 1e-8, 20 draws), "
         f"gradient vs filter rel err={max_gm:.2e} (gate 1e-10, 20 draws), "
+        f"sa_local vs apply_filter rel err={max_sa:.2e} (gate 1e-10, 4 filters x 20 draws), "
         f"noiseless idealized==batch gap={exact_gap:.1e} (exact)",
     )
     assert ok
@@ -285,7 +297,6 @@ def test_a7_sgm_is_unbiased_for_gradient_descent():
     problem = build_problem(dim=20, gamma=1.0, zeta=0.5, source_norm=1.0, noise_sd=0.1)
     kernel = spectral_kernel(problem)
     data = sample_dataset(problem, 8, seed=99)
-    g = gram(kernel, data.inputs)
     t, eta, reps = 20, 0.1, 2000
 
     coeffs = np.empty((reps, 8))
@@ -297,9 +308,9 @@ def test_a7_sgm_is_unbiased_for_gradient_descent():
             step_schedule=eta,
             base_seed=derive_seed(7, TAG_INDEX, s),
         )
-        coeffs[s] = sgm_local(data, cfg, kernel, 0, gram_matrix=g).coeffs
+        coeffs[s] = sgm_local(data, cfg, kernel, 0).coeffs
 
-    target = gm_local(data, eta, t, kernel, gram_matrix=g).coeffs
+    target = gm_local(data, eta, t, kernel).coeffs
     mean = coeffs.mean(axis=0)
     se = coeffs.std(axis=0, ddof=1) / math.sqrt(reps)
     z = np.abs(mean - target) / se

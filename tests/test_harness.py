@@ -16,6 +16,7 @@ from kdc import (
     records_to_csv,
     write_records_csv,
 )
+from kdc import harness
 from kdc.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -176,6 +177,15 @@ def test_run_experiment_captures_row_errors():
     assert len(records) == 1
     assert "ConstraintViolationError" in records[0].error
     assert math.isnan(records[0].risk_mean)
+
+
+def test_run_experiment_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken trainer")
+
+    monkeypatch.setattr(harness, "distributed_sgm", broken)
+    with pytest.raises(TypeError, match="broken trainer"):
+        run_experiment(tiny_config(), workers=1)
 
 
 def test_run_experiment_spectral_path():

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from kdc import (
     GramMatrix,
     InvalidParameterError,
     build_problem,
-    gaussian_kernel,
     gram,
     kernel_bound,
     kernel_cross,
@@ -59,21 +56,15 @@ def test_spectral_kernel_rejects_points_off_the_interval(kernel):
         kernel_cross(kernel, np.array([0.2, 1.5]), np.array([0.3]))
 
 
-def test_gaussian_kernel_closed_form():
-    k = gaussian_kernel(0.25)
-    assert kernel_eval(k, 0.3, 0.3) == pytest.approx(1.0, rel=1e-15)
-    expected = math.exp(-(0.4**2) / (2 * 0.25**2))
-    assert kernel_eval(k, 0.1, 0.5) == pytest.approx(expected, rel=1e-12)
-    assert kernel_bound(k) == 1.0
-
-
 def test_kernel_spec_keys_identify_kernels(small_problem, kernel):
     assert kernel.key() == spectral_kernel(small_problem).key()
     other = spectral_kernel(build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1))
     assert kernel.key() != other.key()
-    assert gaussian_kernel(0.2).key() == gaussian_kernel(0.2).key()
-    assert gaussian_kernel(0.2).key() != gaussian_kernel(0.3).key()
-    assert kernel.key() != gaussian_kernel(0.2).key()
+    a = build_problem(dim=12, gamma=1.0, zeta=0.5, noise_sd=0.1)
+    b = build_problem(dim=12, gamma=0.5, zeta=0.5, noise_sd=0.1)
+    assert spectral_kernel(a).key() == spectral_kernel(a).key()
+    assert spectral_kernel(a).key() != spectral_kernel(b).key()
+    assert kernel.key() != spectral_kernel(a).key()
 
 
 def test_kernel_cross_agrees_with_pointwise_eval(kernel):

@@ -23,7 +23,6 @@ from kdc import (
     check_step_condition,
     distributed_sa,
     distributed_sgm,
-    gaussian_kernel,
     gm_local,
     gram,
     kernel_cross,
@@ -123,10 +122,12 @@ def test_sgm_is_reproducible_and_seed_sensitive(data, kernel):
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
-def test_sgm_single_full_batch_step_matches_gradient_descent(data, kernel):
+@pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
+def test_sgm_single_full_batch_step_matches_gradient_descent(small_problem, kernel, n):
     # With b = n the first iteration multiplies each sampled residual by
     # its multiplicity; one step with eta and batch "every index once" is
     # not guaranteed, so check against an explicit replay instead.
+    data = sample_dataset(small_problem, n, seed=2)
     cfg = SgmConfig(partitions=1, batch_size=8, iterations=12, step_schedule=0.05, base_seed=33)
     model = sgm_local(data, cfg, kernel, 2)
     g = gram(kernel, data.inputs).entries
@@ -184,17 +185,6 @@ def test_sgm_theory_mode_rejects_large_steps(data, kernel, small_problem):
     sgm_local(data, ok, kernel, 0)
 
 
-def test_sgm_accepts_a_precomputed_gram(data, kernel):
-    cfg = SgmConfig(partitions=1, batch_size=2, iterations=20, step_schedule=0.1, base_seed=7)
-    g = gram(kernel, data.inputs)
-    a = sgm_local(data, cfg, kernel, 0, gram_matrix=g)
-    b = sgm_local(data, cfg, kernel, 0)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
-    small = gram(kernel, data.inputs[:10])
-    with pytest.raises(InvalidParameterError):
-        sgm_local(data, cfg, kernel, 0, gram_matrix=small)
-
-
 def test_local_model_rejects_nonfinite_coefficients(data, kernel):
     bad = np.full(len(data), np.inf)
     with pytest.raises(DivergenceError):
@@ -236,8 +226,9 @@ def test_pseudo_gm_strips_label_noise(small_problem, kernel):
 
 def test_pseudo_gm_requires_the_matching_kernel(small_problem):
     data = sample_dataset(small_problem, 16, seed=4)
+    other = spectral_kernel(build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1))
     with pytest.raises(KernelMismatchError):
-        pseudo_gm_local(data, small_problem, 0.1, 5, gaussian_kernel(0.2))
+        pseudo_gm_local(data, small_problem, 0.1, 5, other)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +280,8 @@ def test_average_models_takes_the_plain_mean(data, kernel):
 def test_average_models_rejects_mixed_kernels(data, kernel):
     cfg = SgmConfig(partitions=1, batch_size=2, iterations=5, step_schedule=0.1, base_seed=3)
     a = sgm_local(data, cfg, kernel, 0)
-    b = LocalModel(
-        inputs=data.inputs, coeffs=np.zeros(len(data)), partition_index=1, kernel=gaussian_kernel(0.2)
-    )
+    other = spectral_kernel(build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1))
+    b = LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)), partition_index=1, kernel=other)
     with pytest.raises(KernelMismatchError):
         average_models([a, b])
 
