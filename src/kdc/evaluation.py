@@ -9,7 +9,7 @@ the exact one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,11 @@ from .trainers import (
     AveragedModel,
     LocalModel,
     SgmConfig,
+    _sgm_runs,
     gm_local,
     partition_data,
     predict,
     pseudo_gm_local,
-    sgm_local,
 )
 
 #: Minimum replication counts (datasets, index draws) for decompose_error.
@@ -188,19 +188,13 @@ def decompose_error(
         bias_d[d] = float(np.sum((pseudo - target) ** 2))
         sv_d[d] = float(np.sum((batch - pseudo) ** 2))
 
-        cv_r = np.empty(n_index)
-        tot_r = np.empty(n_index)
-        for r in range(n_index):
-            cfg_r = replace(config, base_seed=derive_seed(base, TAG_INDEX, d, r))
-            sgm = np.zeros(problem.dim)
-            for s, sub in enumerate(subs):
-                mdl = sgm_local(sub, cfg_r, kernel, s)
-                sgm += mode_projection(problem, mdl)
-            sgm /= partitions
-            cv_r[r] = float(np.sum((sgm - batch) ** 2))
-            tot_r[r] = float(np.sum((sgm - target) ** 2))
-        cv_d[d] = float(np.mean(cv_r))
-        tot_d[d] = float(np.mean(tot_r))
+        # Every index replication of every partition runs in one lockstep loop.
+        runs = [(s, s, derive_seed(base, TAG_INDEX, d, r))
+                for r in range(n_index) for s in range(partitions)]
+        _, modes = _sgm_runs(subs, config, kernel, runs)
+        sgm = modes.reshape(n_index, partitions, -1).mean(axis=1)
+        cv_d[d] = float(np.mean(np.sum((sgm - batch) ** 2, axis=1)))
+        tot_d[d] = float(np.mean(np.sum((sgm - target) ** 2, axis=1)))
 
     return DecompositionReport(
         total=float(np.mean(tot_d)),

@@ -38,7 +38,7 @@ _JSON_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralProblem:
     """A synthetic learning problem defined by its kernel spectrum.
 
@@ -114,12 +114,14 @@ class SpectralProblem:
 
     @property
     def problem_id(self) -> str:
-        """Stable content hash identifying this problem across processes."""
-        digest = hashlib.sha256(problem_to_json(self).encode()).hexdigest()
-        return digest[:12]
+        """Stable content hash identifying this problem across processes (computed once)."""
+        if "_id" not in vars(self):
+            digest = hashlib.sha256(problem_to_json(self).encode()).hexdigest()
+            object.__setattr__(self, "_id", digest[:12])
+        return self._id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An i.i.d. sample (x_j, y_j) drawn from a spectral problem.
 

@@ -35,6 +35,9 @@ from .spectral_model import Dataset, SpectralProblem, regression_value
 #: Coefficient magnitude beyond which an iterate is declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
+#: Iterations of indices an SGM run draws at a time (chunks leave its stream unchanged).
+INDEX_CHUNK = 256
+
 #: Safety factor applied when clamping planned step sizes against 1/kappa_sq.
 CLAMP_SAFETY = 1.01
 
@@ -219,6 +222,59 @@ def _mode_filter(kernel: KernelSpec, inputs: np.ndarray, y: np.ndarray, g) -> np
     return (gv[0] * y + vecs @ ((gv[1:] - gv[0]) * (vecs.T @ y))) / n
 
 
+def _sgm_runs(blocks: Sequence[Dataset], config: SgmConfig, kernel: KernelSpec, runs):
+    """Advance independent mini-batch SGM runs in lockstep.
+
+    Run (block, partition_index, seed) trains on ``blocks[block]`` (all of
+    one size n) with the index stream partition_stream_seed(seed,
+    partition_index), drawn INDEX_CHUNK iterations at a time. Returns the
+    coefficients (R, n) and the mode vectors (R, dim). A diverged run stops
+    moving; the error raised is the first run's, in run order.
+    """
+    n = len(blocks[0])
+    if config.batch_size > n:
+        raise InvalidParameterError(f"batch_size {config.batch_size} exceeds partition size {n}")
+    etas = resolve_schedule(config.step_schedule, config.iterations)
+    ksq = kernel_bound(kernel)
+    _validate_steps(etas, ksq)
+    if config.theory_compliant:
+        cap = 1.0 / (4.0 * ksq * max(1.0, math.log(config.iterations)))
+        if np.max(etas) > cap * (1.0 + 1e-12):
+            raise ConstraintViolationError(f"theory-compliant runs need eta <= {cap:.6g}")
+
+    feats = kernel_features(kernel, np.concatenate([block.inputs for block in blocks]))
+    y = np.concatenate([block.labels for block in blocks])
+    rngs = [np.random.default_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
+    offsets = n * np.array([[i] for i, _, _ in runs])
+    own = n * np.arange(len(runs))[:, None]
+    sigma = kernel.problem.eigenvalues
+    steps = etas / float(config.batch_size)
+
+    alpha = np.zeros(len(runs) * n)
+    v = np.zeros((len(runs), sigma.size))
+    diverged: dict[int, int] = {}
+    for t0 in range(0, config.iterations, INDEX_CHUNK):
+        k = min(INDEX_CHUNK, config.iterations - t0)
+        draws = np.stack([rng.integers(0, n, (k, config.batch_size)) for rng in rngs], axis=1)
+        for t, rows, own_rows in zip(range(t0, t0 + k), draws + offsets, draws + own):
+            batch = feats[rows]
+            step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - y[rows])
+            if diverged:
+                step[list(diverged)] = 0.0
+            np.subtract.at(alpha, own_rows, step)
+            v -= sigma * np.matmul(step[:, None, :], batch)[:, 0]
+            # Written so that a NaN or an infinity fails the comparison too.
+            touched = np.abs(alpha[own_rows])
+            if not touched.max() <= DIVERGENCE_LIMIT:
+                for r in np.flatnonzero(~(touched.max(axis=1) <= DIVERGENCE_LIMIT)):
+                    diverged[r] = t + 1
+                    v[r] = alpha[r * n:(r + 1) * n] = 0.0
+    if diverged:
+        r = min(diverged)
+        raise DivergenceError(f"SGM diverged at iteration {diverged[r]} on partition {runs[r][1]}")
+    return alpha.reshape(len(runs), n), v
+
+
 def sgm_local(
     subset: Dataset,
     config: SgmConfig,
@@ -237,48 +293,11 @@ def sgm_local(
     predictions come from the mode vector v = sigma * Phi^T alpha, updated
     alongside alpha, so a step costs O(batch_size * dim). Index draws come
     from a dedicated stream seeded by (base_seed, partition_index) so
-    partitions and replications are independent and reproducible. Raises DivergenceError if coefficients blow past
-    DIVERGENCE_LIMIT or go non-finite.
+    partitions and replications are independent and reproducible. Raises
+    DivergenceError if coefficients blow past DIVERGENCE_LIMIT or go non-finite.
     """
-    n = len(subset)
-    if config.batch_size > n:
-        raise InvalidParameterError(
-            f"batch_size {config.batch_size} exceeds partition size {n}"
-        )
-    etas = resolve_schedule(config.step_schedule, config.iterations)
-    ksq = kernel_bound(kernel)
-    _validate_steps(etas, ksq)
-    if config.theory_compliant:
-        cap = 1.0 / (4.0 * ksq * max(1.0, math.log(config.iterations)))
-        if np.max(etas) > cap * (1.0 + 1e-12):
-            raise ConstraintViolationError(
-                f"theory-compliant runs need eta <= {cap:.6g}"
-            )
-
-    feats = kernel_features(kernel, subset.inputs)
-    sigma = kernel.problem.eigenvalues
-    y = subset.labels
-
-    rng = np.random.default_rng(partition_stream_seed(config.base_seed, partition_index))
-    idx = rng.integers(0, n, size=(config.iterations, config.batch_size))
-
-    alpha = np.zeros(n)
-    v = np.zeros(sigma.size)
-    b = float(config.batch_size)
-    for t in range(config.iterations):
-        rows = idx[t]
-        batch = feats[rows]
-        step = (etas[t] / b) * (batch @ v - y[rows])
-        np.subtract.at(alpha, rows, step)
-        v -= sigma * (step @ batch)
-        # Written so that a NaN or an infinity fails the comparison too.
-        if not np.max(np.abs(alpha[rows])) <= DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"SGM diverged at iteration {t + 1} on partition {partition_index}"
-            )
-    if not np.all(np.isfinite(alpha)):
-        raise DivergenceError(f"SGM produced non-finite coefficients on partition {partition_index}")
-    return LocalModel(inputs=subset.inputs, coeffs=alpha, partition_index=partition_index, kernel=kernel)
+    alpha, _ = _sgm_runs([subset], config, kernel, [(0, partition_index, config.base_seed)])
+    return LocalModel(inputs=subset.inputs, coeffs=alpha[0], partition_index=partition_index, kernel=kernel)
 
 
 def _gradient_descent(
@@ -367,10 +386,11 @@ def distributed_sgm(
     kernel: KernelSpec,
     partition_seed: int,
 ) -> AveragedModel:
-    """Partition, train SGM on each block, and average the predictors."""
+    """Partition, train SGM on every block in lockstep, and average the predictors."""
     subs = partition_data(dataset, config.partitions, partition_seed)
-    models = [sgm_local(sub, config, kernel, s) for s, sub in enumerate(subs)]
-    return average_models(models)
+    alphas, _ = _sgm_runs(subs, config, kernel, [(s, s, config.base_seed) for s in range(len(subs))])
+    return average_models([LocalModel(inputs=sub.inputs, coeffs=a, partition_index=s, kernel=kernel)
+                           for s, (sub, a) in enumerate(zip(subs, alphas))])
 
 
 def distributed_sa(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from kdc import (
     excess_risk_exact,
     excess_risk_mc,
     fit_rate,
+    gm_local,
     mode_projection,
+    partition_data,
     plan_parameters,
     sample_dataset,
     sgm_local,
@@ -25,6 +29,7 @@ from kdc import (
     theory_exponent,
     tikhonov,
 )
+from kdc.seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +132,28 @@ def test_decomposition_identity_across_partition_and_batch_settings(noiseless_sm
         assert report.bias >= 0.0
         assert report.sample_var >= 0.0 and report.comp_var >= 0.0
         assert report.n_data == 50 and report.n_index == 20
+
+
+def test_decomposition_matches_a_loop_over_index_replications(small_problem, kernel):
+    # The reference trains every (dataset, index seed, partition) run on its
+    # own and projects its coefficients; decompose_error runs them in lockstep.
+    cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=7)
+    report = decompose_error(small_problem, 32, 2, cfg, replications=(50, 20))
+    total, comp_var = [], []
+    for d in range(50):
+        data = sample_dataset(small_problem, 32, derive_seed(7, TAG_DATA, d))
+        subs = partition_data(data, 2, derive_seed(7, TAG_PARTITION, d))
+        batch = sum(mode_projection(small_problem, gm_local(sub, 0.1, 15, kernel)) for sub in subs)
+        for r in range(20):
+            cfg_r = dataclasses.replace(cfg, base_seed=derive_seed(7, TAG_INDEX, d, r))
+            sgm = sum(
+                mode_projection(small_problem, sgm_local(sub, cfg_r, kernel, s))
+                for s, sub in enumerate(subs)
+            )
+            total.append(np.sum((sgm / 2 - small_problem.target_coeffs) ** 2))
+            comp_var.append(np.sum((sgm / 2 - batch / 2) ** 2))
+    assert report.total == pytest.approx(np.mean(total), rel=1e-12)
+    assert report.comp_var == pytest.approx(np.mean(comp_var), rel=1e-12)
 
 
 def test_decomposition_enforces_minimum_replications(small_problem):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from kdc import (
     regression_value,
     sample_dataset,
     second_moment_bound,
+    spectral_kernel,
     sup_norm_bound,
     tail_mass,
 )
@@ -218,6 +220,33 @@ def test_problem_id_is_stable(default_problem):
     # Any parameter change moves the digest.
     assert build_problem(dim=200, gamma=0.5, zeta=0.5).problem_id != "4cbac9603feb"
     assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.0).problem_id != "4cbac9603feb"
+
+
+def test_problem_id_is_hashed_once_per_object(monkeypatch):
+    from kdc import spectral_model
+
+    problem = build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.3)
+    real = spectral_model.problem_to_json
+    calls = []
+    monkeypatch.setattr(
+        spectral_model, "problem_to_json", lambda p: calls.append(p) or real(p)
+    )
+    kernels = (spectral_kernel(problem), spectral_kernel(problem))
+    assert {k.key() for k in kernels for _ in range(5)} == {("spectral", "4cbac9603feb")}
+    assert calls == [problem]
+    # replace() builds a new object, which hashes its own fields afresh.
+    assert dataclasses.replace(problem, noise_sd=0.0).problem_id != "4cbac9603feb"
+    assert dataclasses.replace(problem).problem_id == "4cbac9603feb"
+    assert len(calls) == 3
+
+
+def test_problems_and_datasets_compare_by_identity(default_problem):
+    twin = problem_from_json(problem_to_json(default_problem))
+    data = sample_dataset(default_problem, 8, seed=1)
+    again = sample_dataset(default_problem, 8, seed=1)
+    assert default_problem == default_problem and default_problem != twin
+    assert data == data and data != again
+    assert len({default_problem, twin, data, again, data}) == 4
 
 
 def test_dataset_csv_round_trip_is_exact(default_problem):

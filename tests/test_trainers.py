@@ -9,6 +9,7 @@ from kdc import (
     AveragedModel,
     Constant,
     ConstraintViolationError,
+    Dataset,
     DivergenceError,
     Explicit,
     IndivisibleDataError,
@@ -39,6 +40,8 @@ from kdc import (
     spectral_kernel,
     tikhonov,
 )
+from kdc.seeding import partition_stream_seed
+from kdc.trainers import INDEX_CHUNK
 
 KAPPA_SQ_200 = 6.5736410355431385
 
@@ -122,6 +125,20 @@ def test_sgm_is_reproducible_and_seed_sensitive(data, kernel):
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
+def gram_replay(kernel, subset, base_seed, partition, batch, iterations, eta):
+    """SGM on one partition replayed step by step on its Gram matrix."""
+    g = gram(kernel, subset.inputs).entries
+    rng = np.random.default_rng(partition_stream_seed(base_seed, partition))
+    idx = rng.integers(0, len(subset), size=(iterations, batch))
+    alpha = np.zeros(len(subset))
+    for rows in idx:
+        resid = g[rows, :] @ alpha - subset.labels[rows]
+        upd = np.zeros(len(subset))
+        np.add.at(upd, rows, resid)
+        alpha -= (eta / batch) * upd
+    return alpha, idx
+
+
 @pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
 def test_sgm_single_full_batch_step_matches_gradient_descent(small_problem, kernel, n):
     # With b = n the first iteration multiplies each sampled residual by
@@ -130,19 +147,80 @@ def test_sgm_single_full_batch_step_matches_gradient_descent(small_problem, kern
     data = sample_dataset(small_problem, n, seed=2)
     cfg = SgmConfig(partitions=1, batch_size=8, iterations=12, step_schedule=0.05, base_seed=33)
     model = sgm_local(data, cfg, kernel, 2)
-    g = gram(kernel, data.inputs).entries
-    from kdc.seeding import partition_stream_seed
-
-    rng = np.random.default_rng(partition_stream_seed(33, 2))
-    idx = rng.integers(0, len(data), size=(12, 8))
-    alpha = np.zeros(len(data))
-    for t in range(12):
-        rows = idx[t]
-        resid = g[rows, :] @ alpha - data.labels[rows]
-        upd = np.zeros(len(data))
-        np.add.at(upd, rows, resid)
-        alpha -= (0.05 / 8) * upd
+    alpha, _ = gram_replay(kernel, data, 33, 2, 8, 12, 0.05)
     np.testing.assert_allclose(model.coeffs, alpha, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n_total, partitions, batch, iterations",
+    # n_local = 12 < dim = 20 and 48 > dim; both runs cross an index chunk.
+    [(48, 4, 8, INDEX_CHUNK + 7), (96, 2, 3, 2 * INDEX_CHUNK + 1)],
+)
+def test_distributed_sgm_matches_a_gram_replay_per_partition(
+    small_problem, kernel, n_total, partitions, batch, iterations
+):
+    data = sample_dataset(small_problem, n_total, seed=3)
+    cfg = SgmConfig(
+        partitions=partitions, batch_size=batch, iterations=iterations,
+        step_schedule=0.05, base_seed=21,
+    )
+    model = distributed_sgm(data, cfg, kernel, partition_seed=8)
+    duplicates = False
+    for s, (sub, local) in enumerate(zip(partition_data(data, partitions, 8), model.locals)):
+        alpha, idx = gram_replay(kernel, sub, 21, s, batch, iterations, 0.05)
+        duplicates |= any(np.unique(rows).size < batch for rows in idx)
+        assert local.partition_index == s
+        np.testing.assert_array_equal(local.inputs, sub.inputs)
+        np.testing.assert_allclose(local.coeffs, alpha, rtol=1e-12, atol=1e-15)
+    assert duplicates
+
+
+@pytest.mark.parametrize("n", [12, 2**33 + 5])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_chunked_index_draws_equal_the_one_shot_stream(n, batch):
+    t = 2 * INDEX_CHUNK + 5
+    one_shot = np.random.default_rng(77).integers(0, n, size=(t, batch))
+    rng = np.random.default_rng(77)
+    chunks = [
+        rng.integers(0, n, size=(min(INDEX_CHUNK, t - t0), batch))
+        for t0 in range(0, t, INDEX_CHUNK)
+    ]
+    np.testing.assert_array_equal(np.concatenate(chunks), one_shot)
+
+
+def test_distributed_sgm_raises_the_divergence_met_first_in_partition_order(
+    small_problem, kernel
+):
+    # One poisoned label per partition makes it diverge the first time its
+    # index is drawn. Partition 1 meets its label before partition 0 does,
+    # but trained one after another, partition 0 raises first.
+    n_total, m, batch, iterations, base = 64, 4, 2, 40, 5
+    data = sample_dataset(small_problem, n_total, seed=6)
+    subs = partition_data(data, m, 31)
+    first = []  # per partition: local index -> first iteration that draws it
+    for s in range(m):
+        rng = np.random.default_rng(partition_stream_seed(base, s))
+        idx = rng.integers(0, n_total // m, size=(iterations, batch))
+        first.append({j: int(np.argmax((idx == j).any(axis=1))) + 1 for j in np.unique(idx)})
+    late0 = max(first[0], key=first[0].get)
+    early1 = min(first[1], key=first[1].get)
+    assert first[0][late0] > first[1][early1]
+
+    def poisoned(*marks):
+        labels = data.labels.copy()
+        for s, j, value in marks:
+            labels[data.inputs == subs[s].inputs[j]] = value
+        return Dataset(inputs=data.inputs, labels=labels, problem_id=data.problem_id, seed=0)
+
+    cfg = SgmConfig(
+        partitions=m, batch_size=batch, iterations=iterations, step_schedule=0.05, base_seed=base
+    )
+    # An infinite label overflows partition 1 at once; the others still finish.
+    both = poisoned((0, late0, 1e20), (1, early1, np.inf))
+    with pytest.raises(DivergenceError, match=f"iteration {first[0][late0]} on partition 0$"):
+        distributed_sgm(both, cfg, kernel, partition_seed=31)
+    with pytest.raises(DivergenceError, match=f"iteration {first[1][early1]} on partition 1$"):
+        distributed_sgm(poisoned((1, early1, 1e20)), cfg, kernel, partition_seed=31)
 
 
 def test_sgm_validates_batch_and_steps(data, kernel):
