@@ -1,8 +1,8 @@
 """Risk evaluation, error decomposition, and log-log rate fitting.
 
-For synthetic spectral problems the excess risk of a model is computed
-exactly by projecting its predictor onto the problem's eigenbasis, which
-needs only the n x dim feature matrix of its inputs; a Monte Carlo
+Every model carries its mode vector ``modes``, the coefficients of its
+predictor in the problem's eigenbasis. For synthetic spectral problems the
+excess risk is therefore exact: ||modes - target_coeffs||^2. A Monte Carlo
 estimate from pointwise predictions is kept alongside as a cross-check of
 the exact one.
 """
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
-from .spectral_model import SpectralProblem, basis_matrix, regression_value, sample_dataset
+from .spectral_model import SpectralProblem, regression_value, sample_dataset
 from .trainers import (
     AveragedModel,
     LocalModel,
@@ -49,19 +49,16 @@ class RiskReport:
 def mode_projection(problem: SpectralProblem, model) -> np.ndarray:
     """Eigenbasis coefficients of a model's prediction function.
 
-    For a local model with coefficients alpha at inputs x, mode i carries
-    sigma_i * sum_j alpha_j phi_i(x_j); averaged models average their
-    locals. The model must use the problem's own spectral kernel.
+    Returns the model's read-only ``modes``: for a local model with
+    coefficients alpha at inputs x, mode i carries
+    sigma_i * sum_j alpha_j phi_i(x_j); an averaged model carries the mean
+    of its locals'. The model must use the problem's own spectral kernel.
     """
-    if isinstance(model, AveragedModel):
-        parts = [mode_projection(problem, m) for m in model.locals]
-        return sum(parts) / len(parts)
-    if not isinstance(model, LocalModel):
+    if not isinstance(model, (LocalModel, AveragedModel)):
         raise InvalidParameterError("expected a LocalModel or AveragedModel")
     if model.kernel.key() != ("spectral", problem.problem_id):
         raise KernelMismatchError("model kernel does not match this problem")
-    feats = basis_matrix(problem.dim, model.inputs)
-    return problem.eigenvalues * (feats.T @ model.coeffs)
+    return model.modes
 
 
 def excess_risk_exact(model, problem: SpectralProblem) -> RiskReport:
@@ -163,6 +160,7 @@ def decompose_error(
     kernel = spectral_kernel(problem)
     base = config.base_seed
     target = problem.target_coeffs
+    schedule, iters = config.step_schedule, config.iterations
 
     bias_d = np.empty(n_data)
     sv_d = np.empty(n_data)
@@ -173,17 +171,10 @@ def decompose_error(
         ds = sample_dataset(problem, n_total, derive_seed(base, TAG_DATA, d))
         subs = partition_data(ds, partitions, derive_seed(base, TAG_PARTITION, d))
 
-        pseudo = np.zeros(problem.dim)
-        batch = np.zeros(problem.dim)
-        for s, sub in enumerate(subs):
-            h = pseudo_gm_local(
-                sub, problem, config.step_schedule, config.iterations, kernel, partition_index=s
-            )
-            g = gm_local(sub, config.step_schedule, config.iterations, kernel, partition_index=s)
-            pseudo += mode_projection(problem, h)
-            batch += mode_projection(problem, g)
-        pseudo /= partitions
-        batch /= partitions
+        pseudo = sum(pseudo_gm_local(sub, problem, schedule, iters, kernel, s).modes
+                     for s, sub in enumerate(subs)) / partitions
+        batch = sum(gm_local(sub, schedule, iters, kernel, s).modes
+                    for s, sub in enumerate(subs)) / partitions
 
         bias_d[d] = float(np.sum((pseudo - target) ** 2))
         sv_d[d] = float(np.sum((batch - pseudo) ** 2))

@@ -132,13 +132,6 @@ def resolve_m(n_total: int, m_rule) -> tuple[int, int]:
     return requested, m
 
 
-CSV_COLUMNS = (
-    "version", "algorithm", "regime", "n_total", "m_requested", "m",
-    "n_local", "batch_size", "iterations", "eta", "lam", "scale", "filter",
-    "replications", "base_seed", "data_seed_first", "risk_mean", "risk_se",
-    "wall_ms", "error",
-)
-
 _INT_COLUMNS = {
     "n_total", "m_requested", "m", "n_local", "batch_size", "iterations",
     "replications", "base_seed", "data_seed_first",
@@ -170,6 +163,9 @@ class RunRecord:
     risk_se: float
     wall_ms: float
     error: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def _format_cell(name: str, value) -> str:

@@ -3,9 +3,10 @@ spectral-filter estimators, together with the parameter planner that maps
 a regime tag to concrete (eta, batch size, iterations) or lambda choices.
 
 A model is a weight vector alpha over its training inputs, predicting
-x -> sum_j alpha_j K(x, x_j). The estimators compute alpha in mode space,
-from the n x dim feature matrix Phi of the spectral kernel
-(K = Phi diag(sigma) Phi^T), and never form the n x n Gram matrix; the
+x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
+coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
+alpha in mode space, from the n x dim feature matrix Phi of the spectral
+kernel (K = Phi diag(sigma) Phi^T), and never form the n x n Gram matrix; the
 Gram route in :mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is
 the reference they are tested against. Distributed training partitions
 one dataset uniformly at random, trains each block independently, and
@@ -14,7 +15,7 @@ averages the block predictors uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     KernelMismatchError,
 )
 from .filters import FilterSpec, filter_value, landweber_recurrence
-from .kernels import KernelSpec, kernel_bound, kernel_cross, kernel_features
+from .kernels import KernelSpec, kernel_bound, kernel_features
 from .seeding import partition_stream_seed
 from .spectral_model import Dataset, SpectralProblem, regression_value
 
@@ -108,12 +109,18 @@ class SgmConfig:
 
 @dataclass(frozen=True, eq=False)
 class LocalModel:
-    """Coefficient-space predictor trained on one partition."""
+    """Predictor trained on one partition: coefficients alpha at its inputs.
+
+    ``modes`` is computed once from them: the eigenbasis coefficients
+    v = sigma * Phi^T alpha of the prediction function, read-only. Raises
+    DomainError for inputs outside [0, 1].
+    """
 
     inputs: np.ndarray
     coeffs: np.ndarray
     partition_index: int
     kernel: KernelSpec
+    modes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.inputs, dtype=float)
@@ -122,10 +129,10 @@ class LocalModel:
             raise InvalidParameterError("inputs and coeffs must be matching 1-D arrays")
         if not np.all(np.isfinite(a)):
             raise DivergenceError("model coefficients are not finite")
-        x.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "coeffs", a)
+        v = self.kernel.problem.eigenvalues * (kernel_features(self.kernel, x).T @ a)
+        for name, arr in (("inputs", x), ("coeffs", a), ("modes", v)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.inputs.size
@@ -133,13 +140,17 @@ class LocalModel:
 
 @dataclass(frozen=True, eq=False)
 class AveragedModel:
-    """Uniform average of per-partition predictors."""
+    """Uniform average of per-partition predictors; ``modes`` is their mean."""
 
     locals: tuple[LocalModel, ...]
+    modes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.locals) == 0:
             raise InvalidParameterError("averaged model needs at least one local model")
+        v = sum(m.modes for m in self.locals) / len(self.locals)
+        v.setflags(write=False)
+        object.__setattr__(self, "modes", v)
 
     @property
     def partitions(self) -> int:
@@ -163,11 +174,8 @@ def average_models(models: Sequence[LocalModel]) -> AveragedModel:
 
 
 def predict(model, xs):
-    """Evaluate a LocalModel or AveragedModel at points xs."""
-    if isinstance(model, AveragedModel):
-        preds = [predict(m, xs) for m in model.locals]
-        return sum(preds) / len(preds)
-    vals = kernel_cross(model.kernel, xs, model.inputs) @ model.coeffs
+    """Evaluate a LocalModel or AveragedModel at points xs from its modes."""
+    vals = kernel_features(model.kernel, xs) @ model.modes
     if np.isscalar(xs) or np.ndim(xs) == 0:
         return float(vals[0])
     return vals

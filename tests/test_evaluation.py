@@ -54,6 +54,9 @@ def test_mode_projection_of_a_single_section(small_problem, kernel):
     proj = mode_projection(small_problem, model)
     expected = small_problem.eigenvalues * basis_matrix(small_problem.dim, np.array([x0]))[0]
     np.testing.assert_allclose(proj, expected, rtol=1e-12)
+    assert proj is model.modes
+    with pytest.raises(ValueError):
+        model.modes[0] = 0.0
 
 
 def test_exact_risk_of_the_zero_model(small_problem, kernel):

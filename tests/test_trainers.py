@@ -11,6 +11,7 @@ from kdc import (
     ConstraintViolationError,
     Dataset,
     DivergenceError,
+    DomainError,
     Explicit,
     IndivisibleDataError,
     InvalidParameterError,
@@ -269,6 +270,12 @@ def test_local_model_rejects_nonfinite_coefficients(data, kernel):
         LocalModel(inputs=data.inputs, coeffs=bad, partition_index=0, kernel=kernel)
 
 
+@pytest.mark.parametrize("x", [1.5, -0.25])
+def test_local_model_rejects_inputs_outside_the_unit_interval(kernel, x):
+    with pytest.raises(DomainError):
+        LocalModel(inputs=np.array([x]), coeffs=np.array([1.0]), partition_index=0, kernel=kernel)
+
+
 # ---------------------------------------------------------------------------
 # batch gradient descent and its idealized twin
 
@@ -364,7 +371,10 @@ def test_average_models_rejects_mixed_kernels(data, kernel):
         average_models([a, b])
 
 
-def test_predict_expands_in_kernel_sections(data, kernel):
+@pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
+def test_predict_expands_in_kernel_sections(small_problem, kernel, n):
+    # predict reads the model's modes; this checks them against its coefficients.
+    data = sample_dataset(small_problem, n, seed=2)
     cfg = SgmConfig(partitions=1, batch_size=2, iterations=15, step_schedule=0.1, base_seed=8)
     model = sgm_local(data, cfg, kernel, 0)
     xs = np.array([0.2, 0.55, 0.9])
