@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import InvalidParameterError, KdcError
@@ -26,10 +25,10 @@ from .harness import (
     run_experiment,
     write_records_csv,
 )
-from .spectral_model import build_problem, dataset_to_csv, problem_to_json, sample_dataset
-from .trainers import CLAMP_SAFETY, Constant, SgmConfig
-
-_PROBLEM_KEYS = ("dim", "gamma", "zeta", "source_norm", "noise_sd")
+from .spectral_model import (
+    PROBLEM_PARAMS, build_problem, dataset_to_csv, problem_to_json, sample_dataset,
+)
+from .trainers import CLAMP_SAFETY, Constant, SgmConfig, theory_step_cap
 
 
 def _load_config(path: str) -> dict:
@@ -41,7 +40,7 @@ def _load_config(path: str) -> dict:
 
 
 def _problem_from_config(raw: dict):
-    kwargs = {k: raw[k] for k in _PROBLEM_KEYS if k in raw}
+    kwargs = {k: raw[k] for k in PROBLEM_PARAMS if k in raw}
     return build_problem(**kwargs)
 
 
@@ -128,7 +127,7 @@ def _cmd_decompose(args) -> int:
     if "eta" in raw:
         eta = float(raw["eta"])
     else:
-        eta = 1.0 / (4.0 * CLAMP_SAFETY * problem.kappa_sq * max(1.0, math.log(iterations)))
+        eta = theory_step_cap(CLAMP_SAFETY * problem.kappa_sq, iterations)
     seed = args.seed if args.seed is not None else int(raw.get("base_seed", 0))
     config = SgmConfig(
         partitions=m, batch_size=batch_size, iterations=iterations,
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = add("train", _cmd_train, "train a single size point and report its risk")
     p_sweep = add("sweep", _cmd_sweep, "run the full size sweep and write run records")
     for p in (p_train, p_sweep):
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=int, default=1,
                        help="worker processes (0 = one per CPU)")
     add("decompose", _cmd_decompose, "split the excess risk into bias/variance pieces")
     p_fit = add("rate-fit", _cmd_rate_fit, "fit a log-log rate from recorded sweeps")

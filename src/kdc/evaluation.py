@@ -56,7 +56,7 @@ def mode_projection(problem: SpectralProblem, model) -> np.ndarray:
     """
     if not isinstance(model, (LocalModel, AveragedModel)):
         raise InvalidParameterError("expected a LocalModel or AveragedModel")
-    if model.kernel.key() != ("spectral", problem.problem_id):
+    if model.kernel.key() != spectral_kernel(problem).key():
         raise KernelMismatchError("model kernel does not match this problem")
     return model.modes
 

@@ -77,6 +77,14 @@ def tikhonov_bias_corrected(kappa_sq: float) -> FilterSpec:
     )
 
 
+def check_step_bound(steps, kappa_sq: float) -> None:
+    """Raise unless every step is <= 1/kappa_sq: the Landweber, GD and SGM contract."""
+    if np.max(steps) > (1.0 + 1e-12) / kappa_sq:
+        raise InvalidParameterError(
+            f"step sizes must not exceed 1/kappa_sq = {1.0 / kappa_sq:.6g}"
+        )
+
+
 def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> FilterSpec:
     """Gradient-descent filter for a positive step-size schedule.
 
@@ -93,10 +101,7 @@ def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> Filter
         raise InvalidParameterError("landweber needs at least one step")
     if not all(math.isfinite(s) and s > 0 for s in steps):
         raise InvalidParameterError("step sizes must be positive and finite")
-    if max(steps) > (1.0 + 1e-12) / kappa_sq:
-        raise InvalidParameterError(
-            f"step sizes must not exceed 1/kappa_sq = {1.0 / kappa_sq:.6g}"
-        )
+    check_step_bound(steps, kappa_sq)
     const_f = (qualification / math.e) ** qualification
     return FilterSpec(
         kind="landweber", qualification=float(qualification), const_e=1.0,

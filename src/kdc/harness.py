@@ -7,9 +7,9 @@ CSV with enough precision to round-trip exactly. Failures inside a point
 (divergence, constraint violations) are recorded on the row instead of
 aborting the sweep.
 
-Replications are independent tasks keyed by (N, rep); with KDC_THREADS set
-(or ``workers`` passed), they execute in a process pool. Results are
-aggregated in task order, so parallel runs produce byte-identical records.
+Replications are independent tasks keyed by (N, rep); with ``workers`` > 1
+(0 = one per CPU) they execute in a process pool. Results are aggregated
+in task order, so parallel runs produce byte-identical records.
 """
 from __future__ import annotations
 
@@ -29,7 +29,9 @@ from .evaluation import excess_risk_exact, fit_rate, theory_exponent
 from .filters import filter_from_tag, FILTER_TAGS
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
-from .spectral_model import build_problem, problem_from_json, problem_to_json, sample_dataset
+from .spectral_model import (
+    PROBLEM_PARAMS, build_problem, problem_from_json, problem_to_json, sample_dataset,
+)
 from .trainers import (
     CLAMP_SAFETY,
     SA_REGIMES,
@@ -38,9 +40,6 @@ from .trainers import (
     distributed_sgm,
     plan_parameters,
 )
-
-#: Environment variable capping worker processes (0 = one per CPU).
-WORKERS_ENV = "KDC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -132,13 +131,6 @@ def resolve_m(n_total: int, m_rule) -> tuple[int, int]:
     return requested, m
 
 
-_INT_COLUMNS = {
-    "n_total", "m_requested", "m", "n_local", "batch_size", "iterations",
-    "replications", "base_seed", "data_seed_first",
-}
-_FLOAT_COLUMNS = {"eta", "lam", "scale", "risk_mean", "risk_se", "wall_ms"}
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """One (N, m) sweep point, aggregated over replications."""
@@ -167,23 +159,26 @@ class RunRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
+#: Cell type of each column, read from the annotations ("int | None" -> int).
+_CELL_TYPES = {
+    f.name: {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
+    for f in fields(RunRecord)
+}
+
 
 def _format_cell(name: str, value) -> str:
     if value is None:
         return ""
-    if name in _FLOAT_COLUMNS:
+    if _CELL_TYPES[name] is float:
         return f"{float(value):.17g}"
     return str(value)
 
 
 def _parse_cell(name: str, text: str):
-    if text == "":
-        return "" if name not in (_INT_COLUMNS | _FLOAT_COLUMNS) else None
-    if name in _INT_COLUMNS:
-        return int(text)
-    if name in _FLOAT_COLUMNS:
-        return float(text)
-    return text
+    kind = _CELL_TYPES[name]
+    if text == "" and kind is not str:
+        return None
+    return kind(text)
 
 
 def records_to_csv(records) -> str:
@@ -236,29 +231,25 @@ def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
     return np.full(steps, eta)
 
 
-def _run_point(payload: dict) -> dict:
+def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int, rep: int) -> dict:
     """Run one (N, rep) task; returns risk or a recorded error."""
     t0 = time.perf_counter()
     try:
-        problem = problem_from_json(payload["problem_json"])
+        problem = problem_from_json(problem_json)
         kernel = spectral_kernel(problem)
-        n_total = payload["n_total"]
-        m = payload["m"]
-        rep = payload["rep"]
-        base = payload["base_seed"]
-        data_seed = derive_seed(base, TAG_DATA, n_total, rep)
-        part_seed = derive_seed(base, TAG_PARTITION, n_total, rep)
-        index_seed = derive_seed(base, TAG_INDEX, n_total, rep)
+        data_seed = derive_seed(config.base_seed, TAG_DATA, n_total, rep)
+        part_seed = derive_seed(config.base_seed, TAG_PARTITION, n_total, rep)
+        index_seed = derive_seed(config.base_seed, TAG_INDEX, n_total, rep)
         ds = sample_dataset(problem, n_total, data_seed)
         plan = plan_parameters(
-            payload["regime"], n_total, m, problem.zeta, problem.gamma,
-            payload["scale"], kappa_sq=problem.kappa_sq,
-            theory_compliant=payload["theory_compliant"],
+            config.regime, n_total, m, problem.zeta, problem.gamma,
+            config.scale, kappa_sq=problem.kappa_sq,
+            theory_compliant=config.theory_compliant,
         )
         if plan.algorithm == "sgm":
             model = distributed_sgm(ds, plan.to_config(index_seed), kernel, part_seed)
         else:
-            tag = payload["filter_tag"]
+            tag = config.filter_tag
             if tag == "landweber":
                 steps = landweber_schedule_for(plan.lam, problem.kappa_sq)
                 filt = filter_from_tag(tag, problem.kappa_sq, step_sizes=steps)
@@ -280,54 +271,33 @@ def _run_point(payload: dict) -> dict:
         }
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(raw) if raw else 1
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
+    """Run a full sweep and return one record per (N, m) point.
+
+    ``workers`` processes run the replications (0 = one per CPU).
+    Per-replication failures are folded into the row's ``error`` column;
+    the risk statistics then cover the surviving replications (NaN if none
+    survive). Rows come back in ``n_list`` order.
+    """
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1 (or 0 for auto)")
-    return workers
-
-
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[RunRecord]:
-    """Run a full sweep and return one record per (N, m) point.
-
-    Per-replication failures are folded into the row's ``error`` column;
-    the risk statistics then cover the surviving replications (NaN if none
-    survive). Rows come back sorted by (n_total, m).
-    """
-    problem = build_problem(
-        dim=config.dim, gamma=config.gamma, zeta=config.zeta,
-        source_norm=config.source_norm, noise_sd=config.noise_sd,
-    )
+    problem = build_problem(**{name: getattr(config, name) for name in PROBLEM_PARAMS})
     problem_json = problem_to_json(problem)
 
     points = []
-    payloads = []
+    tasks = []
     for n_total in config.n_list:
         m_requested, m = resolve_m(n_total, config.m_rule)
         points.append((n_total, m_requested, m))
-        for rep in range(config.replications):
-            payloads.append({
-                "problem_json": problem_json,
-                "regime": config.regime,
-                "n_total": n_total,
-                "m": m,
-                "rep": rep,
-                "base_seed": config.base_seed,
-                "scale": config.scale,
-                "theory_compliant": config.theory_compliant,
-                "filter_tag": config.filter_tag,
-            })
+        tasks += [(config, problem_json, n_total, m, rep) for rep in range(config.replications)]
 
-    n_workers = _resolve_workers(workers)
-    if n_workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_point, payloads))
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_point, *zip(*tasks)))
     else:
-        results = [_run_point(p) for p in payloads]
+        results = [_run_point(*task) for task in tasks]
 
     records = []
     reps = config.replications
@@ -369,7 +339,6 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
             wall_ms=float(sum(c["wall_ms"] for c in chunk)),
             error=error,
         ))
-    records.sort(key=lambda r: (r.n_total, r.m))
     return records
 
 

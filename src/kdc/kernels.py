@@ -28,16 +28,9 @@ EIG_RECONSTRUCT_REL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Tagged kernel description; ``spectral`` is the only kind."""
+    """The truncated spectral kernel of a problem."""
 
-    kind: str
-    problem: SpectralProblem | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind != "spectral":
-            raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.problem is None:
-            raise InvalidParameterError("spectral kernel needs a problem")
+    problem: SpectralProblem
 
     def key(self):
         """Hashable identity used to check that models share a kernel."""
@@ -46,7 +39,7 @@ class KernelSpec:
 
 def spectral_kernel(problem: SpectralProblem) -> KernelSpec:
     """Truncated kernel K(x,u) = sum_i sigma_i phi_i(x) phi_i(u) on [0,1]."""
-    return KernelSpec(kind="spectral", problem=problem)
+    return KernelSpec(problem)
 
 
 def kernel_bound(spec: KernelSpec) -> float:

@@ -26,16 +26,10 @@ KAPPA_GRID_POINTS = 10_001
 #: Default truncation order of the spectrum.
 DEFAULT_DIM = 200
 
-_JSON_FIELDS = (
-    "dim",
-    "gamma",
-    "zeta",
-    "source_norm",
-    "noise_sd",
-    "eigenvalues",
-    "target_coeffs",
-    "kappa_sq",
-)
+#: Parameters of the problem family: the arguments of :func:`build_problem`.
+PROBLEM_PARAMS = ("dim", "gamma", "zeta", "source_norm", "noise_sd")
+
+_JSON_FIELDS = PROBLEM_PARAMS + ("eigenvalues", "target_coeffs", "kappa_sq")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +70,9 @@ class SpectralProblem:
     kappa_sq: float
 
     def __post_init__(self) -> None:
+        # Stored as floats, so that a problem and its JSON round trip share one id.
+        for name in ("gamma", "zeta", "source_norm", "noise_sd", "kappa_sq"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         ev = np.asarray(self.eigenvalues, dtype=float)
         tc = np.asarray(self.target_coeffs, dtype=float)
         if self.dim < 1:
@@ -314,18 +311,9 @@ def second_moment_bound(problem: SpectralProblem) -> float:
 # ---------------------------------------------------------------------------
 
 def problem_to_json(problem: SpectralProblem) -> str:
-    """Serialize a problem to JSON with the fixed field set."""
-    doc = {
-        "dim": problem.dim,
-        "gamma": problem.gamma,
-        "zeta": problem.zeta,
-        "source_norm": problem.source_norm,
-        "noise_sd": problem.noise_sd,
-        "eigenvalues": [float(v) for v in problem.eigenvalues],
-        "target_coeffs": [float(v) for v in problem.target_coeffs],
-        "kappa_sq": problem.kappa_sq,
-    }
-    return json.dumps(doc)
+    """Serialize a problem to JSON with the fixed field set; arrays become lists."""
+    doc = {name: getattr(problem, name) for name in _JSON_FIELDS}
+    return json.dumps(doc, default=lambda array: array.tolist())
 
 
 def problem_from_json(text: str) -> SpectralProblem:
@@ -336,16 +324,7 @@ def problem_from_json(text: str) -> SpectralProblem:
             f"problem document must have exactly the fields {sorted(_JSON_FIELDS)}, "
             f"got {sorted(doc)}"
         )
-    return SpectralProblem(
-        dim=int(doc["dim"]),
-        eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-        target_coeffs=np.asarray(doc["target_coeffs"], dtype=float),
-        zeta=float(doc["zeta"]),
-        gamma=float(doc["gamma"]),
-        source_norm=float(doc["source_norm"]),
-        noise_sd=float(doc["noise_sd"]),
-        kappa_sq=float(doc["kappa_sq"]),
-    )
+    return SpectralProblem(**doc)
 
 
 def dataset_to_csv(ds: Dataset) -> str:

@@ -28,7 +28,7 @@ from .errors import (
     InvalidRegimeError,
     KernelMismatchError,
 )
-from .filters import FilterSpec, filter_value, landweber_recurrence
+from .filters import FilterSpec, check_step_bound, filter_value, landweber_recurrence
 from .kernels import KernelSpec, kernel_bound, kernel_features
 from .seeding import partition_stream_seed
 from .spectral_model import Dataset, SpectralProblem, regression_value
@@ -209,11 +209,9 @@ def partition_data(dataset: Dataset, partitions: int, seed: int) -> list[Dataset
     return out
 
 
-def _validate_steps(etas: np.ndarray, ksq: float) -> None:
-    if np.max(etas) > (1.0 + 1e-12) / ksq:
-        raise InvalidParameterError(
-            f"step sizes must not exceed 1/kappa_sq = {1.0 / ksq:.6g}"
-        )
+def theory_step_cap(kappa_sq: float, iterations: int) -> float:
+    """Step cap 1/(4 kappa_sq max(1, ln T)) of the SGM rates (Lin & Cevher, 1801.07226)."""
+    return 1.0 / (4.0 * kappa_sq * max(1.0, math.log(iterations)))
 
 
 def _mode_filter(kernel: KernelSpec, inputs: np.ndarray, y: np.ndarray, g) -> np.ndarray:
@@ -244,9 +242,9 @@ def _sgm_runs(blocks: Sequence[Dataset], config: SgmConfig, kernel: KernelSpec, 
         raise InvalidParameterError(f"batch_size {config.batch_size} exceeds partition size {n}")
     etas = resolve_schedule(config.step_schedule, config.iterations)
     ksq = kernel_bound(kernel)
-    _validate_steps(etas, ksq)
+    check_step_bound(etas, ksq)
     if config.theory_compliant:
-        cap = 1.0 / (4.0 * ksq * max(1.0, math.log(config.iterations)))
+        cap = theory_step_cap(ksq, config.iterations)
         if np.max(etas) > cap * (1.0 + 1e-12):
             raise ConstraintViolationError(f"theory-compliant runs need eta <= {cap:.6g}")
 
@@ -312,7 +310,7 @@ def _gradient_descent(
     kernel: KernelSpec, inputs: np.ndarray, labels: np.ndarray, step_schedule, iterations: int
 ) -> np.ndarray:
     etas = resolve_schedule(step_schedule, iterations)
-    _validate_steps(etas, kernel_bound(kernel))
+    check_step_bound(etas, kernel_bound(kernel))
     return _mode_filter(kernel, inputs, labels, lambda u: landweber_recurrence(etas, u))
 
 
@@ -579,7 +577,7 @@ def plan_parameters(
         if kappa_sq is not None:
             cap = 1.0 / (CLAMP_SAFETY * kappa_sq)
             if theory_compliant:
-                cap = min(cap, 1.0 / (4.0 * CLAMP_SAFETY * kappa_sq * max(1.0, math.log(iters))))
+                cap = min(cap, theory_step_cap(CLAMP_SAFETY * kappa_sq, iters))
             if eta_raw > cap:
                 eta = cap
                 clamped = True
@@ -688,4 +686,5 @@ __all__ = [
     "resolve_schedule",
     "sa_local",
     "sgm_local",
+    "theory_step_cap",
 ]

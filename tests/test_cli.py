@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from kdc import problem_from_json, read_records_csv
@@ -172,11 +171,3 @@ def test_workers_flag_matches_serial_output(tmp_path, sweep_config):
     for x, y in zip(ra, rb):
         assert x.risk_mean == y.risk_mean
         assert x.risk_se == y.risk_se
-
-
-def test_threads_env_var_is_honored(tmp_path, sweep_config, monkeypatch):
-    monkeypatch.setenv("KDC_THREADS", "2")
-    out = tmp_path / "env.csv"
-    assert main(["sweep", "--config", sweep_config, "--out", str(out)]) == 0
-    records = read_records_csv(str(out))
-    assert np.isfinite(records[0].risk_mean)

@@ -15,14 +15,17 @@ from kdc import (
     dataset_from_csv,
     dataset_to_csv,
     effective_dimension,
+    mode_projection,
     problem_from_json,
     problem_to_json,
     regression_value,
+    sa_local,
     sample_dataset,
     second_moment_bound,
     spectral_kernel,
     sup_norm_bound,
     tail_mass,
+    tikhonov,
 )
 
 # Two-mode problem, worked by hand: sigma = [1, 1/2], weights w = [1, 1/2],
@@ -196,6 +199,17 @@ def test_problem_json_round_trip(default_problem):
     np.testing.assert_array_equal(clone.eigenvalues, default_problem.eigenvalues)
     np.testing.assert_array_equal(clone.target_coeffs, default_problem.target_coeffs)
     assert clone.problem_id == default_problem.problem_id
+
+
+def test_problem_id_survives_the_json_round_trip_with_integer_parameters():
+    # A JSON config may give "gamma": 1; the problem must hash as its round trip does.
+    problem = build_problem(dim=20, gamma=1, zeta=1, source_norm=2, noise_sd=0)
+    clone = problem_from_json(problem_to_json(problem))
+    assert clone.problem_id == problem.problem_id
+    assert problem_to_json(clone) == problem_to_json(problem)
+    data = sample_dataset(clone, 16, seed=0)
+    model = sa_local(data, tikhonov(clone.kappa_sq), 0.1, spectral_kernel(clone))
+    np.testing.assert_array_equal(mode_projection(problem, model), model.modes)
 
 
 def test_problem_json_schema_is_exactly_eight_keys(default_problem):
