@@ -50,7 +50,7 @@ def main() -> None:
             step_schedule=Constant(ETA),
             base_seed=11,
         )
-        report = decompose_error(problem, N_TOTAL, PARTITIONS, config, REPS)
+        report = decompose_error(problem, N_TOTAL, config, REPS)
         show(f"T = {iterations} iterations:", report)
 
     print(

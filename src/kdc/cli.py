@@ -32,11 +32,22 @@ from .trainers import CLAMP_SAFETY, Constant, SgmConfig, theory_step_cap
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidParameterError("config file must hold a JSON object")
     return raw
+
+
+def _n_total(raw: dict) -> int:
+    """The config's sample size: ``n_total``, else the first entry of ``n_list``."""
+    n_total = int(raw.get("n_total", (raw.get("n_list") or [0])[0]))
+    if n_total < 1:
+        raise InvalidParameterError("config needs n_total (or a nonempty n_list)")
+    return n_total
 
 
 def _problem_from_config(raw: dict):
@@ -66,9 +77,7 @@ def _cmd_gen_problem(args) -> int:
 def _cmd_sample(args) -> int:
     raw = _load_config(args.config)
     problem = _problem_from_config(raw)
-    n_total = int(raw.get("n_total", raw.get("n_list", [0])[0]))
-    if n_total < 1:
-        raise InvalidParameterError("config needs n_total (or a nonempty n_list)")
+    n_total = _n_total(raw)
     seed = args.seed if args.seed is not None else int(raw.get("base_seed", 0))
     ds = sample_dataset(problem, n_total, seed)
     _write_text(dataset_to_csv(ds), args.out)
@@ -117,12 +126,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_decompose(args) -> int:
     raw = _load_config(args.config)
     problem = _problem_from_config(raw)
-    n_total = int(raw.get("n_total", raw.get("n_list", [0])[0]))
-    if n_total < 1:
-        raise InvalidParameterError("config needs n_total (or a nonempty n_list)")
+    n_total = _n_total(raw)
     m_rule = raw.get("m_rule", raw.get("m", 1))
     _, m = resolve_m(n_total, m_rule)
-    iterations = int(raw["iterations"])
+    iterations = int(raw.get("iterations", 0))
+    if iterations < 1:
+        raise InvalidParameterError("decompose config needs iterations >= 1")
     batch_size = int(raw.get("batch_size", 1))
     if "eta" in raw:
         eta = float(raw["eta"])
@@ -134,23 +143,16 @@ def _cmd_decompose(args) -> int:
         step_schedule=Constant(eta), base_seed=seed,
     )
     reps = (int(raw.get("n_data", 100)), int(raw.get("n_index", 50)))
-    report = decompose_error(problem, n_total, m, config, replications=reps)
-    print(f"total       = {report.total:.6g} (se {report.se_total:.2g})")
-    print(f"bias        = {report.bias:.6g} (se {report.se_bias:.2g})")
-    print(f"sample_var  = {report.sample_var:.6g} (se {report.se_sample_var:.2g})")
-    print(f"comp_var    = {report.comp_var:.6g} (se {report.se_comp_var:.2g})")
+    report = decompose_error(problem, n_total, config, replications=reps)
+    parts = [(name, getattr(report, name), getattr(report, f"se_{name}"))
+             for name in ("total", "bias", "sample_var", "comp_var")]
+    for name, val, se in parts:
+        print(f"{name:<12}= {val:.6g} (se {se:.2g})")
     print(f"identity gap = {report.identity_gap:.3g} "
           f"(combined se {report.combined_se:.3g}, ok={report.identity_ok()})")
     if args.out:
-        lines = ["component,value,std_error"]
-        for name, val, se in (
-            ("total", report.total, report.se_total),
-            ("bias", report.bias, report.se_bias),
-            ("sample_var", report.sample_var, report.se_sample_var),
-            ("comp_var", report.comp_var, report.se_comp_var),
-        ):
-            lines.append(f"{name},{val:.17g},{se:.17g}")
-        _write_text("\n".join(lines) + "\n", args.out)
+        rows = [f"{name},{val:.17g},{se:.17g}" for name, val, se in parts]
+        _write_text("\n".join(["component,value,std_error"] + rows) + "\n", args.out)
     return 0 if report.identity_ok() else 1
 
 

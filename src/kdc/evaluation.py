@@ -21,7 +21,7 @@ from .errors import (
 )
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
-from .spectral_model import SpectralProblem, regression_value, sample_dataset
+from .spectral_model import SpectralProblem, check_exponents, regression_value, sample_dataset
 from .trainers import (
     AveragedModel,
     LocalModel,
@@ -129,17 +129,16 @@ def _se(values: np.ndarray) -> float:
 def decompose_error(
     problem: SpectralProblem,
     n_total: int,
-    partitions: int,
     config: SgmConfig,
     replications: tuple[int, int] = (100, 50),
 ) -> DecompositionReport:
     """Split the averaged-SGM excess risk into three orthogonal-ish pieces.
 
-    For each of ``replications[0]`` independent datasets, three averaged
-    predictors are formed per partition layout: the pseudo iterate (batch
-    gradient descent on noiseless labels), the batch iterate (gradient
-    descent on the observed labels), and ``replications[1]`` SGM iterates
-    differing only in their index draws. In eigenbasis coordinates:
+    For each of ``replications[0]`` independent datasets, split into
+    ``config.partitions`` blocks, three averaged predictors are formed: the
+    pseudo iterate (batch gradient descent on noiseless labels), the batch
+    iterate (gradient descent on the observed labels), and
+    ``replications[1]`` SGM iterates differing only in their index draws. In eigenbasis coordinates:
 
     * bias        = ||pseudo - f||^2            (approximation error),
     * sample_var  = ||batch - pseudo||^2        (label noise),
@@ -154,9 +153,7 @@ def decompose_error(
         raise InvalidParameterError(
             f"replications must be at least {MIN_DECOMPOSE_REPS} (got {replications})"
         )
-    if config.partitions != partitions:
-        raise InvalidParameterError("config.partitions must match the partitions argument")
-
+    partitions = config.partitions
     kernel = spectral_kernel(problem)
     base = config.base_seed
     target = problem.target_coeffs
@@ -171,7 +168,7 @@ def decompose_error(
         ds = sample_dataset(problem, n_total, derive_seed(base, TAG_DATA, d))
         subs = partition_data(ds, partitions, derive_seed(base, TAG_PARTITION, d))
 
-        pseudo = sum(pseudo_gm_local(sub, problem, schedule, iters, kernel, s).modes
+        pseudo = sum(pseudo_gm_local(sub, schedule, iters, kernel, s).modes
                      for s, sub in enumerate(subs)) / partitions
         batch = sum(gm_local(sub, schedule, iters, kernel, s).modes
                     for s, sub in enumerate(subs)) / partitions
@@ -254,6 +251,5 @@ def theory_exponent(zeta: float, gamma: float) -> float:
     class. It is not a predicted slope: a target smoother than its
     certified zeta may decay faster.
     """
-    if zeta <= 0 or not 0 < gamma <= 1:
-        raise InvalidParameterError("need zeta > 0 and gamma in (0, 1]")
+    check_exponents(zeta, gamma)
     return -2.0 * zeta / max(1.0, 2.0 * zeta + gamma)

@@ -103,7 +103,10 @@ def _parse_m_rule(rule) -> tuple[str, float | int]:
     if isinstance(rule, str):
         if not rule.startswith("pow:"):
             raise InvalidParameterError("string m rules look like 'pow:0.4'")
-        beta = float(rule[4:])
+        try:
+            beta = float(rule[4:])
+        except ValueError:
+            raise InvalidParameterError(f"m rule exponent {rule[4:]!r} is not a number") from None
         if not 0.0 <= beta < 1.0:
             raise InvalidParameterError("m rule exponent must lie in [0, 1)")
         return ("pow", beta)

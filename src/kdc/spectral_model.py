@@ -32,6 +32,26 @@ PROBLEM_PARAMS = ("dim", "gamma", "zeta", "source_norm", "noise_sd")
 _JSON_FIELDS = PROBLEM_PARAMS + ("eigenvalues", "target_coeffs", "kappa_sq")
 
 
+def check_exponents(zeta: float, gamma: float) -> None:
+    """The family's exponent rule: source exponent zeta > 0, capacity gamma in (0, 1]."""
+    if not (0.0 < gamma <= 1.0):
+        raise InvalidParameterError("gamma must lie in (0, 1]")
+    if zeta <= 0:
+        raise InvalidParameterError("zeta must be > 0")
+
+
+def check_problem_params(dim: int, gamma: float, zeta: float, source_norm: float,
+                         noise_sd: float) -> None:
+    """Validate the family's parameters (PROBLEM_PARAMS); raises InvalidParameterError."""
+    if dim < 1:
+        raise InvalidParameterError("dim must be >= 1")
+    check_exponents(zeta, gamma)
+    if source_norm <= 0:
+        raise InvalidParameterError("source_norm must be > 0")
+    if noise_sd < 0:
+        raise InvalidParameterError("noise_sd must be >= 0")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralProblem:
     """A synthetic learning problem defined by its kernel spectrum.
@@ -73,10 +93,9 @@ class SpectralProblem:
         # Stored as floats, so that a problem and its JSON round trip share one id.
         for name in ("gamma", "zeta", "source_norm", "noise_sd", "kappa_sq"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        check_problem_params(self.dim, self.gamma, self.zeta, self.source_norm, self.noise_sd)
         ev = np.asarray(self.eigenvalues, dtype=float)
         tc = np.asarray(self.target_coeffs, dtype=float)
-        if self.dim < 1:
-            raise InvalidParameterError("dim must be >= 1")
         if ev.shape != (self.dim,) or tc.shape != (self.dim,):
             raise InvalidParameterError(
                 "eigenvalues and target_coeffs must have length dim"
@@ -85,14 +104,6 @@ class SpectralProblem:
             raise InvalidParameterError(
                 "eigenvalues must be strictly positive and non-increasing"
             )
-        if not (0.0 < self.gamma <= 1.0):
-            raise InvalidParameterError("gamma must lie in (0, 1]")
-        if self.zeta <= 0:
-            raise InvalidParameterError("zeta must be > 0")
-        if self.source_norm <= 0:
-            raise InvalidParameterError("source_norm must be > 0")
-        if self.noise_sd < 0:
-            raise InvalidParameterError("noise_sd must be >= 0")
         if self.kappa_sq < ev[0]:
             raise InvalidParameterError(
                 "kappa_sq must dominate the operator norm (largest eigenvalue)"
@@ -175,17 +186,7 @@ def build_problem(
     kappa_sq is the maximum of K(x, x) over an equispaced grid of
     KAPPA_GRID_POINTS points.
     """
-    if dim < 1:
-        raise InvalidParameterError("dim must be >= 1")
-    if not (0.0 < gamma <= 1.0):
-        raise InvalidParameterError("gamma must lie in (0, 1]")
-    if zeta <= 0:
-        raise InvalidParameterError("zeta must be > 0")
-    if source_norm <= 0:
-        raise InvalidParameterError("source_norm must be > 0")
-    if noise_sd < 0:
-        raise InvalidParameterError("noise_sd must be >= 0")
-
+    check_problem_params(dim, gamma, zeta, source_norm, noise_sd)
     modes = np.arange(1, dim + 1, dtype=float)
     eigenvalues = modes ** (-1.0 / gamma)
     weights = 1.0 / modes

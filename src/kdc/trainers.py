@@ -31,7 +31,7 @@ from .errors import (
 from .filters import FilterSpec, check_step_bound, filter_value, landweber_recurrence
 from .kernels import KernelSpec, kernel_bound, kernel_features
 from .seeding import partition_stream_seed
-from .spectral_model import Dataset, SpectralProblem, regression_value
+from .spectral_model import Dataset, SpectralProblem, check_exponents, regression_value
 
 #: Coefficient magnitude beyond which an iterate is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -333,7 +333,6 @@ def gm_local(
 
 def pseudo_gm_local(
     subset: Dataset,
-    problem: SpectralProblem,
     step_schedule,
     iterations: int,
     kernel: KernelSpec,
@@ -342,11 +341,10 @@ def pseudo_gm_local(
     """Gradient descent against noiseless labels f(x_j) at the same inputs.
 
     Only available for synthetic problems where the regression function is
-    known; used to split estimation error into bias and variance pieces.
+    known (the kernel's problem); used to split estimation error into bias
+    and variance pieces.
     """
-    if kernel.problem.problem_id != problem.problem_id:
-        raise KernelMismatchError("pseudo iterates need the problem's own kernel")
-    clean = regression_value(problem, subset.inputs)
+    clean = regression_value(kernel.problem, subset.inputs)
     alpha = _gradient_descent(kernel, subset.inputs, clean, step_schedule, iterations)
     return LocalModel(inputs=subset.inputs, coeffs=alpha, partition_index=partition_index, kernel=kernel)
 
@@ -448,14 +446,6 @@ class TrainPlan:
         )
 
 
-def _ceil_count(value: float) -> int:
-    return max(1, math.ceil(value * (1.0 - 1e-12)))
-
-
-def _round_batch(value: float) -> int:
-    return max(1, round(value))
-
-
 def plan_parameters(
     regime: str,
     n_total: int,
@@ -470,117 +460,95 @@ def plan_parameters(
     """Map a regime tag to concrete hyperparameters.
 
     SGM regimes fix (eta, batch size, iterations); SA regimes fix lambda.
+    The tags are the corollaries of Lin & Cevher (arXiv 1801.07226): four SGM
+    step shapes and one lambda rule in N, m, n = N/m, zeta and s = 2*zeta +
+    gamma. ``cor2.k`` is shape k and requires s > 1; ``cor1.1`` and
+    ``cor1.2`` are shapes 3 and 4 at (zeta, s) = (1/2, 2), the
+    capacity-independent worst case; ``cor3.k`` (Lin & Rosasco, JMLR 2017)
+    is shape k at m = 1 with s replaced by max(1, s). ``cor5`` sets lambda =
+    scale * N^(-1/s); ``cor6`` is ``cor5`` at m = 1 with max(1, s) for s.
     ``scale`` multiplies the step size or regularization level. When
     ``kappa_sq`` is given, step sizes are clamped to 1/(1.01 kappa_sq) so
     the SGM step-size contract always holds; with ``theory_compliant`` the
     tighter cap 1/(4 * 1.01 * kappa_sq * max(1, ln T)) applies as well.
-    Iteration counts round up; batch sizes round to the nearest integer
-    (at least 1). Raises InvalidRegimeError for unknown tags and
-    ConstraintViolationError when a regime's side conditions fail
-    (single-machine regimes require partitions == 1; capacity-dependent
-    regimes require 2*zeta + gamma > 1).
+    Iteration counts round up; batch sizes round to the nearest integer in
+    [1, n]. Raises InvalidRegimeError for unknown tags and
+    ConstraintViolationError when a regime's side condition fails.
     """
     if n_total < 2:
         raise InvalidParameterError("n_total must be >= 2")
     if partitions < 1 or partitions > n_total:
         raise InvalidParameterError("partitions must lie in [1, n_total]")
-    if zeta <= 0 or not 0 < gamma <= 1:
-        raise InvalidParameterError("need zeta > 0 and gamma in (0, 1]")
+    check_exponents(zeta, gamma)
     if scale <= 0:
         raise InvalidParameterError("scale must be positive")
     if theory_compliant and kappa_sq is None:
         raise InvalidParameterError("theory_compliant planning needs kappa_sq")
-
-    big_n = float(n_total)
-    m = partitions
-    n_local = n_total / m
-    exponent_sum = 2.0 * zeta + gamma
-    log_n = math.log(big_n)
-
-    def need_capacity() -> None:
-        if exponent_sum <= 1.0:
-            raise ConstraintViolationError(
-                f"regime {regime} requires 2*zeta + gamma > 1 (got {exponent_sum:.3g})"
-            )
-
-    def need_single() -> None:
-        if m != 1:
-            raise ConstraintViolationError(f"regime {regime} requires partitions == 1")
-
-    algorithm = "sa" if regime in SA_REGIMES else "sgm"
-    lam: float | None = None
-    eta_raw: float | None = None
-    batch: int | None = None
-    iters: int | None = None
-
-    if regime == "cor1.1":
-        eta_raw = scale * m / math.sqrt(big_n)
-        batch = 1
-        iters = _ceil_count(big_n / m)
-    elif regime == "cor1.2":
-        eta_raw = scale / log_n
-        batch = _round_batch(math.sqrt(big_n) / m)
-        iters = _ceil_count(math.sqrt(big_n) * log_n)
-    elif regime == "cor2.1":
-        need_capacity()
-        eta_raw = scale / n_local
-        batch = 1
-        iters = _ceil_count(big_n ** (1.0 / exponent_sum) * n_local)
-    elif regime == "cor2.2":
-        need_capacity()
-        eta_raw = scale / math.sqrt(n_local)
-        batch = _round_batch(math.sqrt(n_local))
-        iters = _ceil_count(big_n ** (1.0 / exponent_sum) * math.sqrt(n_local))
-    elif regime == "cor2.3":
-        need_capacity()
-        eta_raw = scale * m * big_n ** (-2.0 * zeta / exponent_sum)
-        batch = 1
-        iters = _ceil_count(big_n ** ((2.0 * zeta + 1.0) / exponent_sum) / m)
-    elif regime == "cor2.4":
-        need_capacity()
-        eta_raw = scale / log_n
-        batch = _round_batch(big_n ** (2.0 * zeta / exponent_sum) / m)
-        iters = _ceil_count(big_n ** (1.0 / exponent_sum) * log_n)
-    elif regime in ("cor3.1", "cor3.2", "cor3.3", "cor3.4"):
-        need_single()
-        alpha = 1.0 / max(1.0, exponent_sum)
-        if regime == "cor3.1":
-            eta_raw = scale / big_n
-            batch = 1
-            iters = _ceil_count(big_n ** (alpha + 1.0))
-        elif regime == "cor3.2":
-            eta_raw = scale / math.sqrt(big_n)
-            batch = _round_batch(math.sqrt(big_n))
-            iters = _ceil_count(big_n ** (alpha + 0.5))
-        elif regime == "cor3.3":
-            eta_raw = scale * big_n ** (-2.0 * zeta * alpha)
-            batch = 1
-            iters = _ceil_count(big_n ** (alpha * (2.0 * zeta + 1.0)))
-        else:
-            eta_raw = scale / log_n
-            batch = _round_batch(big_n ** (2.0 * zeta * alpha))
-            iters = _ceil_count(big_n ** alpha * log_n)
-    elif regime == "cor5":
-        lam = scale * big_n ** (-1.0 / exponent_sum)
-    elif regime == "cor6":
-        need_single()
-        lam = scale * big_n ** (-1.0 / max(1.0, exponent_sum))
-    else:
+    if regime not in SGM_REGIMES + SA_REGIMES:
         raise InvalidRegimeError(
             f"unknown regime {regime!r}; expected one of {SGM_REGIMES + SA_REGIMES}"
         )
 
-    eta = eta_raw
+    big_n = float(n_total)
+    m = partitions
+    n = big_n / m
+    n_local = n_total // m
+    log_n = math.log(big_n)
+    exponent_sum = 2.0 * zeta + gamma
+    # Each tag is a step shape (none for the lambda rule) at an exponent pair (z, s).
+    corollary, _, variant = regime.partition(".")
+    shape = int(variant) if variant else None
+    z = zeta
+    s = exponent_sum
+    if corollary == "cor1":
+        shape += 2
+        z = 0.5
+        s = 2.0
+    elif corollary == "cor2" and s <= 1.0:
+        raise ConstraintViolationError(
+            f"regime {regime} requires 2*zeta + gamma > 1 (got {exponent_sum:.3g})"
+        )
+    elif corollary in ("cor3", "cor6"):
+        if m != 1:
+            raise ConstraintViolationError(f"regime {regime} requires partitions == 1")
+        s = max(1.0, s)
+
+    algorithm = "sa" if shape is None else "sgm"
+    lam: float | None = None
+    eta_raw: float | None = None
+    batch: int | None = None
+    iters: int | None = None
     clamped = False
-    if algorithm == "sgm":
-        batch = min(batch, max(1, math.floor(n_local)))
-        if kappa_sq is not None:
-            cap = 1.0 / (CLAMP_SAFETY * kappa_sq)
-            if theory_compliant:
-                cap = min(cap, theory_step_cap(CLAMP_SAFETY * kappa_sq, iters))
-            if eta_raw > cap:
-                eta = cap
-                clamped = True
+    if shape is None:
+        lam = scale * big_n ** (-1.0 / s)
+    else:
+        # The step size, batch size b and iteration count t before rounding.
+        root = big_n ** (1.0 / s)
+        if shape == 1:
+            eta_raw = scale / n
+            b = 1.0
+            t = root * n
+        elif shape == 2:
+            eta_raw = scale / math.sqrt(n)
+            b = math.sqrt(n)
+            t = root * math.sqrt(n)
+        elif shape == 3:
+            eta_raw = scale * m / big_n ** (2.0 * z / s)
+            b = 1.0
+            t = big_n ** ((2.0 * z + 1.0) / s) / m
+        else:
+            eta_raw = scale / log_n
+            b = big_n ** (2.0 * z / s) / m
+            t = root * log_n
+        batch = min(max(1, round(b)), n_local)
+        iters = max(1, math.ceil(t * (1.0 - 1e-12)))
+    eta = eta_raw
+    if shape is not None and kappa_sq is not None:
+        cap = 1.0 / (CLAMP_SAFETY * kappa_sq)
+        if theory_compliant:
+            cap = min(cap, theory_step_cap(CLAMP_SAFETY * kappa_sq, iters))
+        clamped = eta_raw > cap
+        eta = min(eta_raw, cap)
 
     # m beyond this threshold voids the averaging guarantee (bias dominates).
     threshold = big_n ** ((exponent_sum - 1.0) / exponent_sum) if exponent_sum > 1.0 else 1.0
@@ -591,7 +559,7 @@ def plan_parameters(
         algorithm=algorithm,
         n_total=n_total,
         partitions=m,
-        n_local=int(n_local) if float(n_local).is_integer() else math.floor(n_local),
+        n_local=n_local,
         batch_size=batch,
         iterations=iters,
         eta=eta,

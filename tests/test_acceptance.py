@@ -162,7 +162,7 @@ def test_a4_error_decomposition_identity():
         partitions=2, batch_size=1, iterations=t, step_schedule=eta, base_seed=314
     )
     start = time.perf_counter()
-    rep = decompose_error(problem, 128, 2, cfg, replications=(100, 50))
+    rep = decompose_error(problem, 128, cfg, replications=(100, 50))
     elapsed = time.perf_counter() - start
     ok = rep.identity_gap <= 3.0 * rep.combined_se and elapsed <= 120.0
     report(
@@ -275,7 +275,7 @@ def test_a6_estimator_cross_checks():
         np.max(
             np.abs(
                 gm_local(data, 0.1, 25, kernel).coeffs
-                - pseudo_gm_local(data, clean, 0.1, 25, kernel).coeffs
+                - pseudo_gm_local(data, 0.1, 25, kernel).coeffs
             )
         )
     )

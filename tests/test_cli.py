@@ -155,9 +155,27 @@ def test_decompose_checks_the_identity(tmp_path, capsys):
     assert "bias" in printed
 
 
-def test_unknown_regime_hits_the_error_path(tmp_path, capsys):
-    cfg = write_config(tmp_path, "x.json", {"regime": "corQ", "n_list": [16]})
-    assert main(["sweep", "--config", cfg]) == 2
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("sweep", {"regime": "corQ", "n_list": [16]}),
+        ("sweep", {"regime": "cor1.1", "n_list": [16], "m_rule": "pow:x"}),
+        ("sample", {"n_list": []}),
+        ("decompose", {"n_list": []}),
+        ("decompose", {"n_total": 16}),
+        ("decompose", {"n_total": 16, "iterations": 0}),
+        ("sweep", None),
+        ("sweep", "{not json"),
+    ],
+    ids=["unknown-regime", "bad-m-rule", "sample-empty-n-list", "decompose-empty-n-list",
+         "decompose-without-iterations", "decompose-zero-iterations", "missing-file", "bad-json"],
+)
+def test_unknown_regime_hits_the_error_path(tmp_path, capsys, command, payload):
+    # Malformed configs end in "error:" and exit code 2, never in a traceback.
+    cfg = tmp_path / "x.json"
+    if payload is not None:
+        cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert main([command, "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -129,7 +129,7 @@ def test_decomposition_identity_across_partition_and_batch_settings(noiseless_sm
         cfg = SgmConfig(
             partitions=m, batch_size=b, iterations=15, step_schedule=0.1, base_seed=101
         )
-        report = decompose_error(problem, 32, m, cfg, replications=(50, 20))
+        report = decompose_error(problem, 32, cfg, replications=(50, 20))
         assert report.identity_ok(3.0), (m, b, report.identity_gap, report.combined_se)
         assert report.total > 0.0
         assert report.bias >= 0.0
@@ -141,7 +141,7 @@ def test_decomposition_matches_a_loop_over_index_replications(small_problem, ker
     # The reference trains every (dataset, index seed, partition) run on its
     # own and projects its coefficients; decompose_error runs them in lockstep.
     cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=7)
-    report = decompose_error(small_problem, 32, 2, cfg, replications=(50, 20))
+    report = decompose_error(small_problem, 32, cfg, replications=(50, 20))
     total, comp_var = [], []
     for d in range(50):
         data = sample_dataset(small_problem, 32, derive_seed(7, TAG_DATA, d))
@@ -162,15 +162,9 @@ def test_decomposition_matches_a_loop_over_index_replications(small_problem, ker
 def test_decomposition_enforces_minimum_replications(small_problem):
     cfg = SgmConfig(partitions=1, batch_size=1, iterations=5, step_schedule=0.1, base_seed=0)
     with pytest.raises(InvalidParameterError):
-        decompose_error(small_problem, 16, 1, cfg, replications=(49, 20))
+        decompose_error(small_problem, 16, cfg, replications=(49, 20))
     with pytest.raises(InvalidParameterError):
-        decompose_error(small_problem, 16, 1, cfg, replications=(50, 19))
-
-
-def test_decomposition_checks_partition_consistency(small_problem):
-    cfg = SgmConfig(partitions=2, batch_size=1, iterations=5, step_schedule=0.1, base_seed=0)
-    with pytest.raises(InvalidParameterError):
-        decompose_error(small_problem, 16, 4, cfg, replications=(50, 20))
+        decompose_error(small_problem, 16, cfg, replications=(50, 19))
 
 
 def test_oversplitting_saturates_the_averaged_estimator():

@@ -72,6 +72,8 @@ def test_resolve_m_rejects_nonsense():
         resolve_m(30, "pow:-0.5")
     with pytest.raises(InvalidParameterError):
         resolve_m(30, "half")
+    with pytest.raises(InvalidParameterError):
+        ExperimentConfig(regime="cor1.1", n_list=(16,), m_rule="pow:x")
 
 
 # ---------------------------------------------------------------------------

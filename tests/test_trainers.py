@@ -298,22 +298,15 @@ def test_pseudo_gm_equals_gm_without_noise(noiseless_small_problem):
     kernel = spectral_kernel(noiseless_small_problem)
     data = sample_dataset(noiseless_small_problem, 32, seed=4)
     a = gm_local(data, 0.1, 25, kernel)
-    b = pseudo_gm_local(data, noiseless_small_problem, 0.1, 25, kernel)
+    b = pseudo_gm_local(data, 0.1, 25, kernel)
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
 def test_pseudo_gm_strips_label_noise(small_problem, kernel):
     data = sample_dataset(small_problem, 32, seed=4)
     a = gm_local(data, 0.1, 25, kernel)
-    b = pseudo_gm_local(data, small_problem, 0.1, 25, kernel)
+    b = pseudo_gm_local(data, 0.1, 25, kernel)
     assert not np.array_equal(a.coeffs, b.coeffs)
-
-
-def test_pseudo_gm_requires_the_matching_kernel(small_problem):
-    data = sample_dataset(small_problem, 16, seed=4)
-    other = spectral_kernel(build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1))
-    with pytest.raises(KernelMismatchError):
-        pseudo_gm_local(data, small_problem, 0.1, 5, other)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +530,80 @@ def test_plan_to_config_round_trip():
     sa_plan = plan_parameters("cor5", 256, 4, zeta=0.5, gamma=1.0)
     with pytest.raises(InvalidParameterError):
         sa_plan.to_config(base_seed=42)
+
+
+# Expected values taken from the per-regime planner this one replaced; they pin
+# the plans at non-dyadic (zeta, gamma), odd N, 2*zeta + gamma < 1, with and
+# without the kappa_sq clamp and the theory cap.
+PLAN_GOLDEN = [
+    # regime, N, m, zeta, gamma, scale, kappa_sq, theory ->
+    #     (batch, iterations, eta, lam, clamped, partition_warning) or the error raised
+    ('cor1.1', 1000, 8, 0.3, 0.7, 1.0, None, False, (1, 125, 0.25298221281347033, None, False, True)),
+    ('cor1.1', 777, 7, 0.5, 1.0, 1.0, KAPPA_SQ_200, False, (1, 111, 0.15061653116554521, None, True, False)),
+    ('cor1.1', 4097, 1, 0.2, 0.5, 2.5, KAPPA_SQ_200, True, (1, 4097, 0.004526819700262642, None, True, False)),
+    ('cor1.1', 96, 96, 1.3, 0.2, 1.0, None, False, (1, 1, 9.797958971132713, None, False, True)),
+    ('cor1.2', 999, 3, 0.3, 0.7, 1.0, None, False, (11, 219, 0.14478579767901795, None, False, False)),
+    ('cor1.2', 1000, 10, 0.1, 0.4, 0.7, KAPPA_SQ_200, True, (3, 219, 0.006987127779920724, None, True, True)),
+    ('cor1.2', 999983, 1, 0.9, 0.6, 1.0, KAPPA_SQ_200, False, (1000, 13816, 0.07238250271804335, None, False, False)),
+    ('cor2.1', 1000, 8, 0.3, 0.7, 1.0, None, False, (1, 25387, 0.008, None, False, True)),
+    ('cor2.1', 777, 7, 1.3, 0.2, 1.0, KAPPA_SQ_200, False, (1, 1196, 0.009009009009009009, None, False, False)),
+    ('cor2.1', 6000, 12, 0.7, 0.9, 3.0, KAPPA_SQ_200, True, (1, 21961, 0.003766534413746702, None, True, False)),
+    ('cor2.1', 1000, 4, 0.2, 0.5, 1.0, None, False, ConstraintViolationError),
+    ('cor2.2', 999, 9, 0.3, 0.7, 1.0, None, False, (11, 2139, 0.0949157995752499, None, False, True)),
+    ('cor2.2', 6000, 12, 0.7, 0.9, 1.0, KAPPA_SQ_200, True, (22, 983, 0.005464557941806762, None, True, False)),
+    ('cor2.2', 12345, 5, 0.1, 0.85, 0.4, None, False, (50, 391669, 0.008050066098860977, None, False, True)),
+    ('cor2.3', 1000, 8, 0.3, 0.7, 1.0, None, False, (1, 616, 0.32997011063210807, None, False, True)),
+    ('cor2.3', 999983, 7, 1.3, 1.0, 1.0, None, False, (1, 142855, 0.00032491520759902917, None, False, False)),
+    ('cor2.3', 333, 3, 0.1, 0.75, 1.0, KAPPA_SQ_200, True, ConstraintViolationError),
+    ('cor2.3', 5000, 50, 0.45, 0.2, 1.0, KAPPA_SQ_200, False, (1, 48996, 0.04704787372775474, None, False, True)),
+    ('cor2.4', 1000, 8, 0.3, 0.7, 1.0, None, False, (3, 1403, 0.14476482730108395, None, False, True)),
+    ('cor2.4', 12345, 5, 0.9, 0.3, 1.0, KAPPA_SQ_200, False, (643, 837, 0.1061457722617763, None, False, False)),
+    ('cor2.4', 4097, 17, 0.6, 0.5, 0.25, KAPPA_SQ_200, True, (21, 1110, 0.005369867894494018, None, True, False)),
+    ('cor2.4', 1024, 2, 0.25, 0.5, 1.0, None, False, ConstraintViolationError),
+    ('cor3.1', 1000, 1, 0.3, 0.7, 1.0, None, False, (1, 203092, 0.001, None, False, False)),
+    ('cor3.1', 999, 1, 0.2, 0.5, 1.0, KAPPA_SQ_200, True, (1, 998001, 0.001001001001001001, None, False, False)),
+    ('cor3.1', 1000, 2, 0.3, 0.7, 1.0, None, False, ConstraintViolationError),
+    ('cor3.2', 777, 1, 0.3, 0.7, 1.0, KAPPA_SQ_200, False, (28, 4663, 0.03587480016670876, None, False, False)),
+    ('cor3.2', 1000, 1, 0.1, 0.2, 2.0, None, False, (32, 31623, 0.06324555320336758, None, False, False)),
+    ('cor3.2', 3000, 1, 1.1, 0.6, 1.0, KAPPA_SQ_200, True, (55, 956, 0.005486734818341286, None, True, False)),
+    ('cor3.3', 1000, 1, 0.3, 0.7, 1.0, None, False, (1, 4924, 0.041246263829013495, None, False, False)),
+    ('cor3.3', 999983, 1, 1.3, 1.0, 1.0, None, False, (1, 999983, 4.6416458228432674e-05, None, False, False)),
+    ('cor3.3', 4097, 1, 0.2, 0.3, 1.0, KAPPA_SQ_200, True, (1, 114144, 0.0032334421711310906, None, True, False)),
+    ('cor3.4', 1000, 1, 0.3, 0.7, 1.0, None, False, (24, 1403, 0.14476482730108395, None, False, False)),
+    ('cor3.4', 2048, 1, 0.5, 1.0, 1.0, KAPPA_SQ_200, False, (45, 346, 0.1311540946262694, None, False, False)),
+    ('cor3.4', 999, 1, 0.1, 0.4, 1.0, None, False, (4, 6900, 0.14478579767901795, None, False, False)),
+    ('cor3.4', 50, 5, 0.5, 1.0, 1.0, None, False, ConstraintViolationError),
+    ('cor5', 1000, 8, 0.3, 0.7, 1.0, None, False, (None, None, None, 0.004923882631706734, False, True)),
+    ('cor5', 999983, 7, 1.3, 0.2, 0.3, KAPPA_SQ_200, False, (None, None, None, 0.0021590701277151487, False, False)),
+    ('cor5', 777, 7, 0.2, 0.3, 1.0, None, False, (None, None, None, 7.427234156104735e-05, False, True)),
+    ('cor6', 1000, 1, 0.3, 0.7, 0.3, None, False, (None, None, None, 0.0014771647895120202, False, False)),
+    ('cor6', 999, 1, 0.2, 0.5, 1.0, KAPPA_SQ_200, True, (None, None, None, 0.001001001001001001, False, False)),
+    ('cor6', 1000, 4, 0.3, 0.7, 1.0, None, False, ConstraintViolationError),
+    ('cor4', 1000, 1, 0.3, 0.7, 1.0, None, False, InvalidRegimeError),
+    ('cor2.5', 1000, 1, 0.3, 0.7, 1.0, None, False, InvalidRegimeError),
+]
+
+
+@pytest.mark.parametrize(
+    "regime, n_total, m, zeta, gamma, scale, kappa_sq, theory, expected", PLAN_GOLDEN
+)
+def test_plan_matches_the_golden_grid(regime, n_total, m, zeta, gamma, scale, kappa_sq, theory,
+                                      expected):
+    def plan():
+        return plan_parameters(regime, n_total, m, zeta, gamma, scale,
+                               kappa_sq=kappa_sq, theory_compliant=theory)
+
+    if isinstance(expected, type):
+        with pytest.raises(expected) as info:
+            plan()
+        assert type(info.value) is expected
+        return
+    got = plan()
+    batch, iterations, eta, lam, clamped, warning = expected
+    assert (got.batch_size, got.iterations, got.clamped, got.partition_warning) == (
+        batch, iterations, clamped, warning)
+    for value, want in ((got.eta, eta), (got.lam, lam)):
+        assert value is None if want is None else value == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
