@@ -31,7 +31,26 @@ from .spectral_model import (
 from .trainers import CLAMP_SAFETY, Constant, SgmConfig, theory_step_cap
 
 
+#: JSON types of the config keys the subcommands read; other keys are ignored.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("regime", "algorithm", "filter", "filter_tag"), (str,)),
+    **dict.fromkeys(("n_total", "dim", "m", "replications", "base_seed", "iterations",
+                     "batch_size", "n_data", "n_index"), (int,)),
+    **dict.fromkeys(("gamma", "zeta", "source_norm", "noise_sd", "scale", "eta", "lam"),
+                    (int, float)),
+    "m_rule": (int, str),
+    "out_path": (str, type(None)),
+    "theory_compliant": (bool,),
+}
+
+
+def _has_type(value, types) -> bool:
+    # JSON true/false parse as bool, a subclass of int; they count as numbers nowhere.
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
 def _load_config(path: str) -> dict:
+    """Read a JSON config object and check the types of the keys in _CONFIG_TYPES."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -39,6 +58,13 @@ def _load_config(path: str) -> dict:
         raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidParameterError("config file must hold a JSON object")
+    for key, types in _CONFIG_TYPES.items():
+        if key in raw and not _has_type(raw[key], types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise InvalidParameterError(f"config key {key!r} must be {names}, got {raw[key]!r}")
+    n_list = raw.get("n_list", [])
+    if not isinstance(n_list, list) or not all(_has_type(n, (int,)) for n in n_list):
+        raise InvalidParameterError(f"config key 'n_list' must be a list of int, got {n_list!r}")
     return raw
 
 

@@ -26,11 +26,11 @@ from .trainers import (
     AveragedModel,
     LocalModel,
     SgmConfig,
+    _gd_models,
     _sgm_runs,
-    gm_local,
+    _stacked_features,
     partition_data,
     predict,
-    pseudo_gm_local,
 )
 
 #: Minimum replication counts (datasets, index draws) for decompose_error.
@@ -167,11 +167,14 @@ def decompose_error(
     for d in range(n_data):
         ds = sample_dataset(problem, n_total, derive_seed(base, TAG_DATA, d))
         subs = partition_data(ds, partitions, derive_seed(base, TAG_PARTITION, d))
+        feats = _stacked_features(kernel, subs)
 
-        pseudo = sum(pseudo_gm_local(sub, schedule, iters, kernel, s).modes
-                     for s, sub in enumerate(subs)) / partitions
-        batch = sum(gm_local(sub, schedule, iters, kernel, s).modes
-                    for s, sub in enumerate(subs)) / partitions
+        # Per partition, one factorization fits the noiseless and the noisy labels.
+        pairs = [_gd_models(sub, block_feats, (regression_value(problem, sub.inputs), sub.labels),
+                            schedule, iters, kernel, s)
+                 for s, (sub, block_feats) in enumerate(zip(subs, np.split(feats, partitions)))]
+        pseudo = sum(p.modes for p, _ in pairs) / partitions
+        batch = sum(b.modes for _, b in pairs) / partitions
 
         bias_d[d] = float(np.sum((pseudo - target) ** 2))
         sv_d[d] = float(np.sum((batch - pseudo) ** 2))
@@ -179,7 +182,7 @@ def decompose_error(
         # Every index replication of every partition runs in one lockstep loop.
         runs = [(s, s, derive_seed(base, TAG_INDEX, d, r))
                 for r in range(n_index) for s in range(partitions)]
-        _, modes = _sgm_runs(subs, config, kernel, runs)
+        _, modes = _sgm_runs(subs, feats, config, kernel, runs)
         sgm = modes.reshape(n_index, partitions, -1).mean(axis=1)
         cv_d[d] = float(np.mean(np.sum((sgm - batch) ** 2, axis=1)))
         tot_d[d] = float(np.mean(np.sum((sgm - target) ** 2, axis=1)))

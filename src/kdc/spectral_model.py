@@ -10,6 +10,7 @@ experiments meaningful at small sample sizes.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -167,6 +168,18 @@ def basis_matrix(dim: int, x: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0) * np.sin(np.pi * np.outer(x, modes))
 
 
+def _eigenvalues(dim: int, gamma: float) -> np.ndarray:
+    return np.arange(1, dim + 1, dtype=float) ** (-1.0 / gamma)
+
+
+@functools.lru_cache(maxsize=None)
+def _kappa_sq(dim: int, gamma: float) -> float:
+    """Maximum of K(x, x) over the KAPPA_GRID_POINTS grid; memoized per (dim, gamma)."""
+    grid = np.linspace(0.0, 1.0, KAPPA_GRID_POINTS)
+    kxx = (basis_matrix(dim, grid) ** 2) @ _eigenvalues(dim, gamma)
+    return float(kxx.max())
+
+
 def build_problem(
     dim: int = DEFAULT_DIM,
     gamma: float = 1.0,
@@ -184,18 +197,15 @@ def build_problem(
     the class it is certified for and its risk may decay faster than the
     guaranteed rate.
     kappa_sq is the maximum of K(x, x) over an equispaced grid of
-    KAPPA_GRID_POINTS points.
+    KAPPA_GRID_POINTS points. It depends on (dim, gamma) only, so the grid
+    is evaluated once per pair and process and then memoized; every call
+    still returns a new problem object.
     """
     check_problem_params(dim, gamma, zeta, source_norm, noise_sd)
-    modes = np.arange(1, dim + 1, dtype=float)
-    eigenvalues = modes ** (-1.0 / gamma)
-    weights = 1.0 / modes
+    eigenvalues = _eigenvalues(dim, gamma)
+    weights = 1.0 / np.arange(1, dim + 1, dtype=float)
     mix = source_norm * weights / np.linalg.norm(weights)
     target_coeffs = eigenvalues**zeta * mix
-
-    grid = np.linspace(0.0, 1.0, KAPPA_GRID_POINTS)
-    kxx = (basis_matrix(dim, grid) ** 2) @ eigenvalues
-    kappa_sq = float(kxx.max())
 
     return SpectralProblem(
         dim=dim,
@@ -205,7 +215,7 @@ def build_problem(
         gamma=gamma,
         source_norm=source_norm,
         noise_sd=noise_sd,
-        kappa_sq=kappa_sq,
+        kappa_sq=_kappa_sq(dim, gamma),
     )
 
 

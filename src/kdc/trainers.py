@@ -5,10 +5,13 @@ a regime tag to concrete (eta, batch size, iterations) or lambda choices.
 A model is a weight vector alpha over its training inputs, predicting
 x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
 coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
-alpha in mode space, from the n x dim feature matrix Phi of the spectral
-kernel (K = Phi diag(sigma) Phi^T), and never form the n x n Gram matrix; the
-Gram route in :mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is
-the reference they are tested against. Distributed training partitions
+alpha from the n x dim feature matrix Phi of the spectral kernel
+(K = Phi diag(sigma) Phi^T), evaluated once per model and handed to it.
+Filters and gradient descent take one ``eigh`` of the smaller Gram side of
+the scaled features: the dim x dim covariance when n > dim, so the n x n
+Gram matrix appears only when it is no larger than Phi. The Gram route in
+:mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is the reference
+they are tested against. Distributed training partitions
 one dataset uniformly at random, trains each block independently, and
 averages the block predictors uniformly.
 """
@@ -122,17 +125,32 @@ class LocalModel:
     kernel: KernelSpec
     modes: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, features: np.ndarray | None = None) -> None:
         x = np.asarray(self.inputs, dtype=float)
         a = np.asarray(self.coeffs, dtype=float)
         if x.ndim != 1 or a.shape != x.shape:
             raise InvalidParameterError("inputs and coeffs must be matching 1-D arrays")
         if not np.all(np.isfinite(a)):
             raise DivergenceError("model coefficients are not finite")
-        v = self.kernel.problem.eigenvalues * (kernel_features(self.kernel, x).T @ a)
+        if features is None:
+            features = kernel_features(self.kernel, x)
+        elif features.shape != (x.size, self.kernel.problem.dim):
+            raise InvalidParameterError(
+                f"features of shape {features.shape} do not match {x.size} inputs"
+            )
+        v = self.kernel.problem.eigenvalues * (features.T @ a)
         for name, arr in (("inputs", x), ("coeffs", a), ("modes", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _from_features(cls, features: np.ndarray, **fields) -> "LocalModel":
+        """Build a model whose trainer already holds Phi = kernel_features(kernel, inputs)."""
+        model = cls.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(model, name, value)
+        model.__post_init__(features)
+        return model
 
     def __len__(self) -> int:
         return self.inputs.size
@@ -214,28 +232,53 @@ def theory_step_cap(kappa_sq: float, iterations: int) -> float:
     return 1.0 / (4.0 * kappa_sq * max(1.0, math.log(iterations)))
 
 
-def _mode_filter(kernel: KernelSpec, inputs: np.ndarray, y: np.ndarray, g) -> np.ndarray:
+def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray, g) -> np.ndarray:
     """Coefficients alpha = G(K/n) y / n for a filter function ``g``.
 
-    With the thin SVD Phi diag(sqrt(sigma)) / sqrt(n) = U S V^T, K/n is
-    U S^2 U^T and vanishes on the complement of range(U), where G takes the
-    value G(0). Costs O(n dim^2); no n x n array is formed.
+    ``features`` is Phi at the n inputs and ``y`` holds one label vector,
+    shape (n,), or c of them, shape (n, c). With Psi = Phi diag(sqrt(sigma))
+    / sqrt(n), K/n = Psi Psi^T; one ``eigh`` of the smaller of Psi^T Psi
+    (dim x dim, when n > dim) and Psi Psi^T (n x n) factors it. For n > dim,
+    K/n vanishes off range(Psi), where G takes the value G(0), so with
+    Psi^T Psi = W diag(s^2) W^T
+
+        alpha = (G(0) y + Psi W diag((G(s^2) - G(0)) / s^2) W^T Psi^T y) / n.
+
+    Eigenvalues are clamped at 0, and exact zeros, whose directions Psi
+    annihilates, drop out of the ratio. Costs O(n min(n, dim)^2); no n x n
+    array is formed when n > dim.
     """
-    n = y.size
-    psi = kernel_features(kernel, inputs) * np.sqrt(kernel.problem.eigenvalues / n)
-    vecs, s, _ = np.linalg.svd(psi, full_matrices=False)
-    gv = np.asarray(g(np.concatenate(([0.0], s**2))))
-    return (gv[0] * y + vecs @ ((gv[1:] - gv[0]) * (vecs.T @ y))) / n
+    n = y.shape[0]
+    cols = y.reshape(n, -1)
+    psi = features * np.sqrt(kernel.problem.eigenvalues / n)
+    if n > psi.shape[1]:
+        s2, w = np.linalg.eigh(psi.T @ psi)
+        s2 = np.maximum(s2, 0.0)
+        gv = np.asarray(g(np.concatenate(([0.0], s2))))
+        ratio = np.divide(gv[1:] - gv[0], s2, out=np.zeros_like(s2), where=s2 > 0.0)
+        alpha = gv[0] * cols + psi @ (w @ (ratio[:, None] * (w.T @ (psi.T @ cols))))
+    else:
+        s2, u = np.linalg.eigh(psi @ psi.T)
+        gv = np.asarray(g(np.maximum(s2, 0.0)))
+        alpha = u @ (gv[:, None] * (u.T @ cols))
+    return (alpha / n).reshape(y.shape)
 
 
-def _sgm_runs(blocks: Sequence[Dataset], config: SgmConfig, kernel: KernelSpec, runs):
+def _stacked_features(kernel: KernelSpec, blocks: Sequence[Dataset]) -> np.ndarray:
+    """Phi at the inputs of every block, stacked in block order."""
+    return kernel_features(kernel, np.concatenate([block.inputs for block in blocks]))
+
+
+def _sgm_runs(blocks: Sequence[Dataset], feats: np.ndarray, config: SgmConfig,
+              kernel: KernelSpec, runs):
     """Advance independent mini-batch SGM runs in lockstep.
 
     Run (block, partition_index, seed) trains on ``blocks[block]`` (all of
-    one size n) with the index stream partition_stream_seed(seed,
-    partition_index), drawn INDEX_CHUNK iterations at a time. Returns the
-    coefficients (R, n) and the mode vectors (R, dim). A diverged run stops
-    moving; the error raised is the first run's, in run order.
+    one size n, with features ``_stacked_features(kernel, blocks)``) using
+    the index stream partition_stream_seed(seed, partition_index), drawn
+    INDEX_CHUNK iterations at a time. Returns the coefficients (R, n) and
+    the mode vectors (R, dim). A diverged run stops moving; the error
+    raised is the first run's, in run order.
     """
     n = len(blocks[0])
     if config.batch_size > n:
@@ -248,7 +291,6 @@ def _sgm_runs(blocks: Sequence[Dataset], config: SgmConfig, kernel: KernelSpec, 
         if np.max(etas) > cap * (1.0 + 1e-12):
             raise ConstraintViolationError(f"theory-compliant runs need eta <= {cap:.6g}")
 
-    feats = kernel_features(kernel, np.concatenate([block.inputs for block in blocks]))
     y = np.concatenate([block.labels for block in blocks])
     rngs = [np.random.default_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
     offsets = n * np.array([[i] for i, _, _ in runs])
@@ -302,16 +344,26 @@ def sgm_local(
     partitions and replications are independent and reproducible. Raises
     DivergenceError if coefficients blow past DIVERGENCE_LIMIT or go non-finite.
     """
-    alpha, _ = _sgm_runs([subset], config, kernel, [(0, partition_index, config.base_seed)])
-    return LocalModel(inputs=subset.inputs, coeffs=alpha[0], partition_index=partition_index, kernel=kernel)
+    feats = kernel_features(kernel, subset.inputs)
+    alpha, _ = _sgm_runs([subset], feats, config, kernel, [(0, partition_index, config.base_seed)])
+    return LocalModel._from_features(feats, inputs=subset.inputs, coeffs=alpha[0],
+                                     partition_index=partition_index, kernel=kernel)
 
 
-def _gradient_descent(
-    kernel: KernelSpec, inputs: np.ndarray, labels: np.ndarray, step_schedule, iterations: int
-) -> np.ndarray:
+def _gd_models(subset: Dataset, feats: np.ndarray, label_columns, step_schedule,
+               iterations: int, kernel: KernelSpec, partition_index: int) -> list[LocalModel]:
+    """Gradient descent on one partition, one model per label column.
+
+    ``feats`` is Phi at the partition's inputs; every column shares the
+    one factorization of :func:`_mode_filter`.
+    """
     etas = resolve_schedule(step_schedule, iterations)
     check_step_bound(etas, kernel_bound(kernel))
-    return _mode_filter(kernel, inputs, labels, lambda u: landweber_recurrence(etas, u))
+    alphas = _mode_filter(kernel, feats, np.column_stack(label_columns),
+                          lambda u: landweber_recurrence(etas, u))
+    return [LocalModel._from_features(feats, inputs=subset.inputs, coeffs=a,
+                                      partition_index=partition_index, kernel=kernel)
+            for a in alphas.T]
 
 
 def gm_local(
@@ -327,8 +379,9 @@ def gm_local(
     filter estimator for the same step schedule; T steps are applied at once
     as the gradient-descent filter G_T of the empirical covariance.
     """
-    alpha = _gradient_descent(kernel, subset.inputs, subset.labels, step_schedule, iterations)
-    return LocalModel(inputs=subset.inputs, coeffs=alpha, partition_index=partition_index, kernel=kernel)
+    feats = kernel_features(kernel, subset.inputs)
+    return _gd_models(subset, feats, [subset.labels], step_schedule, iterations, kernel,
+                      partition_index)[0]
 
 
 def pseudo_gm_local(
@@ -344,9 +397,10 @@ def pseudo_gm_local(
     known (the kernel's problem); used to split estimation error into bias
     and variance pieces.
     """
+    feats = kernel_features(kernel, subset.inputs)
     clean = regression_value(kernel.problem, subset.inputs)
-    alpha = _gradient_descent(kernel, subset.inputs, clean, step_schedule, iterations)
-    return LocalModel(inputs=subset.inputs, coeffs=alpha, partition_index=partition_index, kernel=kernel)
+    return _gd_models(subset, feats, [clean], step_schedule, iterations, kernel,
+                      partition_index)[0]
 
 
 def population_sequence(problem: SpectralProblem, step_schedule, iterations: int) -> np.ndarray:
@@ -378,10 +432,10 @@ def sa_local(
     which gives the same coefficients as :func:`kdc.filters.apply_filter`;
     ``lam`` must be positive except for Landweber, whose schedule fixes it.
     """
-    coeffs = _mode_filter(
-        kernel, subset.inputs, subset.labels, lambda u: filter_value(filter_spec, lam, u)
-    )
-    return LocalModel(inputs=subset.inputs, coeffs=coeffs, partition_index=partition_index, kernel=kernel)
+    feats = kernel_features(kernel, subset.inputs)
+    coeffs = _mode_filter(kernel, feats, subset.labels, lambda u: filter_value(filter_spec, lam, u))
+    return LocalModel._from_features(feats, inputs=subset.inputs, coeffs=coeffs,
+                                     partition_index=partition_index, kernel=kernel)
 
 
 def distributed_sgm(
@@ -392,9 +446,14 @@ def distributed_sgm(
 ) -> AveragedModel:
     """Partition, train SGM on every block in lockstep, and average the predictors."""
     subs = partition_data(dataset, config.partitions, partition_seed)
-    alphas, _ = _sgm_runs(subs, config, kernel, [(s, s, config.base_seed) for s in range(len(subs))])
-    return average_models([LocalModel(inputs=sub.inputs, coeffs=a, partition_index=s, kernel=kernel)
-                           for s, (sub, a) in enumerate(zip(subs, alphas))])
+    feats = _stacked_features(kernel, subs)
+    alphas, _ = _sgm_runs(subs, feats, config, kernel,
+                          [(s, s, config.base_seed) for s in range(len(subs))])
+    return average_models([
+        LocalModel._from_features(block_feats, inputs=sub.inputs, coeffs=a,
+                                  partition_index=s, kernel=kernel)
+        for s, (sub, block_feats, a) in enumerate(zip(subs, np.split(feats, len(subs)), alphas))
+    ])
 
 
 def distributed_sa(

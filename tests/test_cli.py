@@ -166,9 +166,15 @@ def test_decompose_checks_the_identity(tmp_path, capsys):
         ("decompose", {"n_total": 16, "iterations": 0}),
         ("sweep", None),
         ("sweep", "{not json"),
+        ("sample", {"n_total": "abc"}),
+        ("gen-problem", {"gamma": "x"}),
+        ("decompose", {"n_total": 16, "iterations": 5, "eta": "fast"}),
+        ("sweep", {"regime": "cor1.1", "n_list": [16], "replications": "two"}),
     ],
     ids=["unknown-regime", "bad-m-rule", "sample-empty-n-list", "decompose-empty-n-list",
-         "decompose-without-iterations", "decompose-zero-iterations", "missing-file", "bad-json"],
+         "decompose-without-iterations", "decompose-zero-iterations", "missing-file", "bad-json",
+         "sample-n-total-not-a-number", "gen-problem-gamma-not-a-number",
+         "decompose-eta-not-a-number", "sweep-replications-not-a-number"],
 )
 def test_unknown_regime_hits_the_error_path(tmp_path, capsys, command, payload):
     # Malformed configs end in "error:" and exit code 2, never in a traceback.

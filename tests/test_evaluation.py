@@ -159,6 +159,25 @@ def test_decomposition_matches_a_loop_over_index_replications(small_problem, ker
     assert report.comp_var == pytest.approx(np.mean(comp_var), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_total", [32, 64])
+def test_decomposition_fits_both_label_columns_as_separate_calls_would(
+        monkeypatch, small_problem, n_total):
+    # decompose_error fits the noiseless and the noisy labels of a partition
+    # from one factorization; fitting them one column at a time (n_local
+    # 16 < dim = 20 < 32) must give the same report to 1e-12.
+    from kdc import evaluation
+
+    cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=5)
+    joint = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
+    fit = evaluation._gd_models
+    monkeypatch.setattr(evaluation, "_gd_models", lambda sub, feats, columns, *rest: [
+        fit(sub, feats, [column], *rest)[0] for column in columns])
+    separate = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
+    for name in ("total", "bias", "sample_var", "comp_var",
+                 "se_total", "se_bias", "se_sample_var", "se_comp_var"):
+        assert getattr(joint, name) == pytest.approx(getattr(separate, name), rel=1e-12), name
+
+
 def test_decomposition_enforces_minimum_replications(small_problem):
     cfg = SgmConfig(partitions=1, batch_size=1, iterations=5, step_schedule=0.1, base_seed=0)
     with pytest.raises(InvalidParameterError):

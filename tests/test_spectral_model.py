@@ -254,6 +254,23 @@ def test_problem_id_is_hashed_once_per_object(monkeypatch):
     assert len(calls) == 3
 
 
+def test_kappa_sq_is_the_grid_maximum_bit_for_bit_on_first_and_repeated_builds():
+    from kdc import spectral_model
+
+    spectral_model._kappa_sq.cache_clear()
+    grid = np.linspace(0.0, 1.0, spectral_model.KAPPA_GRID_POINTS)
+    for dim, gamma in ((1, 1.0), (7, 0.3), (50, 0.5), (200, 1), (200, 1.0), (200, 0.5)):
+        eigenvalues = np.arange(1, dim + 1, dtype=float) ** (-1.0 / gamma)
+        expected = float(((basis_matrix(dim, grid) ** 2) @ eigenvalues).max())
+        first = build_problem(dim=dim, gamma=gamma)
+        again = build_problem(dim=dim, gamma=gamma, zeta=1.0, noise_sd=0.3)
+        assert first.kappa_sq == expected and again.kappa_sq == expected
+        assert first is not again
+    # (200, 1) and (200, 1.0) share one memo entry.
+    assert spectral_model._kappa_sq.cache_info().misses == 5
+    assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.3).problem_id == "4cbac9603feb"
+
+
 def test_problems_and_datasets_compare_by_identity(default_problem):
     twin = problem_from_json(problem_to_json(default_problem))
     data = sample_dataset(default_problem, 8, seed=1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,11 +37,13 @@ from kdc import (
     predict,
     pseudo_gm_local,
     resolve_schedule,
+    sa_local,
     sample_dataset,
     sgm_local,
     spectral_kernel,
     tikhonov,
 )
+from kdc.kernels import kernel_features
 from kdc.seeding import partition_stream_seed
 from kdc.trainers import INDEX_CHUNK
 
@@ -262,6 +265,32 @@ def test_sgm_theory_mode_rejects_large_steps(data, kernel, small_problem):
         theory_compliant=True,
     )
     sgm_local(data, ok, kernel, 0)
+
+
+@pytest.mark.parametrize("problem_name, n", [("small_problem", 48), ("default_problem", 240)])
+def test_trained_models_carry_the_modes_of_a_fresh_feature_matrix(request, problem_name, n):
+    # The trainers hand their own feature matrix to the model; its modes
+    # must be those of the public formula, bit for bit.
+    problem = request.getfixturevalue(problem_name)
+    kernel = spectral_kernel(problem)
+    data = sample_dataset(problem, n, seed=11)
+    cfg = SgmConfig(partitions=3, batch_size=2, iterations=40, step_schedule=0.05, base_seed=6)
+    models = [
+        sa_local(data, tikhonov(problem.kappa_sq), 1e-2, kernel),
+        gm_local(data, 0.05, 30, kernel),
+        sgm_local(data, dataclasses.replace(cfg, partitions=1), kernel, 0),
+        *distributed_sgm(data, cfg, kernel, partition_seed=4).locals,
+    ]
+    for model in models:
+        expected = problem.eigenvalues * (kernel_features(kernel, model.inputs).T @ model.coeffs)
+        np.testing.assert_array_equal(model.modes, expected)
+
+
+def test_local_model_checks_the_shape_of_handed_features(data, kernel):
+    with pytest.raises(InvalidParameterError):
+        LocalModel._from_features(np.zeros((len(data), kernel.problem.dim + 1)),
+                                  inputs=data.inputs, coeffs=np.zeros(len(data)),
+                                  partition_index=0, kernel=kernel)
 
 
 def test_local_model_rejects_nonfinite_coefficients(data, kernel):
