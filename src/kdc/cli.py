@@ -15,11 +15,11 @@ import sys
 
 from .errors import InvalidParameterError, KdcError
 from .evaluation import decompose_error
-from .filters import FILTER_TAGS, filter_from_tag, validate_filter
+from .filters import CLAMP_SAFETY, FILTER_TAGS, filter_from_tag, validate_filter
 from .harness import (
     ExperimentConfig,
+    check_config_types,
     emit_rate_table,
-    landweber_schedule_for,
     read_records_csv,
     resolve_m,
     run_experiment,
@@ -28,29 +28,11 @@ from .harness import (
 from .spectral_model import (
     PROBLEM_PARAMS, build_problem, dataset_to_csv, problem_to_json, sample_dataset,
 )
-from .trainers import CLAMP_SAFETY, Constant, SgmConfig, theory_step_cap
-
-
-#: JSON types of the config keys the subcommands read; other keys are ignored.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("regime", "algorithm", "filter", "filter_tag"), (str,)),
-    **dict.fromkeys(("n_total", "dim", "m", "replications", "base_seed", "iterations",
-                     "batch_size", "n_data", "n_index"), (int,)),
-    **dict.fromkeys(("gamma", "zeta", "source_norm", "noise_sd", "scale", "eta", "lam"),
-                    (int, float)),
-    "m_rule": (int, str),
-    "out_path": (str, type(None)),
-    "theory_compliant": (bool,),
-}
-
-
-def _has_type(value, types) -> bool:
-    # JSON true/false parse as bool, a subclass of int; they count as numbers nowhere.
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+from .trainers import Constant, SgmConfig, theory_step_cap
 
 
 def _load_config(path: str) -> dict:
-    """Read a JSON config object and check the types of the keys in _CONFIG_TYPES."""
+    """Read a JSON config object and check the types of the keys it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -58,13 +40,7 @@ def _load_config(path: str) -> dict:
         raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidParameterError("config file must hold a JSON object")
-    for key, types in _CONFIG_TYPES.items():
-        if key in raw and not _has_type(raw[key], types):
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise InvalidParameterError(f"config key {key!r} must be {names}, got {raw[key]!r}")
-    n_list = raw.get("n_list", [])
-    if not isinstance(n_list, list) or not all(_has_type(n, (int,)) for n in n_list):
-        raise InvalidParameterError(f"config key 'n_list' must be a list of int, got {n_list!r}")
+    check_config_types(raw)
     return raw
 
 
@@ -195,22 +171,14 @@ def _cmd_rate_fit(args) -> int:
 
 
 def _cmd_validate_filters(args) -> int:
-    if args.config:
-        raw = _load_config(args.config)
-    else:
-        raw = {}
-    problem = _problem_from_config(raw)
-    ksq = problem.kappa_sq
+    raw = _load_config(args.config) if args.config else {}
+    ksq = _problem_from_config(raw).kappa_sq
+    lam = float(raw.get("lam", 0.01))
     tags = FILTER_TAGS if args.filter == "all" else (args.filter,)
     all_ok = True
     results = {}
     for tag in tags:
-        if tag == "landweber":
-            steps = landweber_schedule_for(float(raw.get("lam", 0.01)), ksq)
-            spec = filter_from_tag(tag, ksq, step_sizes=steps)
-        else:
-            spec = filter_from_tag(tag, ksq)
-        report = validate_filter(spec, ksq)
+        report = validate_filter(filter_from_tag(tag, ksq, lam))
         results[tag] = report
         status = "PASS" if report.passed else "FAIL"
         print(f"{tag:12s} value={report.max_value_lhs:.6f}/{report.const_e:g} "

@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     KernelMismatchError,
 )
+from .filters import landweber
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 from .spectral_model import SpectralProblem, check_exponents, regression_value, sample_dataset
@@ -26,11 +27,12 @@ from .trainers import (
     AveragedModel,
     LocalModel,
     SgmConfig,
-    _gd_models,
+    _filter_models,
     _sgm_runs,
     _stacked_features,
     partition_data,
     predict,
+    resolve_schedule,
 )
 
 #: Minimum replication counts (datasets, index draws) for decompose_error.
@@ -157,7 +159,8 @@ def decompose_error(
     kernel = spectral_kernel(problem)
     base = config.base_seed
     target = problem.target_coeffs
-    schedule, iters = config.step_schedule, config.iterations
+    # Batch gradient descent is the Landweber filter of the SGM schedule.
+    spec = landweber(resolve_schedule(config.step_schedule, config.iterations), problem.kappa_sq)
 
     bias_d = np.empty(n_data)
     sv_d = np.empty(n_data)
@@ -170,8 +173,9 @@ def decompose_error(
         feats = _stacked_features(kernel, subs)
 
         # Per partition, one factorization fits the noiseless and the noisy labels.
-        pairs = [_gd_models(sub, block_feats, (regression_value(problem, sub.inputs), sub.labels),
-                            schedule, iters, kernel, s)
+        pairs = [_filter_models(sub, block_feats,
+                                (regression_value(problem, sub.inputs), sub.labels),
+                                spec, None, kernel, s)
                  for s, (sub, block_feats) in enumerate(zip(subs, np.split(feats, partitions)))]
         pseudo = sum(p.modes for p, _ in pairs) / partitions
         batch = sum(b.modes for _, b in pairs) / partitions

@@ -11,6 +11,11 @@ lambda in (0, kappa_sq]:
 
 ``validate_filter`` checks both bounds numerically on grids and is wired
 into the CLI so every shipped filter can be certified at runtime.
+
+T steps of gradient descent are the Landweber filter G_T of K/n, so the
+gradient-descent trainers build a ``landweber`` spec and share the filter
+path of every other estimator; ``landweber_schedule_for`` turns a
+regularization level into the schedule that reaches it.
 """
 from __future__ import annotations
 
@@ -22,8 +27,11 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError
 from .kernels import GramMatrix, sym_eigendecompose
 
-#: Grid sizes used when validate_filter is called without explicit grids.
+#: Points in each of validate_filter's lambda and u grids.
 DEFAULT_GRID_POINTS = 200
+
+#: Safety factor applied when clamping planned step sizes against 1/kappa_sq.
+CLAMP_SAFETY = 1.01
 
 #: Relative slack on the declared constants during validation.
 VALIDATION_RTOL = 1e-9
@@ -86,7 +94,7 @@ def check_step_bound(steps, kappa_sq: float) -> None:
 
 
 def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> FilterSpec:
-    """Gradient-descent filter for a positive step-size schedule.
+    """Gradient-descent filter for a step-size schedule.
 
     G_t(u) = sum_k eta_k * prod_{i=k+1..t} (1 - eta_i u), with effective
     regularization lambda = 1 / sum_k eta_k. Declares E = 1 and
@@ -94,13 +102,13 @@ def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> Filter
     residual bound needs as alpha -> 0; declaring tau < e fails validation
     honestly rather than being patched over.
 
-    Steps must satisfy 0 < eta_k <= 1/kappa_sq.
+    Steps must satisfy 0 <= eta_k <= 1/kappa_sq with a positive sum, the
+    schedule contract of gradient descent and SGM; a zero step leaves G_t
+    unchanged.
     """
     steps = tuple(float(s) for s in np.atleast_1d(np.asarray(step_sizes, dtype=float)))
-    if len(steps) == 0:
-        raise InvalidParameterError("landweber needs at least one step")
-    if not all(math.isfinite(s) and s > 0 for s in steps):
-        raise InvalidParameterError("step sizes must be positive and finite")
+    if not all(math.isfinite(s) and s >= 0 for s in steps) or not sum(steps) > 0:
+        raise InvalidParameterError("step sizes must be finite and nonnegative with a positive sum")
     check_step_bound(steps, kappa_sq)
     const_f = (qualification / math.e) ** qualification
     return FilterSpec(
@@ -109,11 +117,27 @@ def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> Filter
     )
 
 
+def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
+    """Constant Landweber schedule matching a target regularization level.
+
+    Uses eta = 1/(2 * CLAMP_SAFETY * kappa_sq) and t = ceil(1/(lam * eta))
+    steps so the effective lambda = 1/(t * eta) sits at or just below ``lam``.
+    """
+    if lam <= 0:
+        raise InvalidParameterError("lambda must be positive")
+    eta = 1.0 / (2.0 * CLAMP_SAFETY * kappa_sq)
+    steps = math.ceil(1.0 / (lam * eta))
+    return np.full(steps, eta)
+
+
 FILTER_TAGS = ("tikhonov", "landweber", "cutoff", "tikhonov_bc")
 
 
-def filter_from_tag(tag: str, kappa_sq: float, **kwargs) -> FilterSpec:
-    """Build a filter from its config-file tag."""
+def filter_from_tag(tag: str, kappa_sq: float, lam: float) -> FilterSpec:
+    """Build a filter from its config-file tag; Landweber runs to level ``lam``.
+
+    The other filters take ``lam`` when they are applied, not here.
+    """
     if tag == "tikhonov":
         return tikhonov(kappa_sq)
     if tag == "cutoff":
@@ -121,7 +145,7 @@ def filter_from_tag(tag: str, kappa_sq: float, **kwargs) -> FilterSpec:
     if tag == "tikhonov_bc":
         return tikhonov_bias_corrected(kappa_sq)
     if tag == "landweber":
-        return landweber(kappa_sq=kappa_sq, **kwargs)
+        return landweber(landweber_schedule_for(lam, kappa_sq), kappa_sq)
     raise InvalidParameterError(f"unknown filter tag {tag!r}; expected one of {FILTER_TAGS}")
 
 
@@ -141,15 +165,12 @@ def effective_lambda(spec: FilterSpec, lam: float | None = None) -> float:
     return float(lam)
 
 
-def residual_product(step_sizes, u, start: int = 1) -> np.ndarray | float:
-    """prod_{i=start..t} (1 - eta_i u) for a step schedule (1-indexed).
-
-    An empty range (start > t) gives 1.
-    """
+def residual_product(step_sizes, u) -> np.ndarray | float:
+    """prod_{i=1..t} (1 - eta_i u) for a step schedule; an empty one gives 1."""
     steps = np.atleast_1d(np.asarray(step_sizes, dtype=float))
     ua = np.asarray(u, dtype=float)
     out = np.ones_like(ua, dtype=float)
-    for eta in steps[start - 1:]:
+    for eta in steps:
         out = out * (1.0 - eta * ua)
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(out)
@@ -233,54 +254,27 @@ class FilterValidationReport:
     passed: bool
 
 
-def _default_alpha_grid(spec: FilterSpec) -> np.ndarray:
-    base = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
-    if math.isfinite(spec.qualification):
-        base.append(spec.qualification)
-    return np.unique(np.asarray(base, dtype=float))
-
-
-def validate_filter(
-    spec: FilterSpec,
-    kappa_sq: float | None = None,
-    lambda_grid=None,
-    u_grid=None,
-    alpha_grid=None,
-) -> FilterValidationReport:
+def validate_filter(spec: FilterSpec) -> FilterValidationReport:
     """Check the declared (E, F) constants on grids of (lambda, u, alpha).
 
-    The value bound is checked for grid alphas in [0, 1] and the residual
-    bound for grid alphas in [0, qualification]. For Landweber the lambda
-    grid collapses to the schedule's effective lambda; for spectral cutoff
-    each lambda is added to its own u grid so the discontinuity itself is
-    probed. Passes iff both maxima stay within the declared constants up to
-    relative slack VALIDATION_RTOL.
+    Lambda runs over DEFAULT_GRID_POINTS geometric points in [1e-4, 1] and
+    u over as many in [1e-8, 1] * kappa_sq. The value bound is checked for
+    alphas in {0, 1/4, 1/2, 3/4, 1} and the residual bound for those, 2 and
+    the qualification, each at most the qualification. For Landweber the
+    lambda grid collapses to the schedule's effective lambda; for spectral
+    cutoff each lambda is added to its own u grid so the discontinuity
+    itself is probed. Passes iff both maxima stay within the declared
+    constants up to relative slack VALIDATION_RTOL.
     """
-    ksq = spec.kappa_sq if kappa_sq is None else float(kappa_sq)
-    if ksq <= 0:
-        raise InvalidParameterError("kappa_sq must be positive")
-
-    if lambda_grid is None:
-        lambda_grid = np.geomspace(1e-4, 1.0, DEFAULT_GRID_POINTS)
-    lams = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
+    ksq = spec.kappa_sq
     if spec.kind == "landweber":
         lams = np.asarray([effective_lambda(spec)])
-    if np.any(lams <= 0):
-        raise InvalidParameterError("lambda grid must be positive")
-
-    if u_grid is None:
-        u_grid = np.geomspace(ksq * 1e-8, ksq, DEFAULT_GRID_POINTS)
-    us = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if np.any(us <= 0) or np.any(us > ksq * (1.0 + 1e-9)):
-        raise InvalidParameterError("u grid must lie in (0, kappa_sq]")
-
-    if alpha_grid is None:
-        alphas = _default_alpha_grid(spec)
     else:
-        alphas = np.unique(np.atleast_1d(np.asarray(alpha_grid, dtype=float)))
-    if np.any(alphas < 0):
-        raise InvalidParameterError("alpha grid must be nonnegative")
-
+        lams = np.geomspace(1e-4, 1.0, DEFAULT_GRID_POINTS)
+    us = np.geomspace(ksq * 1e-8, ksq, DEFAULT_GRID_POINTS)
+    alphas = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+    if math.isfinite(spec.qualification):
+        alphas = np.unique(np.append(alphas, spec.qualification))
     value_alphas = alphas[alphas <= 1.0]
     residual_alphas = alphas[alphas <= spec.qualification]
 

@@ -32,14 +32,39 @@ from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 from .spectral_model import (
     PROBLEM_PARAMS, build_problem, problem_from_json, problem_to_json, sample_dataset,
 )
-from .trainers import (
-    CLAMP_SAFETY,
-    SA_REGIMES,
-    SGM_REGIMES,
-    distributed_sa,
-    distributed_sgm,
-    plan_parameters,
-)
+from .trainers import SA_REGIMES, SGM_REGIMES, distributed_sa, distributed_sgm, plan_parameters
+
+
+#: Types of the config keys that sweeps and the CLI read; other keys are ignored.
+CONFIG_TYPES = {
+    **dict.fromkeys(("regime", "algorithm", "filter", "filter_tag"), (str,)),
+    **dict.fromkeys(("n_total", "dim", "m", "replications", "base_seed", "iterations",
+                     "batch_size", "n_data", "n_index"), (int,)),
+    **dict.fromkeys(("gamma", "zeta", "source_norm", "noise_sd", "scale", "eta", "lam"),
+                    (int, float)),
+    "n_list": (list, tuple),
+    "m_rule": (int, str),
+    "out_path": (str, type(None)),
+    "theory_compliant": (bool,),
+}
+
+
+def _has_type(value, types) -> bool:
+    # JSON true/false parse as bool, a subclass of int; they count as numbers nowhere.
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+def check_config_types(raw: dict) -> None:
+    """Raise InvalidParameterError unless each CONFIG_TYPES key in ``raw`` has its type.
+
+    The entries of ``n_list`` must be integers.
+    """
+    for key, types in CONFIG_TYPES.items():
+        if key in raw and not _has_type(raw[key], types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise InvalidParameterError(f"config key {key!r} must be {names}, got {raw[key]!r}")
+    if not all(_has_type(n, (int,)) for n in raw.get("n_list", ())):
+        raise InvalidParameterError(f"config key 'n_list' must hold ints, got {raw['n_list']!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +88,7 @@ class ExperimentConfig:
     theory_compliant: bool = False
 
     def __post_init__(self) -> None:
+        check_config_types({f.name: getattr(self, f.name) for f in fields(self)})
         if self.algorithm not in ("sgm", "sa"):
             raise InvalidParameterError("algorithm must be 'sgm' or 'sa'")
         expected = SGM_REGIMES if self.algorithm == "sgm" else SA_REGIMES
@@ -72,7 +98,7 @@ class ExperimentConfig:
             )
         if self.filter_tag not in FILTER_TAGS:
             raise InvalidParameterError(f"filter must be one of {FILTER_TAGS}")
-        ns = tuple(int(n) for n in self.n_list)
+        ns = tuple(self.n_list)
         if len(ns) == 0:
             raise InvalidParameterError("n_list must be nonempty")
         if any(n < 2 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -91,8 +117,6 @@ class ExperimentConfig:
         kwargs = {k: v for k, v in raw.items() if k in known}
         if "filter" in raw:
             kwargs["filter_tag"] = raw["filter"]
-        if "n_list" in kwargs:
-            kwargs["n_list"] = tuple(int(n) for n in kwargs["n_list"])
         missing = {"regime", "n_list"} - kwargs.keys()
         if missing:
             raise InvalidParameterError(f"config is missing keys: {sorted(missing)}")
@@ -221,19 +245,6 @@ def read_records_csv(path: str) -> list[RunRecord]:
         return records_from_csv(fh.read())
 
 
-def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
-    """Constant Landweber schedule matching a target regularization level.
-
-    Uses eta = 1/(2 * 1.01 * kappa_sq) and t = ceil(1/(lam * eta)) steps so
-    the effective lambda = 1/(t * eta) sits at or just below ``lam``.
-    """
-    if lam <= 0:
-        raise InvalidParameterError("lambda must be positive")
-    eta = 1.0 / (2.0 * CLAMP_SAFETY * kappa_sq)
-    steps = math.ceil(1.0 / (lam * eta))
-    return np.full(steps, eta)
-
-
 def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int, rep: int) -> dict:
     """Run one (N, rep) task; returns risk or a recorded error."""
     t0 = time.perf_counter()
@@ -252,15 +263,8 @@ def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int
         if plan.algorithm == "sgm":
             model = distributed_sgm(ds, plan.to_config(index_seed), kernel, part_seed)
         else:
-            tag = config.filter_tag
-            if tag == "landweber":
-                steps = landweber_schedule_for(plan.lam, problem.kappa_sq)
-                filt = filter_from_tag(tag, problem.kappa_sq, step_sizes=steps)
-                lam = None
-            else:
-                filt = filter_from_tag(tag, problem.kappa_sq)
-                lam = plan.lam
-            model = distributed_sa(ds, filt, lam, kernel, m, part_seed)
+            filt = filter_from_tag(config.filter_tag, problem.kappa_sq, plan.lam)
+            model = distributed_sa(ds, filt, plan.lam, kernel, m, part_seed)
         risk = excess_risk_exact(model, problem).excess_risk
         return {
             "risk": risk, "error": "",

@@ -7,18 +7,20 @@ x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
 coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
 alpha from the n x dim feature matrix Phi of the spectral kernel
 (K = Phi diag(sigma) Phi^T), evaluated once per model and handed to it.
-Filters and gradient descent take one ``eigh`` of the smaller Gram side of
-the scaled features: the dim x dim covariance when n > dim, so the n x n
-Gram matrix appears only when it is no larger than Phi. The Gram route in
+Every spectral filter runs through one path, ``_filter_models``; gradient
+descent is on it too, since T steps of it are the Landweber filter G_T of
+K/n. The path takes one ``eigh`` of the smaller Gram side of the scaled
+features: the dim x dim covariance when n > dim, so the n x n Gram matrix
+appears only when it is no larger than Phi. The Gram route in
 :mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is the reference
-they are tested against. Distributed training partitions
-one dataset uniformly at random, trains each block independently, and
-averages the block predictors uniformly.
+they are tested against. Distributed training partitions one dataset
+uniformly at random, trains each block independently, and averages the
+block predictors uniformly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +33,9 @@ from .errors import (
     InvalidRegimeError,
     KernelMismatchError,
 )
-from .filters import FilterSpec, check_step_bound, filter_value, landweber_recurrence
+from .filters import (
+    CLAMP_SAFETY, FilterSpec, check_step_bound, filter_value, landweber, landweber_recurrence,
+)
 from .kernels import KernelSpec, kernel_bound, kernel_features
 from .seeding import partition_stream_seed
 from .spectral_model import Dataset, SpectralProblem, check_exponents, regression_value
@@ -41,9 +45,6 @@ DIVERGENCE_LIMIT = 1e12
 
 #: Iterations of indices an SGM run draws at a time (chunks leave its stream unchanged).
 INDEX_CHUNK = 256
-
-#: Safety factor applied when clamping planned step sizes against 1/kappa_sq.
-CLAMP_SAFETY = 1.01
 
 #: Regime tags accepted by the planner.
 SGM_REGIMES = (
@@ -350,17 +351,15 @@ def sgm_local(
                                      partition_index=partition_index, kernel=kernel)
 
 
-def _gd_models(subset: Dataset, feats: np.ndarray, label_columns, step_schedule,
-               iterations: int, kernel: KernelSpec, partition_index: int) -> list[LocalModel]:
-    """Gradient descent on one partition, one model per label column.
+def _filter_models(subset: Dataset, feats: np.ndarray, label_columns, filter_spec: FilterSpec,
+                   lam: float | None, kernel: KernelSpec, partition_index: int) -> list[LocalModel]:
+    """The filter estimator on one partition, one model per label column.
 
     ``feats`` is Phi at the partition's inputs; every column shares the
     one factorization of :func:`_mode_filter`.
     """
-    etas = resolve_schedule(step_schedule, iterations)
-    check_step_bound(etas, kernel_bound(kernel))
     alphas = _mode_filter(kernel, feats, np.column_stack(label_columns),
-                          lambda u: landweber_recurrence(etas, u))
+                          lambda u: filter_value(filter_spec, lam, u))
     return [LocalModel._from_features(feats, inputs=subset.inputs, coeffs=a,
                                       partition_index=partition_index, kernel=kernel)
             for a in alphas.T]
@@ -375,13 +374,13 @@ def gm_local(
 ) -> LocalModel:
     """Full-batch gradient descent on one partition.
 
-    This is the batch limit of sgm_local and coincides with the Landweber
-    filter estimator for the same step schedule; T steps are applied at once
-    as the gradient-descent filter G_T of the empirical covariance.
+    This is the batch limit of sgm_local. T steps of it are the Landweber
+    filter G_T of K/n, so it runs as :func:`sa_local` with that filter; the
+    schedule must hold nonnegative steps of at most 1/kappa_sq with a
+    positive sum.
     """
-    feats = kernel_features(kernel, subset.inputs)
-    return _gd_models(subset, feats, [subset.labels], step_schedule, iterations, kernel,
-                      partition_index)[0]
+    spec = landweber(resolve_schedule(step_schedule, iterations), kernel_bound(kernel))
+    return sa_local(subset, spec, None, kernel, partition_index)
 
 
 def pseudo_gm_local(
@@ -397,10 +396,8 @@ def pseudo_gm_local(
     known (the kernel's problem); used to split estimation error into bias
     and variance pieces.
     """
-    feats = kernel_features(kernel, subset.inputs)
-    clean = regression_value(kernel.problem, subset.inputs)
-    return _gd_models(subset, feats, [clean], step_schedule, iterations, kernel,
-                      partition_index)[0]
+    clean = replace(subset, labels=regression_value(kernel.problem, subset.inputs))
+    return gm_local(clean, step_schedule, iterations, kernel, partition_index)
 
 
 def population_sequence(problem: SpectralProblem, step_schedule, iterations: int) -> np.ndarray:
@@ -433,9 +430,8 @@ def sa_local(
     ``lam`` must be positive except for Landweber, whose schedule fixes it.
     """
     feats = kernel_features(kernel, subset.inputs)
-    coeffs = _mode_filter(kernel, feats, subset.labels, lambda u: filter_value(filter_spec, lam, u))
-    return LocalModel._from_features(feats, inputs=subset.inputs, coeffs=coeffs,
-                                     partition_index=partition_index, kernel=kernel)
+    return _filter_models(subset, feats, [subset.labels], filter_spec, lam, kernel,
+                          partition_index)[0]
 
 
 def distributed_sgm(

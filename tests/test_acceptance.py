@@ -35,7 +35,7 @@ from kdc import (
     validate_filter,
 )
 from kdc.filters import FILTER_TAGS, filter_value
-from kdc.harness import ExperimentConfig, landweber_schedule_for, run_experiment
+from kdc.harness import ExperimentConfig, run_experiment
 from kdc.seeding import TAG_INDEX
 
 BASE_SEED = 20260822
@@ -182,11 +182,8 @@ def test_a5_filter_certificates_and_residual_bounds():
     failures = []
 
     for tag in FILTER_TAGS:
-        kwargs = {}
-        if tag == "landweber":
-            kwargs["step_sizes"] = np.full(50, 1.0 / (2.0 * 1.01 * ksq))
-        spec = filter_from_tag(tag, ksq, **kwargs)
-        rep = validate_filter(spec)
+        # Landweber at lambda = 0.25 runs 54 steps of 1/(2 * 1.01 * kappa_sq).
+        rep = validate_filter(filter_from_tag(tag, ksq, 0.25))
         if not rep.passed:
             failures.append(f"{tag} certificate")
 
@@ -261,8 +258,7 @@ def test_a6_estimator_cross_checks():
 
         # sa_local's mode-space route against the Gram route, every filter.
         for tag in FILTER_TAGS:
-            steps = {"step_sizes": np.full(t, eta)} if tag == "landweber" else {}
-            spec = filter_from_tag(tag, problem.kappa_sq, **steps)
+            spec = filter_from_tag(tag, problem.kappa_sq, lam)
             dual = apply_filter(spec, lam, g, data.labels)
             primal = sa_local(data, spec, lam, kernel).coeffs
             denom = max(1.0, float(np.max(np.abs(dual))))

@@ -169,8 +169,8 @@ def test_decomposition_fits_both_label_columns_as_separate_calls_would(
 
     cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=5)
     joint = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
-    fit = evaluation._gd_models
-    monkeypatch.setattr(evaluation, "_gd_models", lambda sub, feats, columns, *rest: [
+    fit = evaluation._filter_models
+    monkeypatch.setattr(evaluation, "_filter_models", lambda sub, feats, columns, *rest: [
         fit(sub, feats, [column], *rest)[0] for column in columns])
     separate = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
     for name in ("total", "bias", "sample_var", "comp_var",

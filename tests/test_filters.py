@@ -112,6 +112,17 @@ def test_landweber_rejects_inadmissible_schedules():
         landweber([], kappa_sq=KAPPA_SQ)
 
 
+def test_landweber_zero_steps_leave_the_filter_unchanged():
+    eta = 0.9 / KAPPA_SQ
+    us = np.linspace(0.0, KAPPA_SQ, 33)
+    padded = landweber([0.0, eta], kappa_sq=KAPPA_SQ)
+    plain = landweber([eta], kappa_sq=KAPPA_SQ)
+    np.testing.assert_array_equal(filter_value(padded, None, us), filter_value(plain, None, us))
+    assert effective_lambda(padded) == effective_lambda(plain)
+    with pytest.raises(InvalidParameterError):
+        landweber([0.0, 0.0], kappa_sq=KAPPA_SQ)
+
+
 def test_filter_value_domain_checks():
     spec = tikhonov(KAPPA_SQ)
     with pytest.raises(DomainError):
@@ -126,10 +137,8 @@ def test_filter_value_domain_checks():
 
 @pytest.mark.parametrize("tag", FILTER_TAGS)
 def test_default_filters_pass_their_own_certificates(tag):
-    kwargs = {}
-    if tag == "landweber":
-        kwargs["step_sizes"] = np.full(60, 1.0 / (2.0 * KAPPA_SQ))
-    spec = filter_from_tag(tag, KAPPA_SQ, **kwargs)
+    # Landweber at lambda = 0.2 runs 67 steps of 1/(2 * 1.01 * kappa_sq).
+    spec = filter_from_tag(tag, KAPPA_SQ, 0.2)
     report = validate_filter(spec)
     assert report.passed, (tag, report)
     assert report.value_ok and report.residual_ok
@@ -149,7 +158,7 @@ def test_validation_catches_an_undersized_residual_constant():
 
 def test_filter_from_tag_rejects_unknown_tags():
     with pytest.raises(InvalidParameterError):
-        filter_from_tag("ridge", KAPPA_SQ)
+        filter_from_tag("ridge", KAPPA_SQ, 0.1)
 
 
 def test_tikhonov_filter_solves_the_regularized_system():

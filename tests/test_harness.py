@@ -9,6 +9,7 @@ import pytest
 from kdc import (
     InvalidParameterError,
     InvalidRegimeError,
+    build_problem,
     derive_seed,
     emit_rate_table,
     read_records_csv,
@@ -17,14 +18,10 @@ from kdc import (
     write_records_csv,
 )
 from kdc import harness
-from kdc.harness import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    landweber_schedule_for,
-    resolve_m,
-    run_experiment,
-)
+from kdc.filters import CLAMP_SAFETY, landweber_schedule_for
+from kdc.harness import CSV_COLUMNS, ExperimentConfig, resolve_m, run_experiment
 from kdc.seeding import TAG_DATA
+from kdc.trainers import theory_step_cap
 
 GOLDEN_HEADER = (
     "version,algorithm,regime,n_total,m_requested,m,n_local,batch_size,iterations,"
@@ -108,6 +105,28 @@ def test_config_validation():
         tiny_config(replications=0)
     with pytest.raises(InvalidParameterError):
         tiny_config(scale=-1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replications", "two"), ("gamma", "1"), ("base_seed", "7"), ("theory_compliant", "yes"),
+    ("n_list", ["16"]), ("dim", 20.0), ("scale", True), ("m_rule", 1.5), ("out_path", 3),
+])
+def test_config_rejects_values_of_the_wrong_type(key, value):
+    # A value of the wrong type is an InvalidParameterError, never a TypeError or a coercion.
+    raw = {"regime": "cor1.1", "n_list": [16], "dim": 20, key: value}
+    with pytest.raises(InvalidParameterError, match=repr(key)):
+        run_experiment(ExperimentConfig.from_dict(raw))
+
+
+def test_theory_compliant_sweeps_run_at_the_log_cap():
+    cfg = ExperimentConfig(regime="cor1.1", n_list=(64, 128), dim=20, m_rule=2,
+                           theory_compliant=True)
+    records = run_experiment(cfg)
+    ksq = build_problem(dim=20).kappa_sq
+    for rec in records:
+        assert rec.error == ""
+        assert rec.eta == theory_step_cap(CLAMP_SAFETY * ksq, rec.iterations)
+    assert [rec.eta for rec in records] == pytest.approx([0.016561418094, 0.013801181745], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

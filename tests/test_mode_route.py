@@ -24,8 +24,7 @@ from kdc import (
     spectral_kernel,
 )
 from kdc import filters
-from kdc.filters import FILTER_TAGS
-from kdc.harness import landweber_schedule_for
+from kdc.filters import FILTER_TAGS, landweber_schedule_for
 from kdc.kernels import kernel_features, sym_eigendecompose
 
 LAMBDAS = (1e-3, 1e-2, 0.3)
@@ -72,8 +71,7 @@ def test_mode_filter_matches_apply_filter_around_n_equals_dim(monkeypatch, dim, 
             model = gm_local(data, steps, steps.size, kernel)
             dual = apply_filter(landweber(steps, kappa_sq=ksq), None, g, data.labels)
         else:
-            extra = {"step_sizes": steps} if tag == "landweber" else {}
-            spec = filter_from_tag(tag, ksq, **extra)
+            spec = filter_from_tag(tag, ksq, lam)
             model = sa_local(data, spec, lam, kernel)
             dual = apply_filter(spec, lam, g, data.labels)
         dual_modes = problem.eigenvalues * (feats.T @ dual)

@@ -323,6 +323,25 @@ def test_gm_first_step_closed_form(data, kernel):
     np.testing.assert_allclose(model.coeffs, 0.07 * data.labels / len(data), rtol=1e-15)
 
 
+@pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
+def test_gm_zero_steps_change_nothing(small_problem, kernel, n):
+    # A zero step leaves the Landweber filter, hence the iterate, unchanged.
+    data = sample_dataset(small_problem, n, seed=n)
+    etas = [0.1, 0.05, 0.12, 0.08]
+    padded = [0.0, 0.1, 0.05, 0.0, 0.12, 0.08, 0.0]
+    a = gm_local(data, etas, len(etas), kernel)
+    b = gm_local(data, padded, len(padded), kernel)
+    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    np.testing.assert_array_equal(a.modes, b.modes)
+
+
+def test_gm_rejects_an_all_zero_schedule(data, kernel):
+    with pytest.raises(InvalidParameterError):
+        gm_local(data, 0.0, 5, kernel)
+    with pytest.raises(InvalidParameterError):
+        pseudo_gm_local(data, [0.0, 0.0], 2, kernel)
+
+
 def test_pseudo_gm_equals_gm_without_noise(noiseless_small_problem):
     kernel = spectral_kernel(noiseless_small_problem)
     data = sample_dataset(noiseless_small_problem, 32, seed=4)
