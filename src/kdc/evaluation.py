@@ -27,10 +27,10 @@ from .trainers import (
     AveragedModel,
     LocalModel,
     SgmConfig,
+    _dataset_features,
     _filter_models,
+    _partition_rows,
     _sgm_runs,
-    _stacked_features,
-    partition_data,
     predict,
     resolve_schedule,
 )
@@ -169,14 +169,16 @@ def decompose_error(
 
     for d in range(n_data):
         ds = sample_dataset(problem, n_total, derive_seed(base, TAG_DATA, d))
-        subs = partition_data(ds, partitions, derive_seed(base, TAG_PARTITION, d))
-        feats = _stacked_features(kernel, subs)
+        rows = _partition_rows(n_total, partitions, derive_seed(base, TAG_PARTITION, d))
+        feats = _dataset_features(kernel, ds)
 
         # Per partition, one factorization fits the noiseless and the noisy labels.
-        pairs = [_filter_models(sub, block_feats,
-                                (regression_value(problem, sub.inputs), sub.labels),
-                                spec, None, kernel, s)
-                 for s, (sub, block_feats) in enumerate(zip(subs, np.split(feats, partitions)))]
+        pairs = []
+        for s, idx in enumerate(rows):
+            block_feats = feats[idx]
+            pairs.append(_filter_models(ds.inputs[idx], block_feats,
+                                        (block_feats @ target, ds.labels[idx]),
+                                        spec, None, kernel, s))
         pseudo = sum(p.modes for p, _ in pairs) / partitions
         batch = sum(b.modes for _, b in pairs) / partitions
 
@@ -186,7 +188,7 @@ def decompose_error(
         # Every index replication of every partition runs in one lockstep loop.
         runs = [(s, s, derive_seed(base, TAG_INDEX, d, r))
                 for r in range(n_index) for s in range(partitions)]
-        _, modes = _sgm_runs(subs, feats, config, kernel, runs)
+        _, modes = _sgm_runs(feats, ds.labels, rows, config, kernel, runs)
         sgm = modes.reshape(n_index, partitions, -1).mean(axis=1)
         cv_d[d] = float(np.mean(np.sum((sgm - batch) ** 2, axis=1)))
         tot_d[d] = float(np.mean(np.sum((sgm - target) ** 2, axis=1)))

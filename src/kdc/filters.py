@@ -36,6 +36,9 @@ CLAMP_SAFETY = 1.01
 #: Relative slack on the declared constants during validation.
 VALIDATION_RTOL = 1e-9
 
+#: Most steps ``landweber_schedule_for`` builds; a smaller lambda is rejected.
+MAX_LANDWEBER_STEPS = 1_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
@@ -122,12 +125,17 @@ def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
 
     Uses eta = 1/(2 * CLAMP_SAFETY * kappa_sq) and t = ceil(1/(lam * eta))
     steps so the effective lambda = 1/(t * eta) sits at or just below ``lam``.
+    Raises InvalidParameterError unless lam is positive and finite and t is
+    at most MAX_LANDWEBER_STEPS.
     """
-    if lam <= 0:
-        raise InvalidParameterError("lambda must be positive")
+    if lam is None or not math.isfinite(lam) or lam <= 0:
+        raise InvalidParameterError(f"lambda must be positive and finite, got {lam!r}")
     eta = 1.0 / (2.0 * CLAMP_SAFETY * kappa_sq)
-    steps = math.ceil(1.0 / (lam * eta))
-    return np.full(steps, eta)
+    steps = 1.0 / (lam * eta) if lam * eta > 0.0 else math.inf
+    if steps > MAX_LANDWEBER_STEPS:
+        raise InvalidParameterError(
+            f"lambda {lam:.3g} needs more than {MAX_LANDWEBER_STEPS} Landweber steps")
+    return np.full(math.ceil(steps), eta)
 
 
 FILTER_TAGS = ("tikhonov", "landweber", "cutoff", "tikhonov_bc")

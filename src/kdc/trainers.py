@@ -6,7 +6,8 @@ A model is a weight vector alpha over its training inputs, predicting
 x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
 coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
 alpha from the n x dim feature matrix Phi of the spectral kernel
-(K = Phi diag(sigma) Phi^T), evaluated once per model and handed to it.
+(K = Phi diag(sigma) Phi^T): a sampled dataset's ``features``, or else
+evaluated once per call.
 Every spectral filter runs through one path, ``_filter_models``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
 K/n. The path takes one ``eigh`` of the smaller Gram side of the scaled
@@ -15,7 +16,8 @@ appears only when it is no larger than Phi. The Gram route in
 :mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is the reference
 they are tested against. Distributed training partitions one dataset
 uniformly at random, trains each block independently, and averages the
-block predictors uniformly.
+block predictors uniformly; a block is a row of sample indices
+(``_partition_rows``), so no second N x dim matrix is copied.
 """
 from __future__ import annotations
 
@@ -200,32 +202,40 @@ def predict(model, xs):
     return vals
 
 
-def partition_data(dataset: Dataset, partitions: int, seed: int) -> list[Dataset]:
-    """Split a dataset into ``partitions`` equal blocks, uniformly at random.
+def _partition_rows(n_total: int, partitions: int, seed: int) -> np.ndarray:
+    """Rows of default_rng(seed).permutation(n_total) as ``partitions`` equal blocks, (m, n).
 
-    Raises IndivisibleDataError unless partitions divides len(dataset).
+    Raises IndivisibleDataError unless partitions divides n_total.
     """
     if partitions < 1:
         raise InvalidParameterError("partitions must be >= 1")
-    n_total = len(dataset)
     if n_total % partitions != 0:
         raise IndivisibleDataError(
             f"{partitions} partitions do not divide {n_total} samples"
         )
-    block = n_total // partitions
-    perm = np.random.default_rng(seed).permutation(n_total)
-    out = []
-    for s in range(partitions):
-        idx = perm[s * block:(s + 1) * block]
-        out.append(
-            Dataset(
-                inputs=dataset.inputs[idx],
-                labels=dataset.labels[idx],
-                problem_id=dataset.problem_id,
-                seed=dataset.seed,
-            )
-        )
-    return out
+    return np.random.default_rng(seed).permutation(n_total).reshape(partitions, -1)
+
+
+def partition_data(dataset: Dataset, partitions: int, seed: int) -> list[Dataset]:
+    """Split a dataset into ``partitions`` equal blocks, uniformly at random.
+
+    The blocks of ``_partition_rows``, each with its rows of ``features``.
+    Raises IndivisibleDataError unless partitions divides len(dataset).
+    """
+    return [
+        replace(dataset, inputs=dataset.inputs[idx], labels=dataset.labels[idx],
+                features=None if dataset.features is None else dataset.features[idx])
+        for idx in _partition_rows(len(dataset), partitions, seed)
+    ]
+
+
+def _dataset_features(kernel: KernelSpec, dataset: Dataset) -> np.ndarray:
+    """Phi at the dataset's inputs: its ``features`` when they are the kernel's, else evaluated."""
+    feats = dataset.features
+    if (feats is not None and feats.shape == (len(dataset), kernel.problem.dim)
+            and dataset.problem_id == kernel.problem.problem_id):
+        return feats
+    return kernel_features(kernel, dataset.inputs)
 
 
 def theory_step_cap(kappa_sq: float, iterations: int) -> float:
@@ -265,23 +275,19 @@ def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray, g) -> 
     return (alpha / n).reshape(y.shape)
 
 
-def _stacked_features(kernel: KernelSpec, blocks: Sequence[Dataset]) -> np.ndarray:
-    """Phi at the inputs of every block, stacked in block order."""
-    return kernel_features(kernel, np.concatenate([block.inputs for block in blocks]))
-
-
-def _sgm_runs(blocks: Sequence[Dataset], feats: np.ndarray, config: SgmConfig,
+def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: SgmConfig,
               kernel: KernelSpec, runs):
     """Advance independent mini-batch SGM runs in lockstep.
 
-    Run (block, partition_index, seed) trains on ``blocks[block]`` (all of
-    one size n, with features ``_stacked_features(kernel, blocks)``) using
-    the index stream partition_stream_seed(seed, partition_index), drawn
-    INDEX_CHUNK iterations at a time. Returns the coefficients (R, n) and
-    the mode vectors (R, dim). A diverged run stops moving; the error
-    raised is the first run's, in run order.
+    Run (block, partition_index, seed) trains on the samples ``rows[block]``
+    of Phi ``feats`` and ``labels`` (``rows`` has shape (m, n)) using the
+    index stream partition_stream_seed(seed, partition_index), drawn
+    INDEX_CHUNK iterations at a time; each step gathers its batch rows
+    straight from ``feats``. Returns the coefficients (R, n) and the mode
+    vectors (R, dim). A diverged run stops moving; the error raised is the
+    first run's, in run order.
     """
-    n = len(blocks[0])
+    n = rows.shape[1]
     if config.batch_size > n:
         raise InvalidParameterError(f"batch_size {config.batch_size} exceeds partition size {n}")
     etas = resolve_schedule(config.step_schedule, config.iterations)
@@ -292,9 +298,9 @@ def _sgm_runs(blocks: Sequence[Dataset], feats: np.ndarray, config: SgmConfig,
         if np.max(etas) > cap * (1.0 + 1e-12):
             raise ConstraintViolationError(f"theory-compliant runs need eta <= {cap:.6g}")
 
-    y = np.concatenate([block.labels for block in blocks])
     rngs = [np.random.default_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
-    offsets = n * np.array([[i] for i, _, _ in runs])
+    # Sample row of each run's local index, laid out like alpha.
+    run_rows = rows[[i for i, _, _ in runs]].ravel()
     own = n * np.arange(len(runs))[:, None]
     sigma = kernel.problem.eigenvalues
     steps = etas / float(config.batch_size)
@@ -305,9 +311,11 @@ def _sgm_runs(blocks: Sequence[Dataset], feats: np.ndarray, config: SgmConfig,
     for t0 in range(0, config.iterations, INDEX_CHUNK):
         k = min(INDEX_CHUNK, config.iterations - t0)
         draws = np.stack([rng.integers(0, n, (k, config.batch_size)) for rng in rngs], axis=1)
-        for t, rows, own_rows in zip(range(t0, t0 + k), draws + offsets, draws + own):
-            batch = feats[rows]
-            step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - y[rows])
+        draws += own
+        for t, own_rows in zip(range(t0, t0 + k), draws):
+            sample_rows = run_rows[own_rows]
+            batch = feats[sample_rows]
+            step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - labels[sample_rows])
             if diverged:
                 step[list(diverged)] = 0.0
             np.subtract.at(alpha, own_rows, step)
@@ -345,22 +353,24 @@ def sgm_local(
     partitions and replications are independent and reproducible. Raises
     DivergenceError if coefficients blow past DIVERGENCE_LIMIT or go non-finite.
     """
-    feats = kernel_features(kernel, subset.inputs)
-    alpha, _ = _sgm_runs([subset], feats, config, kernel, [(0, partition_index, config.base_seed)])
+    feats = _dataset_features(kernel, subset)
+    alpha, _ = _sgm_runs(feats, subset.labels, np.arange(len(subset))[None], config, kernel,
+                         [(0, partition_index, config.base_seed)])
     return LocalModel._from_features(feats, inputs=subset.inputs, coeffs=alpha[0],
                                      partition_index=partition_index, kernel=kernel)
 
 
-def _filter_models(subset: Dataset, feats: np.ndarray, label_columns, filter_spec: FilterSpec,
-                   lam: float | None, kernel: KernelSpec, partition_index: int) -> list[LocalModel]:
+def _filter_models(inputs: np.ndarray, feats: np.ndarray, label_columns,
+                   filter_spec: FilterSpec, lam: float | None, kernel: KernelSpec,
+                   partition_index: int) -> list[LocalModel]:
     """The filter estimator on one partition, one model per label column.
 
-    ``feats`` is Phi at the partition's inputs; every column shares the
+    ``feats`` is Phi at the partition's ``inputs``; every column shares the
     one factorization of :func:`_mode_filter`.
     """
     alphas = _mode_filter(kernel, feats, np.column_stack(label_columns),
                           lambda u: filter_value(filter_spec, lam, u))
-    return [LocalModel._from_features(feats, inputs=subset.inputs, coeffs=a,
+    return [LocalModel._from_features(feats, inputs=inputs, coeffs=a,
                                       partition_index=partition_index, kernel=kernel)
             for a in alphas.T]
 
@@ -429,9 +439,8 @@ def sa_local(
     which gives the same coefficients as :func:`kdc.filters.apply_filter`;
     ``lam`` must be positive except for Landweber, whose schedule fixes it.
     """
-    feats = kernel_features(kernel, subset.inputs)
-    return _filter_models(subset, feats, [subset.labels], filter_spec, lam, kernel,
-                          partition_index)[0]
+    return _filter_models(subset.inputs, _dataset_features(kernel, subset), [subset.labels],
+                          filter_spec, lam, kernel, partition_index)[0]
 
 
 def distributed_sgm(
@@ -441,14 +450,14 @@ def distributed_sgm(
     partition_seed: int,
 ) -> AveragedModel:
     """Partition, train SGM on every block in lockstep, and average the predictors."""
-    subs = partition_data(dataset, config.partitions, partition_seed)
-    feats = _stacked_features(kernel, subs)
-    alphas, _ = _sgm_runs(subs, feats, config, kernel,
-                          [(s, s, config.base_seed) for s in range(len(subs))])
+    rows = _partition_rows(len(dataset), config.partitions, partition_seed)
+    feats = _dataset_features(kernel, dataset)
+    alphas, _ = _sgm_runs(feats, dataset.labels, rows, config, kernel,
+                          [(s, s, config.base_seed) for s in range(config.partitions)])
     return average_models([
-        LocalModel._from_features(block_feats, inputs=sub.inputs, coeffs=a,
+        LocalModel._from_features(feats[idx], inputs=dataset.inputs[idx], coeffs=a,
                                   partition_index=s, kernel=kernel)
-        for s, (sub, block_feats, a) in enumerate(zip(subs, np.split(feats, len(subs)), alphas))
+        for s, (idx, a) in enumerate(zip(rows, alphas))
     ])
 
 
@@ -461,9 +470,13 @@ def distributed_sa(
     partition_seed: int,
 ) -> AveragedModel:
     """Partition, run the spectral algorithm on each block, and average."""
-    subs = partition_data(dataset, partitions, partition_seed)
-    models = [sa_local(sub, filter_spec, lam, kernel, s) for s, sub in enumerate(subs)]
-    return average_models(models)
+    rows = _partition_rows(len(dataset), partitions, partition_seed)
+    feats = _dataset_features(kernel, dataset)
+    return average_models([
+        _filter_models(dataset.inputs[idx], feats[idx], [dataset.labels[idx]], filter_spec, lam,
+                       kernel, s)[0]
+        for s, idx in enumerate(rows)
+    ])
 
 
 @dataclass(frozen=True)
@@ -685,29 +698,3 @@ def check_step_condition(step_schedule, iterations: int, kappa_sq: float) -> Ste
         threshold=threshold,
         iterations=iterations,
     )
-
-
-__all__ = [
-    "AveragedModel",
-    "Constant",
-    "Explicit",
-    "LocalModel",
-    "SgmConfig",
-    "StepConditionReport",
-    "TrainPlan",
-    "average_models",
-    "check_step_condition",
-    "distributed_sa",
-    "distributed_sgm",
-    "gm_local",
-    "partition_data",
-    "plan_parameters",
-    "population_bias",
-    "population_sequence",
-    "predict",
-    "pseudo_gm_local",
-    "resolve_schedule",
-    "sa_local",
-    "sgm_local",
-    "theory_step_cap",
-]

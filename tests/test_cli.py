@@ -130,6 +130,12 @@ def test_validate_filters_single_tag(capsys):
     assert "tikhonov_bc" not in printed
 
 
+def test_validate_filters_rejects_an_unreachable_landweber_level(tmp_path, capsys):
+    cfg = write_config(tmp_path, "v.json", {"lam": 1e-300})
+    assert main(["validate-filters", "--config", cfg, "--filter", "landweber"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_decompose_checks_the_identity(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -178,6 +178,20 @@ def test_decomposition_fits_both_label_columns_as_separate_calls_would(
         assert getattr(joint, name) == pytest.approx(getattr(separate, name), rel=1e-12), name
 
 
+@pytest.mark.parametrize("n_total", [32, 64])  # n_local 16 and 32, dim 20
+def test_decomposition_gives_the_same_bits_without_sampled_features(
+        monkeypatch, small_problem, n_total):
+    from kdc import evaluation
+
+    cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=5)
+    sampled = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
+    sample = evaluation.sample_dataset
+    monkeypatch.setattr(evaluation, "sample_dataset",
+                        lambda *args: dataclasses.replace(sample(*args), features=None))
+    bare = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
+    assert dataclasses.asdict(sampled) == dataclasses.asdict(bare)
+
+
 def test_decomposition_enforces_minimum_replications(small_problem):
     cfg = SgmConfig(partitions=1, batch_size=1, iterations=5, step_schedule=0.1, base_seed=0)
     with pytest.raises(InvalidParameterError):

@@ -24,7 +24,7 @@ from kdc import (
     tikhonov_bias_corrected,
     validate_filter,
 )
-from kdc.filters import FILTER_TAGS
+from kdc.filters import FILTER_TAGS, MAX_LANDWEBER_STEPS, landweber_schedule_for
 
 KAPPA_SQ = 6.5736410355431385
 
@@ -121,6 +121,22 @@ def test_landweber_zero_steps_leave_the_filter_unchanged():
     assert effective_lambda(padded) == effective_lambda(plain)
     with pytest.raises(InvalidParameterError):
         landweber([0.0, 0.0], kappa_sq=KAPPA_SQ)
+
+
+@pytest.mark.parametrize("lam", [1e-300, math.nan, None, math.inf, 0.0])
+def test_landweber_schedule_rejects_unreachable_levels(lam):
+    with pytest.raises(InvalidParameterError):
+        landweber_schedule_for(lam, KAPPA_SQ)
+    with pytest.raises(InvalidParameterError):
+        filter_from_tag("landweber", KAPPA_SQ, lam)
+
+
+def test_landweber_schedule_is_capped_at_its_step_budget():
+    eta = 1.0 / (2.0 * 1.01 * KAPPA_SQ)
+    assert len(landweber_schedule_for(1.0 / (0.5 * MAX_LANDWEBER_STEPS * eta), KAPPA_SQ)) \
+        <= MAX_LANDWEBER_STEPS // 2 + 1
+    with pytest.raises(InvalidParameterError, match="Landweber steps"):
+        landweber_schedule_for(1.0 / (2.0 * MAX_LANDWEBER_STEPS * eta), KAPPA_SQ)
 
 
 def test_filter_value_domain_checks():

@@ -200,6 +200,19 @@ def test_run_experiment_captures_row_errors():
     assert math.isnan(records[0].risk_mean)
 
 
+def test_landweber_sweeps_record_an_unreachable_level_as_a_row_error():
+    # lambda = scale * N^(-1/2) needs billions of Landweber steps here.
+    cfg = ExperimentConfig.from_dict({
+        "regime": "cor5", "algorithm": "sa", "filter": "landweber", "n_list": [16, 32],
+        "dim": 20, "m_rule": 2, "replications": 1, "scale": 1e-9,
+    })
+    records = run_experiment(cfg)
+    assert [r.n_total for r in records] == [16, 32]
+    for rec in records:
+        assert rec.error.startswith("InvalidParameterError") and "Landweber steps" in rec.error
+        assert math.isnan(rec.risk_mean)
+
+
 def test_run_experiment_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken trainer")

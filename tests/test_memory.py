@@ -1,0 +1,63 @@
+"""Traced peak allocations of the problem build and the distributed trainers.
+
+tracemalloc sees numpy's buffers, so a trainer that copies the sample's
+N x dim feature matrix, or a kappa_sq grid evaluated in one piece, shows up
+here as megabytes. The bounds hold at dim 200 and N = 8192, where one
+feature matrix is 13 MB.
+"""
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from kdc import (
+    SgmConfig,
+    build_problem,
+    distributed_sa,
+    distributed_sgm,
+    filter_from_tag,
+    sample_dataset,
+    spectral_kernel,
+    tikhonov,
+)
+from kdc import spectral_model
+from kdc.trainers import INDEX_CHUNK
+
+PEAK_LIMIT_BYTES = 4_000_000
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated by ``call`` above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sample(default_problem):
+    return sample_dataset(default_problem, 8192, seed=1)
+
+
+def test_building_a_problem_evaluates_kappa_sq_in_small_blocks():
+    spectral_model._kappa_sq.cache_clear()
+    assert traced_peak(lambda: build_problem(dim=200, gamma=0.5)) < PEAK_LIMIT_BYTES
+
+
+def test_distributed_sgm_copies_no_feature_matrix(default_problem, sample):
+    cfg = SgmConfig(partitions=32, batch_size=16, iterations=INDEX_CHUNK + 3,
+                    step_schedule=0.5 / default_problem.kappa_sq, base_seed=3)
+    kernel = spectral_kernel(default_problem)
+    assert traced_peak(lambda: distributed_sgm(sample, cfg, kernel, 4)) < PEAK_LIMIT_BYTES
+
+
+@pytest.mark.parametrize("tag", ["tikhonov", "landweber"])
+def test_distributed_sa_copies_no_feature_matrix(default_problem, sample, tag):
+    ksq = default_problem.kappa_sq
+    spec = tikhonov(ksq) if tag == "tikhonov" else filter_from_tag(tag, ksq, 0.05)
+    kernel = spectral_kernel(default_problem)
+    assert traced_peak(lambda: distributed_sa(sample, spec, 0.05, kernel, 32, 4)) < PEAK_LIMIT_BYTES

@@ -174,6 +174,27 @@ def test_sample_dataset_is_deterministic_and_in_domain(default_problem):
     assert len(a) == 64
 
 
+def test_basis_matrix_evaluates_the_textbook_formula_bit_for_bit():
+    x = np.random.default_rng(4).random(37)
+    for dim in (1, 20, 200):
+        expected = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, dim + 1)))
+        np.testing.assert_array_equal(basis_matrix(dim, x), expected)
+
+
+def test_sampled_datasets_carry_their_read_only_basis_matrix(default_problem):
+    data = sample_dataset(default_problem, 40, seed=6)
+    np.testing.assert_array_equal(data.features, basis_matrix(default_problem.dim, data.inputs))
+    assert not data.features.flags.writeable
+    assert dataset_from_csv(dataset_to_csv(data)).features is None
+
+
+def test_dataset_features_need_one_row_per_input(default_problem):
+    data = sample_dataset(default_problem, 10, seed=6)
+    for bad in (data.features[:9], data.features[0]):
+        with pytest.raises(InvalidParameterError):
+            dataclasses.replace(data, features=bad)
+
+
 def test_noiseless_labels_equal_the_regression_function():
     p = build_problem(dim=20, gamma=1.0, zeta=0.5, noise_sd=0.0)
     data = sample_dataset(p, 32, seed=11)

@@ -22,6 +22,7 @@ from kdc import (
     SgmConfig,
     apply_filter,
     average_models,
+    basis_matrix,
     build_problem,
     check_step_condition,
     distributed_sa,
@@ -108,6 +109,61 @@ def test_partition_is_deterministic_in_the_seed(data):
 def test_partition_requires_divisibility(data):
     with pytest.raises(IndivisibleDataError):
         partition_data(data, 5, seed=0)
+
+
+def test_partition_blocks_carry_their_rows_of_the_features(data, small_problem):
+    for block in partition_data(data, 4, seed=9):
+        np.testing.assert_array_equal(block.features, basis_matrix(small_problem.dim, block.inputs))
+        assert not block.features.flags.writeable
+    bare = dataclasses.replace(data, features=None)
+    assert all(block.features is None for block in partition_data(bare, 4, seed=9))
+
+
+def distributed_fits(kernel, partitions):
+    """distributed_sgm and distributed_sa (Tikhonov, Landweber) as functions of a dataset."""
+    ksq = kernel.problem.kappa_sq
+    cfg = SgmConfig(partitions=partitions, batch_size=3, iterations=INDEX_CHUNK + 9,
+                    step_schedule=0.05, base_seed=12)
+    return {
+        "sgm": lambda d: distributed_sgm(d, cfg, kernel, partition_seed=7),
+        "tikhonov": lambda d: distributed_sa(d, tikhonov(ksq), 1e-2, kernel, partitions, 7),
+        "landweber": lambda d: distributed_sa(d, landweber(np.full(25, 0.05), ksq), None,
+                                              kernel, partitions, 7),
+    }
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.modes, b.modes)
+    for x, y in zip(a.locals, b.locals, strict=True):
+        np.testing.assert_array_equal(x.inputs, y.inputs)
+        np.testing.assert_array_equal(x.coeffs, y.coeffs)
+        np.testing.assert_array_equal(x.modes, y.modes)
+
+
+@pytest.mark.parametrize("n_total, partitions", [(48, 4), (96, 2)])  # n_local 12 and 48, dim 20
+def test_sampled_features_give_the_bits_of_features_evaluated_afresh(
+        small_problem, kernel, n_total, partitions):
+    data = sample_dataset(small_problem, n_total, seed=3)
+    bare = dataclasses.replace(data, features=None)
+    for fit in distributed_fits(kernel, partitions).values():
+        assert_same_bits(fit(data), fit(bare))
+
+
+def test_features_of_another_shape_or_problem_are_never_used(small_problem, kernel):
+    data = sample_dataset(small_problem, 48, seed=3)
+    other = build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1)
+    garbage = np.full(data.features.shape, 0.25)
+    foreign = [
+        dataclasses.replace(data, features=np.zeros((48, 21))),
+        dataclasses.replace(data, features=garbage, problem_id=other.problem_id),
+    ]
+    trusted = dataclasses.replace(data, features=garbage)
+    for name, fit in distributed_fits(kernel, 4).items():
+        expected = fit(data)
+        for ds in foreign:
+            assert_same_bits(fit(ds), expected)
+        # The check is not vacuous: features that pass it are used as given.
+        assert not np.array_equal(fit(trusted).modes, expected.modes), name
 
 
 # ---------------------------------------------------------------------------
