@@ -282,14 +282,19 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     Run (block, partition_index, seed) trains on the samples ``rows[block]``
     of Phi ``feats`` and ``labels`` (``rows`` has shape (m, n)) using the
     index stream partition_stream_seed(seed, partition_index), drawn
-    INDEX_CHUNK iterations at a time; each step gathers its batch rows
-    straight from ``feats``. Returns the coefficients (R, n) and the mode
-    vectors (R, dim). A diverged run stops moving; the error raised is the
-    first run's, in run order.
+    INDEX_CHUNK iterations at a time. Each step gathers its batch rows from
+    ``feats``, and writes its products and updates, into buffers made before
+    the loop, in an order that keeps every result bit-identical to fresh
+    arrays. Returns the coefficients (R, n) and the mode vectors (R, dim). A
+    diverged run stops moving; the error raised is the first run's, in run
+    order. Rows outside ``feats`` or labels of another length raise
+    InvalidParameterError.
     """
     n = rows.shape[1]
     if config.batch_size > n:
         raise InvalidParameterError(f"batch_size {config.batch_size} exceeds partition size {n}")
+    if np.shape(labels) != (len(feats),) or rows.min() < 0 or rows.max() >= len(feats):
+        raise InvalidParameterError(f"rows and labels must index the {len(feats)} feature rows")
     etas = resolve_schedule(config.step_schedule, config.iterations)
     ksq = kernel_bound(kernel)
     check_step_bound(etas, ksq)
@@ -307,21 +312,31 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
 
     alpha = np.zeros(len(runs) * n)
     v = np.zeros((len(runs), sigma.size))
+    batch = np.empty((len(runs), config.batch_size, sigma.size))
+    step = np.empty((len(runs), config.batch_size))
+    update = np.empty_like(v)
+    touched = np.empty_like(step)
+    draws = np.empty((min(INDEX_CHUNK, config.iterations),) + step.shape, dtype=np.int64)
     diverged: dict[int, int] = {}
     for t0 in range(0, config.iterations, INDEX_CHUNK):
         k = min(INDEX_CHUNK, config.iterations - t0)
-        draws = np.stack([rng.integers(0, n, (k, config.batch_size)) for rng in rngs], axis=1)
-        draws += own
+        for r, rng in enumerate(rngs):
+            draws[:k, r] = rng.integers(0, n, (k, config.batch_size))
+        draws[:k] += own
         for t, own_rows in zip(range(t0, t0 + k), draws):
             sample_rows = run_rows[own_rows]
-            batch = feats[sample_rows]
-            step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - labels[sample_rows])
+            # mode="clip" writes straight into the buffer; every index is in range.
+            np.take(feats, sample_rows, axis=0, out=batch, mode="clip")
+            np.matmul(batch, v[:, :, None], out=step[:, :, None])
+            step -= labels[sample_rows]
+            step *= steps[t]
             if diverged:
                 step[list(diverged)] = 0.0
             np.subtract.at(alpha, own_rows, step)
-            v -= sigma * np.matmul(step[:, None, :], batch)[:, 0]
+            np.matmul(step[:, None, :], batch, out=update[:, None, :])
+            v -= np.multiply(sigma, update, out=update)
             # Written so that a NaN or an infinity fails the comparison too.
-            touched = np.abs(alpha[own_rows])
+            np.abs(np.take(alpha, own_rows, out=touched, mode="clip"), out=touched)
             if not touched.max() <= DIVERGENCE_LIMIT:
                 for r in np.flatnonzero(~(touched.max(axis=1) <= DIVERGENCE_LIMIT)):
                     diverged[r] = t + 1

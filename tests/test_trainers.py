@@ -44,6 +44,7 @@ from kdc import (
     spectral_kernel,
     tikhonov,
 )
+from kdc import trainers
 from kdc.kernels import kernel_features
 from kdc.seeding import partition_stream_seed
 from kdc.trainers import INDEX_CHUNK
@@ -281,6 +282,97 @@ def test_distributed_sgm_raises_the_divergence_met_first_in_partition_order(
         distributed_sgm(both, cfg, kernel, partition_seed=31)
     with pytest.raises(DivergenceError, match=f"iteration {first[1][early1]} on partition 1$"):
         distributed_sgm(poisoned((1, early1, 1e20)), cfg, kernel, partition_seed=31)
+
+
+def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
+    """The lockstep loop step by step with fresh arrays: (alpha, modes, divergence message)."""
+    n = rows.shape[1]
+    rngs = [np.random.default_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
+    run_rows = rows[[i for i, _, _ in runs]].ravel()
+    own = n * np.arange(len(runs))[:, None]
+    sigma = kernel.problem.eigenvalues
+    steps = resolve_schedule(config.step_schedule, config.iterations) / float(config.batch_size)
+    alpha = np.zeros(len(runs) * n)
+    v = np.zeros((len(runs), sigma.size))
+    diverged = {}
+    for t0 in range(0, config.iterations, INDEX_CHUNK):
+        k = min(INDEX_CHUNK, config.iterations - t0)
+        draws = np.stack([rng.integers(0, n, (k, config.batch_size)) for rng in rngs], axis=1)
+        draws += own
+        for t, own_rows in zip(range(t0, t0 + k), draws):
+            sample_rows = run_rows[own_rows]
+            batch = feats[sample_rows]
+            step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - labels[sample_rows])
+            if diverged:
+                step[list(diverged)] = 0.0
+            np.subtract.at(alpha, own_rows, step)
+            v -= sigma * np.matmul(step[:, None, :], batch)[:, 0]
+            touched = np.abs(alpha[own_rows])
+            for r in np.flatnonzero(~(touched.max(axis=1) <= trainers.DIVERGENCE_LIMIT)):
+                diverged[r] = t + 1
+                v[r] = alpha[r * n:(r + 1) * n] = 0.0
+    message = None
+    if diverged:
+        r = min(diverged)
+        message = f"SGM diverged at iteration {diverged[r]} on partition {runs[r][1]}"
+    return alpha.reshape(len(runs), n), v, message
+
+
+@pytest.mark.parametrize(
+    "n_total, partitions, batch, iterations, poisoned",
+    [
+        (48, 1, 1, 30, False),  # R = 1, b = 1
+        (48, 4, 12, 30, False),  # R = 4, b = n_local
+        (96, 2, 3, 2 * INDEX_CHUNK + 9, False),  # T > INDEX_CHUNK
+        (1024, 4, 1, INDEX_CHUNK + 40, True),  # one run diverges mid-chunk
+    ],
+)
+def test_sgm_runs_equal_a_literal_step_loop_bit_for_bit(
+    small_problem, kernel, n_total, partitions, batch, iterations, poisoned
+):
+    data = sample_dataset(small_problem, n_total, seed=5)
+    rows = trainers._partition_rows(n_total, partitions, 3)
+    cfg = SgmConfig(partitions=partitions, batch_size=batch, iterations=iterations,
+                    step_schedule=0.05, base_seed=17)
+    runs = [(s, s, 17 + r) for r in range(2) for s in range(partitions)]
+    labels = data.labels.copy()
+    if poisoned:
+        # Poison the row that run 1 first draws nearest the middle of a chunk.
+        rng = np.random.default_rng(partition_stream_seed(runs[1][2], runs[1][1]))
+        draws = rng.integers(0, n_total // partitions, iterations)
+        first = {j: int(np.argmax(draws == j)) + 1 for j in np.unique(draws)}
+        mid = INDEX_CHUNK + 20
+        j = min(first, key=lambda j: abs(first[j] - mid))
+        assert 1 < first[j] % INDEX_CHUNK
+        labels[rows[1, j]] = 1e20
+    alpha, modes, message = literal_sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+    assert (message is not None) == poisoned
+    if poisoned:
+        assert message.endswith(f"iteration {first[j]} on partition 1")
+        with pytest.raises(DivergenceError) as err:
+            trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+        assert str(err.value) == message
+    else:
+        got_alpha, got_modes = trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+        np.testing.assert_array_equal(got_alpha, alpha)
+        np.testing.assert_array_equal(got_modes, modes)
+
+
+@pytest.mark.parametrize("fault", ["row past the end", "negative row", "short labels",
+                                   "long labels"])
+def test_sgm_runs_reject_rows_and_labels_outside_the_features(data, kernel, fault):
+    # The gather clips out-of-range rows, so they must be refused before it runs.
+    rows = np.arange(len(data)).reshape(4, -1)
+    labels = data.labels
+    if fault == "row past the end":
+        rows[2, 5] = len(data)
+    elif fault == "negative row":
+        rows[0, 0] = -1
+    else:
+        labels = labels[:-1] if fault == "short labels" else np.append(labels, 0.0)
+    cfg = SgmConfig(partitions=4, batch_size=2, iterations=5, step_schedule=0.05, base_seed=0)
+    with pytest.raises(InvalidParameterError, match="index the 48 feature rows"):
+        trainers._sgm_runs(data.features, labels, rows, cfg, kernel, [(s, s, 0) for s in range(4)])
 
 
 def test_sgm_validates_batch_and_steps(data, kernel):
@@ -596,6 +688,38 @@ def test_plan_flags_partition_counts_that_void_averaging():
     # For 2*zeta + gamma = 2 the guarantee needs m <= sqrt(N).
     assert not plan_parameters("cor1.1", 64, 8, zeta=0.5, gamma=1.0).partition_warning
     assert plan_parameters("cor1.1", 64, 16, zeta=0.5, gamma=1.0).partition_warning
+
+
+def dual_cost(plan):
+    """Kernel evaluations of a plan: m T b n_local for SGM, m n_local^3 for KRR."""
+    if plan.algorithm == "sgm":
+        return plan.partitions * plan.iterations * plan.batch_size * plan.n_local
+    return plan.partitions * plan.n_local**3
+
+
+@pytest.mark.parametrize("zeta, gamma", [(0.5, 1.0), (0.5, 0.5), (1.0, 0.5), (0.3, 0.8),
+                                         (0.75, 0.25)])
+def test_distributed_sgm_costs_least_at_the_partition_budget(zeta, gamma):
+    # A10: the abstract's complexity claim from the plans' counts. At the
+    # budget m = N^((s-1)/s), rounded down to a divisor of N below it, distributed SGM
+    # (cor2.3) costs N^(1 + (2-gamma)/s), distributed KRR N^(1 + 2/s) and
+    # single-machine SGM (cor3.3) N^(1 + (2 zeta + 1)/s). Rounding m down
+    # multiplies the first by budget/m and the second by its square.
+    s = 2 * zeta + gamma
+    for k in range(12, 21, 2):
+        n_total = 2**k
+        budget = n_total ** ((s - 1) / s)
+        m = 2 ** math.floor(math.log2(budget) - 1e-9)
+        sgm = plan_parameters("cor2.3", n_total, m, zeta=zeta, gamma=gamma)
+        krr = plan_parameters("cor5", n_total, m, zeta=zeta, gamma=gamma)
+        single = plan_parameters("cor3.3", n_total, 1, zeta=zeta, gamma=gamma)
+        assert not sgm.partition_warning
+        rounding = math.log(budget / m)
+        for plan, power, exponent in [(sgm, 1, 1 + (2 - gamma) / s), (krr, 2, 1 + 2 / s),
+                                      (single, 0, 1 + (2 * zeta + 1) / s)]:
+            fitted = (math.log(dual_cost(plan)) - power * rounding) / math.log(n_total)
+            assert fitted == pytest.approx(exponent, abs=1e-3)
+        assert dual_cost(sgm) < min(dual_cost(krr), dual_cost(single))
 
 
 def test_plan_enforces_side_conditions():
