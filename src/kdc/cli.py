@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = add("sweep", _cmd_sweep, "run the full size sweep and write run records")
     for p in (p_train, p_sweep):
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (0 = one per CPU)")
+                       help="worker processes (0 = one per CPU this process may use)")
     add("decompose", _cmd_decompose, "split the excess risk into bias/variance pieces")
     p_fit = add("rate-fit", _cmd_rate_fit, "fit a log-log rate from recorded sweeps")
     p_fit.add_argument("--records", default=None, help="records CSV (default: config out_path)")

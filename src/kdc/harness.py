@@ -8,8 +8,9 @@ CSV with enough precision to round-trip exactly. Failures inside a point
 aborting the sweep.
 
 Replications are independent tasks keyed by (N, rep); with ``workers`` > 1
-(0 = one per CPU) they execute in a process pool. Results are aggregated
-in task order, so parallel runs produce byte-identical records.
+(0 = one per CPU that the process may use) they execute in a process pool.
+Results are aggregated in task order, so parallel runs produce
+byte-identical records.
 """
 from __future__ import annotations
 
@@ -201,11 +202,16 @@ def _format_cell(name: str, value) -> str:
     return str(value)
 
 
-def _parse_cell(name: str, text: str):
+def _parse_cell(name: str, text: str, line: int):
     kind = _CELL_TYPES[name]
     if text == "" and kind is not str:
         return None
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParameterError(
+            f"records CSV line {line}, column {name}: cannot read {text!r} as {kind.__name__}"
+        ) from None
 
 
 def records_to_csv(records) -> str:
@@ -219,7 +225,11 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
-    """Parse run records written by records_to_csv."""
+    """Parse run records written by records_to_csv.
+
+    A malformed row, or a cell that does not parse as its column's type,
+    raises InvalidParameterError naming its line.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != CSV_COLUMNS:
@@ -229,8 +239,8 @@ def records_from_csv(text: str) -> list[RunRecord]:
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):
-            raise InvalidParameterError("malformed records CSV row")
-        kwargs = {c: _parse_cell(c, cell) for c, cell in zip(CSV_COLUMNS, row)}
+            raise InvalidParameterError(f"malformed records CSV row at line {reader.line_num}")
+        kwargs = {c: _parse_cell(c, cell, reader.line_num) for c, cell in zip(CSV_COLUMNS, row)}
         out.append(RunRecord(**kwargs))
     return out
 
@@ -241,8 +251,13 @@ def write_records_csv(records, path: str) -> None:
 
 
 def read_records_csv(path: str) -> list[RunRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return records_from_csv(fh.read())
+    """Read the records of a CSV file; one that cannot be read raises InvalidParameterError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot read records {path}: {exc}") from exc
+    return records_from_csv(text)
 
 
 def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int, rep: int) -> dict:
@@ -281,13 +296,15 @@ def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """Run a full sweep and return one record per (N, m) point.
 
-    ``workers`` processes run the replications (0 = one per CPU).
+    ``workers`` processes run the replications (0 = one per CPU that this
+    process may run on).
     Per-replication failures are folded into the row's ``error`` column;
     the risk statistics then cover the surviving replications (NaN if none
     survive). Rows come back in ``n_list`` order.
     """
     if workers == 0:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1 (or 0 for auto)")
     problem = build_problem(**{name: getattr(config, name) for name in PROBLEM_PARAMS})

@@ -8,6 +8,10 @@ coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
 alpha from the n x dim feature matrix Phi of the spectral kernel
 (K = Phi diag(sigma) Phi^T): a sampled dataset's ``features``, or else
 evaluated once per call.
+Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
+steps all its runs together and settles their alpha once per block of
+SETTLE steps, replaying a block step by step only once a coefficient may
+have passed DIVERGENCE_LIMIT.
 Every spectral filter runs through one path, ``_filter_models``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
 K/n. The path takes one ``eigh`` of the smaller Gram side of the scaled
@@ -47,6 +51,9 @@ DIVERGENCE_LIMIT = 1e12
 
 #: Iterations of indices an SGM run draws at a time (chunks leave its stream unchanged).
 INDEX_CHUNK = 256
+
+#: SGM steps whose coefficient updates are settled at once (blocks never span two chunks).
+SETTLE = 64
 
 #: Regime tags accepted by the planner.
 SGM_REGIMES = (
@@ -282,13 +289,28 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     Run (block, partition_index, seed) trains on the samples ``rows[block]``
     of Phi ``feats`` and ``labels`` (``rows`` has shape (m, n)) using the
     index stream partition_stream_seed(seed, partition_index), drawn
-    INDEX_CHUNK iterations at a time. Each step gathers its batch rows from
-    ``feats``, and writes its products and updates, into buffers made before
-    the loop, in an order that keeps every result bit-identical to fresh
-    arrays. Returns the coefficients (R, n) and the mode vectors (R, dim). A
-    diverged run stops moving; the error raised is the first run's, in run
-    order. Rows outside ``feats`` or labels of another length raise
-    InvalidParameterError.
+    INDEX_CHUNK iterations at a time. Returns the coefficients (R, n) and
+    the mode vectors (R, dim). A diverged run stops moving; the error raised
+    is the first run's, in run order. Rows outside ``feats`` or labels of
+    another length raise InvalidParameterError.
+
+    Until a run diverges, no step reads alpha, so the loop settles it once
+    per block of SETTLE steps. Each block looks up its sample rows and
+    labels at once; a step gathers its batch rows from ``feats`` into a
+    buffer made before the loop, forms its predictions, overwrites its
+    labels with its step in the block's record, and updates the modes. At
+    the block's end the record's count times its largest |step| is added
+    to a running bound on every |alpha|. While the bound stays within
+    DIVERGENCE_LIMIT / 2, no coefficient can have passed the limit, and one
+    ``np.subtract.at`` of the whole record settles alpha in the order of the
+    per-step calls. Otherwise, or if the bound is not finite, the modes go
+    back to the block's start and the block is replayed in exact mode,
+    which settles and checks alpha after every step and zeroes diverged
+    runs; the rest of the call stays in exact mode. Both modes keep every
+    result bit-identical to a step-by-step loop. The speculative pass
+    ignores overflow and invalid operations, which arise only in a block
+    that is then replayed; the replay runs under the caller's error state,
+    so it raises or warns as a step-by-step loop would.
     """
     n = rows.shape[1]
     if config.batch_size > n:
@@ -312,35 +334,64 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
 
     alpha = np.zeros(len(runs) * n)
     v = np.zeros((len(runs), sigma.size))
+    v_start = np.empty_like(v)
     batch = np.empty((len(runs), config.batch_size, sigma.size))
-    step = np.empty((len(runs), config.batch_size))
+    pred = np.empty((len(runs), config.batch_size))
     update = np.empty_like(v)
-    touched = np.empty_like(step)
-    draws = np.empty((min(INDEX_CHUNK, config.iterations),) + step.shape, dtype=np.int64)
+    touched = np.empty_like(pred)
+    draws = np.empty((min(INDEX_CHUNK, config.iterations),) + pred.shape, dtype=np.int64)
+    block_rows = np.empty((min(SETTLE, config.iterations),) + pred.shape, dtype=np.int64)
+    # A block's labels, each overwritten by its step.
+    record = np.empty(block_rows.shape)
     diverged: dict[int, int] = {}
-    for t0 in range(0, config.iterations, INDEX_CHUNK):
-        k = min(INDEX_CHUNK, config.iterations - t0)
-        for r, rng in enumerate(rngs):
-            draws[:k, r] = rng.integers(0, n, (k, config.batch_size))
-        draws[:k] += own
-        for t, own_rows in zip(range(t0, t0 + k), draws):
-            sample_rows = run_rows[own_rows]
+
+    def run_block(t0, own_block, sample_block, step_block, exact):
+        for t, own_rows, sample_rows, step in zip(range(t0, t0 + len(step_block)), own_block,
+                                                  sample_block, step_block):
             # mode="clip" writes straight into the buffer; every index is in range.
             np.take(feats, sample_rows, axis=0, out=batch, mode="clip")
-            np.matmul(batch, v[:, :, None], out=step[:, :, None])
-            step -= labels[sample_rows]
+            np.matmul(batch, v[:, :, None], out=pred[:, :, None])
+            np.subtract(pred, step, out=step)  # the label becomes the step
             step *= steps[t]
-            if diverged:
-                step[list(diverged)] = 0.0
-            np.subtract.at(alpha, own_rows, step)
+            if exact:
+                if diverged:
+                    step[list(diverged)] = 0.0
+                np.subtract.at(alpha, own_rows, step)
             np.matmul(step[:, None, :], batch, out=update[:, None, :])
-            v -= np.multiply(sigma, update, out=update)
+            np.subtract(v, np.multiply(sigma, update, out=update), out=v)
+            if not exact:
+                continue
             # Written so that a NaN or an infinity fails the comparison too.
             np.abs(np.take(alpha, own_rows, out=touched, mode="clip"), out=touched)
             if not touched.max() <= DIVERGENCE_LIMIT:
                 for r in np.flatnonzero(~(touched.max(axis=1) <= DIVERGENCE_LIMIT)):
                     diverged[r] = t + 1
                     v[r] = alpha[r * n:(r + 1) * n] = 0.0
+
+    # Bounds every |alpha| up to the first exact block; it only grows, so exact
+    # mode lasts for the rest of the call.
+    bound = 0.0
+    for t0 in range(0, config.iterations, INDEX_CHUNK):
+        k = min(INDEX_CHUNK, config.iterations - t0)
+        for r, rng in enumerate(rngs):
+            draws[:k, r] = rng.integers(0, n, (k, config.batch_size))
+        draws[:k] += own
+        for b0 in range(0, k, SETTLE):
+            own_block = draws[b0:min(b0 + SETTLE, k)]
+            size = len(own_block)
+            sample_block = np.take(run_rows, own_block, out=block_rows[:size], mode="clip")
+            step_block = np.take(labels, sample_block, out=record[:size], mode="clip")
+            if bound <= DIVERGENCE_LIMIT / 2:
+                np.copyto(v_start, v)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    run_block(t0 + b0, own_block, sample_block, step_block, False)
+                    bound += step_block.size * np.maximum(step_block.max(), -step_block.min())
+                if bound <= DIVERGENCE_LIMIT / 2:
+                    np.subtract.at(alpha, own_block.ravel(), step_block.ravel())
+                    continue
+                np.copyto(v, v_start)
+                np.take(labels, sample_block, out=step_block, mode="clip")
+            run_block(t0 + b0, own_block, sample_block, step_block, True)
     if diverged:
         r = min(diverged)
         raise DivergenceError(f"SGM diverged at iteration {diverged[r]} on partition {runs[r][1]}")

@@ -114,6 +114,18 @@ def test_rate_fit_reads_the_sweep_output(tmp_path, sweep_config, capsys):
     assert "slope=" in printed
 
 
+def test_rate_fit_reports_an_unreadable_records_file(tmp_path, sweep_config, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["rate-fit", "--config", sweep_config, "--records", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read records {missing}")
+    out = tmp_path / "records.csv"
+    main(["sweep", "--config", sweep_config, "--out", str(out)])
+    out.write_text(out.read_text().replace(",3,", ",x,", 1))
+    capsys.readouterr()
+    assert main(["rate-fit", "--config", sweep_config, "--records", str(out)]) == 2
+    assert "error: records CSV line 2, column " in capsys.readouterr().err
+
+
 def test_validate_filters_all_pass(capsys):
     assert main(["validate-filters"]) == 0
     printed = capsys.readouterr().out

@@ -151,6 +151,22 @@ def test_records_csv_rejects_foreign_headers():
         records_from_csv("a,b,c\n1,2,3\n")
 
 
+def test_records_csv_names_the_line_and_column_of_a_bad_cell():
+    lines = records_to_csv(run_experiment(tiny_config())).splitlines()
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index("risk_mean")] = "abc"
+    lines[2] = ",".join(cells)
+    with pytest.raises(InvalidParameterError,
+                       match="line 3, column risk_mean: cannot read 'abc' as float"):
+        records_from_csv("\n".join(lines))
+
+
+def test_reading_a_missing_records_file_names_it(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(InvalidParameterError, match=f"cannot read records {path}"):
+        read_records_csv(str(path))
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -169,6 +185,34 @@ def test_run_experiment_is_reproducible_and_parallel_consistent():
         return rows
 
     assert strip(serial) == strip(again) == strip(parallel)
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_auto_workers_count_the_cpus_this_process_may_use(monkeypatch, affinity):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    if affinity:
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    else:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    auto = run_experiment(tiny_config(), workers=0)
+    assert [r.risk_mean for r in auto] == [r.risk_mean for r in run_experiment(tiny_config())]
+    assert sizes == [3 if affinity else 64]
 
 
 def test_run_experiment_records_are_well_formed():

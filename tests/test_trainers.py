@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from kdc import (
 from kdc import trainers
 from kdc.kernels import kernel_features
 from kdc.seeding import partition_stream_seed
-from kdc.trainers import INDEX_CHUNK
+from kdc.trainers import INDEX_CHUNK, SETTLE
 
 KAPPA_SQ_200 = 6.5736410355431385
 
@@ -318,6 +319,29 @@ def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
     return alpha.reshape(len(runs), n), v, message
 
 
+def lockstep_case(small_problem, n_total, partitions, batch, iterations):
+    """A sample, its partition rows, a config and two index replications of every partition."""
+    data = sample_dataset(small_problem, n_total, seed=5)
+    rows = trainers._partition_rows(n_total, partitions, 3)
+    cfg = SgmConfig(partitions=partitions, batch_size=batch, iterations=iterations,
+                    step_schedule=0.05, base_seed=17)
+    return data, rows, cfg, [(s, s, 17 + r) for r in range(2) for s in range(partitions)]
+
+
+def assert_sgm_runs_match_the_literal_loop(features, labels, rows, cfg, kernel, runs):
+    """Check alpha and modes, or the divergence message, bit for bit; returns the message."""
+    alpha, modes, message = literal_sgm_runs(features, labels, rows, cfg, kernel, runs)
+    if message is None:
+        got_alpha, got_modes = trainers._sgm_runs(features, labels, rows, cfg, kernel, runs)
+        np.testing.assert_array_equal(got_alpha, alpha)
+        np.testing.assert_array_equal(got_modes, modes)
+    else:
+        with pytest.raises(DivergenceError) as err:
+            trainers._sgm_runs(features, labels, rows, cfg, kernel, runs)
+        assert str(err.value) == message
+    return message
+
+
 @pytest.mark.parametrize(
     "n_total, partitions, batch, iterations, poisoned",
     [
@@ -330,11 +354,7 @@ def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
 def test_sgm_runs_equal_a_literal_step_loop_bit_for_bit(
     small_problem, kernel, n_total, partitions, batch, iterations, poisoned
 ):
-    data = sample_dataset(small_problem, n_total, seed=5)
-    rows = trainers._partition_rows(n_total, partitions, 3)
-    cfg = SgmConfig(partitions=partitions, batch_size=batch, iterations=iterations,
-                    step_schedule=0.05, base_seed=17)
-    runs = [(s, s, 17 + r) for r in range(2) for s in range(partitions)]
+    data, rows, cfg, runs = lockstep_case(small_problem, n_total, partitions, batch, iterations)
     labels = data.labels.copy()
     if poisoned:
         # Poison the row that run 1 first draws nearest the middle of a chunk.
@@ -345,17 +365,81 @@ def test_sgm_runs_equal_a_literal_step_loop_bit_for_bit(
         j = min(first, key=lambda j: abs(first[j] - mid))
         assert 1 < first[j] % INDEX_CHUNK
         labels[rows[1, j]] = 1e20
-    alpha, modes, message = literal_sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+    message = assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg, kernel,
+                                                     runs)
     assert (message is not None) == poisoned
     if poisoned:
         assert message.endswith(f"iteration {first[j]} on partition 1")
-        with pytest.raises(DivergenceError) as err:
-            trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
-        assert str(err.value) == message
+
+
+def test_settled_blocks_equal_the_literal_loop_across_chunks_with_duplicate_draws(
+    small_problem, kernel
+):
+    iterations = INDEX_CHUNK + SETTLE + 13
+    data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 8, iterations)
+    # A batch that draws a row twice settles both of its steps, in slot order.
+    draws = np.random.default_rng(partition_stream_seed(17, 0)).integers(0, 48, (iterations, 8))
+    assert any(len(set(batch)) < 8 for batch in draws)
+    assert assert_sgm_runs_match_the_literal_loop(
+        data.features, data.labels, rows, cfg, kernel, runs) is None
+
+
+def test_a_bound_past_half_the_limit_replays_exactly_without_divergence(
+    small_problem, kernel, monkeypatch
+):
+    data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 3, 2 * INDEX_CHUNK + 9)
+    alpha, _, _ = literal_sgm_runs(data.features, data.labels, rows, cfg, kernel, runs)
+    # The steps' absolute sum is at least sum |alpha|, so it passes half of this
+    # limit and the loop goes to exact mode; the literal loop confirms that no
+    # coefficient passes the limit itself.
+    monkeypatch.setattr(trainers, "DIVERGENCE_LIMIT", 1.9 * np.abs(alpha).sum())
+    assert assert_sgm_runs_match_the_literal_loop(
+        data.features, data.labels, rows, cfg, kernel, runs) is None
+
+
+@pytest.mark.parametrize("where", ["inside the first block", "on a block's last step"])
+def test_a_divergence_replays_its_block_exactly(small_problem, kernel, where):
+    iterations = INDEX_CHUNK + 40
+    data, rows, cfg, runs = lockstep_case(small_problem, 1024, 4, 1, iterations)
+    draws = np.random.default_rng(partition_stream_seed(17, 1)).integers(0, 256, iterations)
+    first = {j: int(np.argmax(draws == j)) + 1 for j in np.unique(draws)}
+    if where == "inside the first block":
+        j = min(first, key=lambda j: abs(first[j] - SETTLE // 2))
+        assert 1 < first[j] < SETTLE
     else:
-        got_alpha, got_modes = trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
-        np.testing.assert_array_equal(got_alpha, alpha)
-        np.testing.assert_array_equal(got_modes, modes)
+        j = next(j for j in first if first[j] % SETTLE == 0)
+    labels = data.labels.copy()
+    labels[rows[1, j]] = 1e20
+    message = assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg, kernel,
+                                                     runs)
+    assert message == f"SGM diverged at iteration {first[j]} on partition 1"
+
+
+def test_speculative_blocks_leave_the_callers_error_state(small_problem, kernel):
+    data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 3, 2 * SETTLE + 5)
+    before = np.geterr()
+    assert_sgm_runs_match_the_literal_loop(data.features, data.labels, rows, cfg, kernel, runs)
+    assert np.geterr() == before
+    # Past an infinite label the speculative pass carries infinities and NaNs,
+    # and warns about none of them; the replay raises the literal loop's error.
+    labels = data.labels.copy()
+    labels[rows[1, 7]] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg, kernel,
+                                                      runs) is not None
+    assert np.geterr() == before
+    # With every label of partition 1 infinite, a batch sums infinities of both
+    # signs, which the literal loop reports under "raise".
+    labels[rows[1]] = np.inf
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError) as want:
+            literal_sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+        with pytest.raises(FloatingPointError) as got:
+            trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+        assert set(np.geterr().values()) == {"raise"}
+    assert str(got.value) == str(want.value)
+    assert np.geterr() == before
 
 
 @pytest.mark.parametrize("fault", ["row past the end", "negative row", "short labels",
