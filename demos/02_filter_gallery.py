@@ -1,12 +1,14 @@
 """The four regularization filters side by side.
 
 Every spectral method in this package is "apply a scalar function
-G_lambda(u) to the Gram eigenvalues". The filters differ in how sharply
-they cut off small eigenvalues and in their qualification — the largest
-smoothness exponent they can exploit. This script prints each filter's
-declared constants, runs the numeric admissibility check, and then shows
-that gradient descent (Landweber) really is one of them: its filter values
-match the forward recurrence g <- g * (1 - eta * u) + eta exactly.
+G_lambda(u) to the Gram eigenvalues", and a filter spec carries its level
+lambda. The filters differ in how sharply they cut off small eigenvalues
+and in their qualification — the largest smoothness exponent they can
+exploit. This script builds all four at the level 1/sum(eta) of a
+40-step Landweber schedule, prints each filter's declared constants, runs
+the numeric admissibility check, and then shows that gradient descent
+(Landweber) really is one of them: its filter values match the forward
+recurrence g <- g * (1 - eta * u) + eta exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from kdc import (
-    effective_lambda,
     filter_value,
     landweber,
     spectral_cutoff,
@@ -29,11 +30,14 @@ KAPPA_SQ = 6.573641035543138
 
 def main() -> None:
     eta = 1.0 / (2.0 * 1.01 * KAPPA_SQ)
+    lw = landweber([eta] * 40, KAPPA_SQ)
+    # Landweber's schedule sets its level; the other filters are built there too.
+    lam = lw.lam
     specs = [
-        tikhonov(KAPPA_SQ),
-        spectral_cutoff(KAPPA_SQ),
-        tikhonov_bias_corrected(KAPPA_SQ),
-        landweber([eta] * 40, KAPPA_SQ),
+        tikhonov(KAPPA_SQ, lam),
+        spectral_cutoff(KAPPA_SQ, lam),
+        tikhonov_bias_corrected(KAPPA_SQ, lam),
+        lw,
     ]
 
     print(f"{'filter':<12} {'qual':>6} {'E':>4} {'F':>7}   admissibility check")
@@ -46,8 +50,6 @@ def main() -> None:
             f"residual={report.max_residual_lhs:.4f}/{spec.const_f:.4f} {status}"
         )
 
-    lw = specs[-1]
-    lam = effective_lambda(lw)
     print(f"\nlandweber schedule: 40 steps of eta={eta:.6f}")
     print(f"  total step mass sum(eta) = {step_sum(lw):.6f}")
     print(f"  effective lambda 1/sum(eta) = {lam:.6f}")
@@ -57,13 +59,13 @@ def main() -> None:
     g = np.zeros_like(u)
     for _ in range(40):
         g = g * (1.0 - eta * u) + eta
-    gap = np.max(np.abs(g - filter_value(lw, None, u)))
+    gap = np.max(np.abs(g - filter_value(lw, u)))
     print(f"  recurrence vs filter_value: max gap = {gap:.3e}")
 
     print("\nfilter values at lambda = effective lambda of the schedule:")
     print(f"{'u':>10} {'tikhonov':>12} {'cutoff':>12} {'bias-corr':>12} {'landweber':>12}")
     for ui in np.geomspace(1e-3, KAPPA_SQ, 6):
-        row = [filter_value(s, lam, ui) for s in specs]
+        row = [filter_value(s, ui) for s in specs]
         print(f"{ui:>10.4f} " + " ".join(f"{v:>12.6f}" for v in row))
 
 

@@ -87,10 +87,9 @@ def _cmd_sample(args) -> int:
 
 
 def _experiment_config(raw: dict, args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_dict(raw)
     if args.seed is not None:
-        cfg = ExperimentConfig.from_dict({**raw, "base_seed": args.seed})
-    return cfg
+        raw = {**raw, "base_seed": args.seed}
+    return ExperimentConfig.from_dict(raw)
 
 
 def _print_records(records) -> None:

@@ -178,7 +178,7 @@ def decompose_error(
             block_feats = feats[idx]
             pairs.append(_filter_models(ds.inputs[idx], block_feats,
                                         (block_feats @ target, ds.labels[idx]),
-                                        spec, None, kernel, s))
+                                        spec, kernel, s))
         pseudo = sum(p.modes for p, _ in pairs) / partitions
         batch = sum(b.modes for _, b in pairs) / partitions
 

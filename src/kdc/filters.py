@@ -1,6 +1,8 @@
 """Spectral regularization filters and their admissibility checks.
 
-A filter G_lambda approximates u -> 1/u on (0, kappa_sq]. Each filter
+A filter G_lambda approximates u -> 1/u on (0, kappa_sq]. A ``FilterSpec``
+is one spectral estimator: the filter family together with the level lambda
+it is built at, so nothing that applies it takes lambda again. Each family
 declares a qualification tau and constants (E, F) that certify, for all
 lambda in (0, kappa_sq]:
 
@@ -12,10 +14,11 @@ lambda in (0, kappa_sq]:
 ``validate_filter`` checks both bounds numerically on grids and is wired
 into the CLI so every shipped filter can be certified at runtime.
 
-T steps of gradient descent are the Landweber filter G_T of K/n, so the
-gradient-descent trainers build a ``landweber`` spec and share the filter
-path of every other estimator; ``landweber_schedule_for`` turns a
-regularization level into the schedule that reaches it.
+T steps of gradient descent are the Landweber filter G_T of K/n at
+lambda = 1/sum(eta), so the gradient-descent trainers build a ``landweber``
+spec and share the filter path of every other estimator;
+``landweber_schedule_for`` turns a regularization level into the schedule
+that reaches it.
 """
 from __future__ import annotations
 
@@ -42,33 +45,36 @@ MAX_LANDWEBER_STEPS = 1_000_000
 
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """A regularization filter with its declared admissibility constants."""
+    """A regularization filter at level ``lam``, with its declared admissibility constants."""
 
     kind: str
     qualification: float
     const_e: float
     const_f: float
     kappa_sq: float
+    lam: float
     step_sizes: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kappa_sq <= 0 or not math.isfinite(self.kappa_sq):
             raise InvalidParameterError("kappa_sq must be positive and finite")
+        if self.lam is None or not self.lam > 0 or not math.isfinite(self.lam):
+            raise InvalidParameterError(f"lambda must be positive and finite, got {self.lam!r}")
         if self.qualification <= 0:
             raise InvalidParameterError("qualification must be positive")
         if self.const_e <= 0 or self.const_f <= 0:
             raise InvalidParameterError("filter constants must be positive")
 
 
-def tikhonov(kappa_sq: float) -> FilterSpec:
+def tikhonov(kappa_sq: float, lam: float) -> FilterSpec:
     """G_lambda(u) = 1 / (u + lambda); qualification 1, E = F = 1."""
     return FilterSpec(
         kind="tikhonov", qualification=1.0, const_e=1.0, const_f=1.0,
-        kappa_sq=kappa_sq,
+        kappa_sq=kappa_sq, lam=lam,
     )
 
 
-def spectral_cutoff(kappa_sq: float) -> FilterSpec:
+def spectral_cutoff(kappa_sq: float, lam: float) -> FilterSpec:
     """G_lambda(u) = 1/u above the cutoff lambda, 0 below; E = F = 1.
 
     Holds the residual bound for every alpha >= 0, so the qualification is
@@ -76,15 +82,15 @@ def spectral_cutoff(kappa_sq: float) -> FilterSpec:
     """
     return FilterSpec(
         kind="cutoff", qualification=math.inf, const_e=1.0, const_f=1.0,
-        kappa_sq=kappa_sq,
+        kappa_sq=kappa_sq, lam=lam,
     )
 
 
-def tikhonov_bias_corrected(kappa_sq: float) -> FilterSpec:
+def tikhonov_bias_corrected(kappa_sq: float, lam: float) -> FilterSpec:
     """G_lambda(u) = lambda/(lambda+u)^2 + 1/(lambda+u); qualification 2, E = 2."""
     return FilterSpec(
         kind="tikhonov_bc", qualification=2.0, const_e=2.0, const_f=1.0,
-        kappa_sq=kappa_sq,
+        kappa_sq=kappa_sq, lam=lam,
     )
 
 
@@ -99,8 +105,8 @@ def check_step_bound(steps, kappa_sq: float) -> None:
 def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> FilterSpec:
     """Gradient-descent filter for a step-size schedule.
 
-    G_t(u) = sum_k eta_k * prod_{i=k+1..t} (1 - eta_i u), with effective
-    regularization lambda = 1 / sum_k eta_k. Declares E = 1 and
+    G_t(u) = sum_k eta_k * prod_{i=k+1..t} (1 - eta_i u), built at the
+    effective level lambda = 1 / sum_k eta_k. Declares E = 1 and
     F = (tau/e)^tau. The default qualification 3 keeps F >= 1, which the
     residual bound needs as alpha -> 0; declaring tau < e fails validation
     honestly rather than being patched over.
@@ -116,7 +122,7 @@ def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> Filter
     const_f = (qualification / math.e) ** qualification
     return FilterSpec(
         kind="landweber", qualification=float(qualification), const_e=1.0,
-        const_f=const_f, kappa_sq=kappa_sq, step_sizes=steps,
+        const_f=const_f, kappa_sq=kappa_sq, lam=1.0 / float(np.sum(steps)), step_sizes=steps,
     )
 
 
@@ -142,16 +148,17 @@ FILTER_TAGS = ("tikhonov", "landweber", "cutoff", "tikhonov_bc")
 
 
 def filter_from_tag(tag: str, kappa_sq: float, lam: float) -> FilterSpec:
-    """Build a filter from its config-file tag; Landweber runs to level ``lam``.
+    """Build a filter from its config-file tag at level ``lam``.
 
-    The other filters take ``lam`` when they are applied, not here.
+    Landweber runs the schedule of :func:`landweber_schedule_for`, so its
+    level is 1/sum(eta), at or just below ``lam``.
     """
     if tag == "tikhonov":
-        return tikhonov(kappa_sq)
+        return tikhonov(kappa_sq, lam)
     if tag == "cutoff":
-        return spectral_cutoff(kappa_sq)
+        return spectral_cutoff(kappa_sq, lam)
     if tag == "tikhonov_bc":
-        return tikhonov_bias_corrected(kappa_sq)
+        return tikhonov_bias_corrected(kappa_sq, lam)
     if tag == "landweber":
         return landweber(landweber_schedule_for(lam, kappa_sq), kappa_sq)
     raise InvalidParameterError(f"unknown filter tag {tag!r}; expected one of {FILTER_TAGS}")
@@ -162,15 +169,6 @@ def step_sum(spec: FilterSpec) -> float:
     if spec.step_sizes is None:
         raise InvalidParameterError("filter has no step schedule")
     return float(np.sum(spec.step_sizes))
-
-
-def effective_lambda(spec: FilterSpec, lam: float | None = None) -> float:
-    """Regularization level actually used: 1/sum(eta) for Landweber, else lam."""
-    if spec.kind == "landweber":
-        return 1.0 / step_sum(spec)
-    if lam is None or lam <= 0:
-        raise InvalidParameterError("lambda must be positive")
-    return float(lam)
 
 
 def residual_product(step_sizes, u) -> np.ndarray | float:
@@ -197,7 +195,8 @@ def landweber_recurrence(step_sizes, u: np.ndarray) -> np.ndarray:
     return g
 
 
-def _filter_values(spec: FilterSpec, lam: float | None, u: np.ndarray) -> np.ndarray:
+def _filter_values(spec: FilterSpec, lam: float, u: np.ndarray) -> np.ndarray:
+    """The family of ``spec`` at level ``lam``; Landweber's schedule fixes its own."""
     if spec.kind == "tikhonov":
         return 1.0 / (u + lam)
     if spec.kind == "cutoff":
@@ -212,25 +211,18 @@ def _filter_values(spec: FilterSpec, lam: float | None, u: np.ndarray) -> np.nda
     raise InvalidParameterError(f"unknown filter kind {spec.kind!r}")
 
 
-def filter_value(spec: FilterSpec, lam: float | None, u):
-    """Evaluate G_lambda(u) for u in [0, kappa_sq].
-
-    ``lam`` is ignored for Landweber (the schedule fixes it) and must be
-    positive otherwise.
-    """
-    if spec.kind != "landweber":
-        if lam is None or lam <= 0 or not math.isfinite(lam):
-            raise InvalidParameterError("lambda must be positive and finite")
+def filter_value(spec: FilterSpec, u):
+    """Evaluate G_lambda(u) at the spec's level for u in [0, kappa_sq]."""
     ua = np.asarray(u, dtype=float)
     if np.any(ua < 0.0) or np.any(ua > spec.kappa_sq * (1.0 + 1e-9)):
         raise DomainError(f"filter argument must lie in [0, {spec.kappa_sq:.6g}]")
-    vals = _filter_values(spec, lam, np.atleast_1d(ua))
+    vals = _filter_values(spec, spec.lam, np.atleast_1d(ua))
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(vals[0])
     return vals.reshape(ua.shape)
 
 
-def apply_filter(spec: FilterSpec, lam: float | None, g: GramMatrix, rhs) -> np.ndarray:
+def apply_filter(spec: FilterSpec, g: GramMatrix, rhs) -> np.ndarray:
     """Coefficients alpha = G_lambda(gram/n) (rhs/n) via eigendecomposition.
 
     This is the spectral-algorithm estimator in coefficient space: the
@@ -243,7 +235,7 @@ def apply_filter(spec: FilterSpec, lam: float | None, g: GramMatrix, rhs) -> np.
     if y.shape != (g.n,):
         raise InvalidParameterError("rhs length must match the Gram matrix")
     evals, evecs = sym_eigendecompose(g.entries / g.n)
-    gv = filter_value(spec, lam, evals)
+    gv = filter_value(spec, evals)
     return evecs @ (np.asarray(gv) * (evecs.T @ y)) / g.n
 
 
@@ -265,18 +257,19 @@ class FilterValidationReport:
 def validate_filter(spec: FilterSpec) -> FilterValidationReport:
     """Check the declared (E, F) constants on grids of (lambda, u, alpha).
 
-    Lambda runs over DEFAULT_GRID_POINTS geometric points in [1e-4, 1] and
-    u over as many in [1e-8, 1] * kappa_sq. The value bound is checked for
+    The certificate is the family's, so lambda runs over DEFAULT_GRID_POINTS
+    geometric points in [1e-4, 1] whatever the spec's own level, and u over
+    as many in [1e-8, 1] * kappa_sq. The value bound is checked for
     alphas in {0, 1/4, 1/2, 3/4, 1} and the residual bound for those, 2 and
     the qualification, each at most the qualification. For Landweber the
-    lambda grid collapses to the schedule's effective lambda; for spectral
+    lambda grid collapses to the spec's own level 1/sum(eta); for spectral
     cutoff each lambda is added to its own u grid so the discontinuity
     itself is probed. Passes iff both maxima stay within the declared
     constants up to relative slack VALIDATION_RTOL.
     """
     ksq = spec.kappa_sq
     if spec.kind == "landweber":
-        lams = np.asarray([effective_lambda(spec)])
+        lams = np.asarray([spec.lam])
     else:
         lams = np.geomspace(1e-4, 1.0, DEFAULT_GRID_POINTS)
     us = np.geomspace(ksq * 1e-8, ksq, DEFAULT_GRID_POINTS)

@@ -279,7 +279,7 @@ def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int
             model = distributed_sgm(ds, plan.to_config(index_seed), kernel, part_seed)
         else:
             filt = filter_from_tag(config.filter_tag, problem.kappa_sq, plan.lam)
-            model = distributed_sa(ds, filt, plan.lam, kernel, m, part_seed)
+            model = distributed_sa(ds, filt, kernel, m, part_seed)
         risk = excess_risk_exact(model, problem).excess_risk
         return {
             "risk": risk, "error": "",

@@ -14,11 +14,12 @@ SETTLE steps, replaying a block step by step only once a coefficient may
 have passed DIVERGENCE_LIMIT.
 Every spectral filter runs through one path, ``_filter_models``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
-K/n. The path takes one ``eigh`` of the smaller Gram side of the scaled
-features: the dim x dim covariance when n > dim, so the n x n Gram matrix
-appears only when it is no larger than Phi. The Gram route in
-:mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is the reference
-they are tested against. Distributed training partitions one dataset
+K/n at lambda = 1/sum(eta). A ``FilterSpec`` carries its own lambda, so no
+estimator takes one beside it. The path takes one ``eigh`` of the smaller
+Gram side of the scaled features: the dim x dim covariance when n > dim, so
+the n x n Gram matrix appears only when it is no larger than Phi. The Gram
+route in :mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is the
+reference they are tested against. Distributed training partitions one dataset
 uniformly at random, trains each block independently, and averages the
 block predictors uniformly; a block is a row of sample indices
 (``_partition_rows``), so no second N x dim matrix is copied.
@@ -168,7 +169,10 @@ class LocalModel:
 
 @dataclass(frozen=True, eq=False)
 class AveragedModel:
-    """Uniform average of per-partition predictors; ``modes`` is their mean."""
+    """Uniform average of per-partition predictors; ``modes`` is their mean.
+
+    Raises KernelMismatchError unless every local model has the same kernel.
+    """
 
     locals: tuple[LocalModel, ...]
     modes: np.ndarray = field(init=False)
@@ -176,6 +180,9 @@ class AveragedModel:
     def __post_init__(self) -> None:
         if len(self.locals) == 0:
             raise InvalidParameterError("averaged model needs at least one local model")
+        key = self.locals[0].kernel.key()
+        if any(m.kernel.key() != key for m in self.locals[1:]):
+            raise KernelMismatchError("local models were trained with different kernels")
         v = sum(m.modes for m in self.locals) / len(self.locals)
         v.setflags(write=False)
         object.__setattr__(self, "modes", v)
@@ -191,14 +198,7 @@ class AveragedModel:
 
 def average_models(models: Sequence[LocalModel]) -> AveragedModel:
     """Average local predictors uniformly; all must share one kernel."""
-    models = tuple(models)
-    if not models:
-        raise InvalidParameterError("cannot average zero models")
-    key = models[0].kernel.key()
-    for m in models[1:]:
-        if m.kernel.key() != key:
-            raise KernelMismatchError("local models were trained with different kernels")
-    return AveragedModel(locals=models)
+    return AveragedModel(locals=tuple(models))
 
 
 def predict(model, xs):
@@ -250,8 +250,9 @@ def theory_step_cap(kappa_sq: float, iterations: int) -> float:
     return 1.0 / (4.0 * kappa_sq * max(1.0, math.log(iterations)))
 
 
-def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray, g) -> np.ndarray:
-    """Coefficients alpha = G(K/n) y / n for a filter function ``g``.
+def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray,
+                 spec: FilterSpec) -> np.ndarray:
+    """Coefficients alpha = G(K/n) y / n for the filter G of ``spec``, at its level.
 
     ``features`` is Phi at the n inputs and ``y`` holds one label vector,
     shape (n,), or c of them, shape (n, c). With Psi = Phi diag(sqrt(sigma))
@@ -272,12 +273,12 @@ def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray, g) -> 
     if n > psi.shape[1]:
         s2, w = np.linalg.eigh(psi.T @ psi)
         s2 = np.maximum(s2, 0.0)
-        gv = np.asarray(g(np.concatenate(([0.0], s2))))
+        gv = filter_value(spec, np.concatenate(([0.0], s2)))
         ratio = np.divide(gv[1:] - gv[0], s2, out=np.zeros_like(s2), where=s2 > 0.0)
         alpha = gv[0] * cols + psi @ (w @ (ratio[:, None] * (w.T @ (psi.T @ cols))))
     else:
         s2, u = np.linalg.eigh(psi @ psi.T)
-        gv = np.asarray(g(np.maximum(s2, 0.0)))
+        gv = filter_value(spec, np.maximum(s2, 0.0))
         alpha = u @ (gv[:, None] * (u.T @ cols))
     return (alpha / n).reshape(y.shape)
 
@@ -427,15 +428,14 @@ def sgm_local(
 
 
 def _filter_models(inputs: np.ndarray, feats: np.ndarray, label_columns,
-                   filter_spec: FilterSpec, lam: float | None, kernel: KernelSpec,
+                   filter_spec: FilterSpec, kernel: KernelSpec,
                    partition_index: int) -> list[LocalModel]:
     """The filter estimator on one partition, one model per label column.
 
     ``feats`` is Phi at the partition's ``inputs``; every column shares the
     one factorization of :func:`_mode_filter`.
     """
-    alphas = _mode_filter(kernel, feats, np.column_stack(label_columns),
-                          lambda u: filter_value(filter_spec, lam, u))
+    alphas = _mode_filter(kernel, feats, np.column_stack(label_columns), filter_spec)
     return [LocalModel._from_features(feats, inputs=inputs, coeffs=a,
                                       partition_index=partition_index, kernel=kernel)
             for a in alphas.T]
@@ -456,7 +456,7 @@ def gm_local(
     positive sum.
     """
     spec = landweber(resolve_schedule(step_schedule, iterations), kernel_bound(kernel))
-    return sa_local(subset, spec, None, kernel, partition_index)
+    return sa_local(subset, spec, kernel, partition_index)
 
 
 def pseudo_gm_local(
@@ -495,18 +495,17 @@ def population_bias(problem: SpectralProblem, step_schedule, iterations: int) ->
 def sa_local(
     subset: Dataset,
     filter_spec: FilterSpec,
-    lam: float | None,
     kernel: KernelSpec,
     partition_index: int = 0,
 ) -> LocalModel:
     """Spectral-algorithm estimator on one partition.
 
-    Applies the filter to the scaled kernel matrix K/n and the label vector,
-    which gives the same coefficients as :func:`kdc.filters.apply_filter`;
-    ``lam`` must be positive except for Landweber, whose schedule fixes it.
+    Applies the filter, at its own level lambda, to the scaled kernel matrix
+    K/n and the label vector, which gives the same coefficients as
+    :func:`kdc.filters.apply_filter`.
     """
     return _filter_models(subset.inputs, _dataset_features(kernel, subset), [subset.labels],
-                          filter_spec, lam, kernel, partition_index)[0]
+                          filter_spec, kernel, partition_index)[0]
 
 
 def distributed_sgm(
@@ -530,7 +529,6 @@ def distributed_sgm(
 def distributed_sa(
     dataset: Dataset,
     filter_spec: FilterSpec,
-    lam: float | None,
     kernel: KernelSpec,
     partitions: int,
     partition_seed: int,
@@ -539,7 +537,7 @@ def distributed_sa(
     rows = _partition_rows(len(dataset), partitions, partition_seed)
     feats = _dataset_features(kernel, dataset)
     return average_models([
-        _filter_models(dataset.inputs[idx], feats[idx], [dataset.labels[idx]], filter_spec, lam,
+        _filter_models(dataset.inputs[idx], feats[idx], [dataset.labels[idx]], filter_spec,
                        kernel, s)[0]
         for s, idx in enumerate(rows)
     ])

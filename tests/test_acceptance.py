@@ -196,7 +196,7 @@ def test_a5_filter_certificates_and_residual_bounds():
     us = np.linspace(0.0, ksq, 401)
     for sched in schedules:
         spec = landweber(sched, kappa_sq=ksq)
-        g = filter_value(spec, None, us)
+        g = filter_value(spec, us)
         identity_err = max(identity_err, float(np.max(np.abs(us * g + residual_product(sched, us) - 1.0))))
     if identity_err > 1e-12:
         failures.append(f"identity err {identity_err:.2e}")
@@ -206,7 +206,7 @@ def test_a5_filter_certificates_and_residual_bounds():
     for sched in schedules:
         lam_t = 1.0 / float(np.sum(sched))
         spec = landweber(sched, kappa_sq=ksq)
-        g = filter_value(spec, None, us)
+        g = filter_value(spec, us)
         pi = residual_product(sched, us)
         for a in (0.0, 0.5, 1.0):
             lhs = np.max(us**a * g)
@@ -245,22 +245,22 @@ def test_a6_estimator_cross_checks():
         g = gram(kernel, data.inputs)
 
         lam = float(rng.uniform(1e-3, 1.0))
-        route_a = apply_filter(tikhonov(problem.kappa_sq), lam, g, data.labels)
+        route_a = apply_filter(tikhonov(problem.kappa_sq, lam), g, data.labels)
         route_b = np.linalg.solve(g.entries / n + lam * np.eye(n), data.labels / n)
         max_tik = max(max_tik, float(np.max(np.abs(route_a - route_b)) / max(1.0, np.max(np.abs(route_b)))))
 
         t = int(rng.integers(5, 60))
         eta = float(rng.uniform(0.01, 1.0 / problem.kappa_sq))
         iterate = gm_local(data, eta, t, kernel).coeffs
-        filtered = apply_filter(landweber(np.full(t, eta), kappa_sq=problem.kappa_sq), None, g, data.labels)
+        filtered = apply_filter(landweber(np.full(t, eta), kappa_sq=problem.kappa_sq), g, data.labels)
         denom = max(1.0, float(np.max(np.abs(filtered))))
         max_gm = max(max_gm, float(np.max(np.abs(iterate - filtered)) / denom))
 
         # sa_local's mode-space route against the Gram route, every filter.
         for tag in FILTER_TAGS:
             spec = filter_from_tag(tag, problem.kappa_sq, lam)
-            dual = apply_filter(spec, lam, g, data.labels)
-            primal = sa_local(data, spec, lam, kernel).coeffs
+            dual = apply_filter(spec, g, data.labels)
+            primal = sa_local(data, spec, kernel).coeffs
             denom = max(1.0, float(np.max(np.abs(dual))))
             max_sa = max(max_sa, float(np.max(np.abs(primal - dual)) / denom))
 

@@ -4,8 +4,21 @@ import json
 
 import pytest
 
-from kdc import problem_from_json, read_records_csv
+from kdc import (
+    Constant,
+    SgmConfig,
+    build_problem,
+    decompose_error,
+    derive_seed,
+    filter_from_tag,
+    problem_from_json,
+    read_records_csv,
+    validate_filter,
+)
 from kdc.cli import main
+from kdc.filters import CLAMP_SAFETY, FILTER_TAGS
+from kdc.seeding import TAG_DATA
+from kdc.trainers import theory_step_cap
 
 
 def write_config(tmp_path, name, payload):
@@ -66,6 +79,15 @@ def test_sweep_writes_records_and_exits_clean(tmp_path, sweep_config):
     records = read_records_csv(str(out))
     assert [r.n_total for r in records] == [16, 32, 64]
     assert all(r.error == "" for r in records)
+
+
+def test_sweep_seed_flag_overrides_the_config_seed(tmp_path, sweep_config):
+    out = tmp_path / "records.csv"
+    assert main(["sweep", "--config", sweep_config, "--seed", "7", "--out", str(out)]) == 0
+    records = read_records_csv(str(out))
+    assert [r.base_seed for r in records] == [7, 7, 7]
+    assert [r.data_seed_first for r in records] == [
+        derive_seed(7, TAG_DATA, n, 0) for n in (16, 32, 64)]
 
 
 def test_sweep_reports_failures_through_the_exit_code(tmp_path):
@@ -142,35 +164,76 @@ def test_validate_filters_single_tag(capsys):
     assert "tikhonov_bc" not in printed
 
 
+def test_validate_filters_writes_each_report_as_json(tmp_path, capsys):
+    out = tmp_path / "filters.json"
+    assert main(["validate-filters", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload) == list(FILTER_TAGS)
+    ksq = build_problem().kappa_sq
+    for tag, entry in payload.items():
+        rep = validate_filter(filter_from_tag(tag, ksq, 0.01))
+        assert entry == {"max_value_lhs": rep.max_value_lhs,
+                         "max_residual_lhs": rep.max_residual_lhs,
+                         "const_e": rep.const_e, "const_f": rep.const_f, "passed": True}
+
+
 def test_validate_filters_rejects_an_unreachable_landweber_level(tmp_path, capsys):
     cfg = write_config(tmp_path, "v.json", {"lam": 1e-300})
     assert main(["validate-filters", "--config", cfg, "--filter", "landweber"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
+DECOMPOSE = {
+    "regime": "cor1.1",
+    "n_list": [16],
+    "dim": 20,
+    "noise_sd": 0.2,
+    "n_total": 16,
+    "m": 2,
+    "batch_size": 1,
+    "iterations": 10,
+    "eta": 0.1,
+    "n_data": 50,
+    "n_index": 20,
+    "base_seed": 4,
+}
+
+
 def test_decompose_checks_the_identity(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "d.json",
-        {
-            "regime": "cor1.1",
-            "n_list": [16],
-            "dim": 20,
-            "noise_sd": 0.2,
-            "n_total": 16,
-            "m": 2,
-            "batch_size": 1,
-            "iterations": 10,
-            "eta": 0.1,
-            "n_data": 50,
-            "n_index": 20,
-            "base_seed": 4,
-        },
-    )
+    cfg = write_config(tmp_path, "d.json", DECOMPOSE)
     assert main(["decompose", "--config", cfg]) == 0
     printed = capsys.readouterr().out
     assert "total" in printed
     assert "bias" in printed
+
+
+def test_decompose_without_eta_runs_at_the_theory_step_cap(tmp_path, capsys):
+    payload = {k: v for k, v in DECOMPOSE.items() if k != "eta"}
+    code = main(["decompose", "--config", write_config(tmp_path, "d.json", payload)])
+    default = capsys.readouterr().out
+    cap = theory_step_cap(CLAMP_SAFETY * build_problem(dim=20, noise_sd=0.2).kappa_sq, 10)
+    for eta, same in ((cap, True), (0.1, False)):
+        cfg = write_config(tmp_path, "e.json", {**payload, "eta": eta})
+        main(["decompose", "--config", cfg])
+        assert (capsys.readouterr().out == default) is same, eta
+    assert code == 0
+
+
+def test_decompose_writes_its_components_as_csv(tmp_path, capsys):
+    out = tmp_path / "parts.csv"
+    assert main(["decompose", "--config", write_config(tmp_path, "d.json", DECOMPOSE),
+                 "--out", str(out)]) == 0
+    config = SgmConfig(partitions=2, batch_size=1, iterations=10, step_schedule=Constant(0.1),
+                       base_seed=4)
+    report = decompose_error(build_problem(dim=20, noise_sd=0.2), 16, config,
+                             replications=(50, 20))
+    lines = out.read_text().splitlines()
+    assert lines[0] == "component,value,std_error"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [name for name, _, _ in rows] == ["total", "bias", "sample_var", "comp_var"]
+    for name, value, se in rows:
+        assert float(value) == getattr(report, name)
+        assert float(se) == getattr(report, f"se_{name}")
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from kdc import (
     DegenerateInputError,
     InsufficientDataError,
     InvalidParameterError,
+    KernelMismatchError,
     LocalModel,
     SgmConfig,
     average_models,
@@ -57,6 +58,17 @@ def test_mode_projection_of_a_single_section(small_problem, kernel):
     assert proj is model.modes
     with pytest.raises(ValueError):
         model.modes[0] = 0.0
+
+
+def test_mode_projection_rejects_a_non_model(small_problem, trained):
+    with pytest.raises(InvalidParameterError):
+        mode_projection(small_problem, trained.modes)
+
+
+def test_mode_projection_rejects_a_model_of_another_problem(trained):
+    other = build_problem(dim=20, gamma=0.5, zeta=0.5, source_norm=1.0, noise_sd=0.1)
+    with pytest.raises(KernelMismatchError):
+        mode_projection(other, trained)
 
 
 def test_exact_risk_of_the_zero_model(small_problem, kernel):
@@ -208,10 +220,10 @@ def test_oversplitting_saturates_the_averaged_estimator():
     kernel = spectral_kernel(problem)
     n = 256
     lam = plan_parameters("cor5", n, 1, zeta=2.0, gamma=1.0).lam
-    spec = tikhonov(problem.kappa_sq)
+    spec = tikhonov(problem.kappa_sq, lam)
     data = sample_dataset(problem, n, seed=13)
-    moderate = distributed_sa(data, spec, lam, kernel, 32, partition_seed=13)
-    extreme = distributed_sa(data, spec, lam, kernel, 256, partition_seed=13)
+    moderate = distributed_sa(data, spec, kernel, 32, partition_seed=13)
+    extreme = distributed_sa(data, spec, kernel, 256, partition_seed=13)
     risk_moderate = excess_risk_exact(moderate, problem).excess_risk
     risk_extreme = excess_risk_exact(extreme, problem).excess_risk
     assert risk_moderate <= risk_extreme

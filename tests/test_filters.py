@@ -10,7 +10,6 @@ from kdc import (
     InvalidParameterError,
     apply_filter,
     build_problem,
-    effective_lambda,
     filter_from_tag,
     filter_value,
     gram,
@@ -41,27 +40,26 @@ def truncated_sum(etas, u):
 
 
 def test_tikhonov_closed_form():
-    spec = tikhonov(KAPPA_SQ)
     us = np.linspace(0.0, KAPPA_SQ, 13)
     for lam in (0.01, 0.5):
-        np.testing.assert_allclose(filter_value(spec, lam, us), 1.0 / (us + lam), rtol=1e-14)
+        spec = tikhonov(KAPPA_SQ, lam)
+        np.testing.assert_allclose(filter_value(spec, us), 1.0 / (us + lam), rtol=1e-14)
 
 
 def test_cutoff_keeps_high_modes_and_zeroes_low_ones():
-    spec = spectral_cutoff(KAPPA_SQ)
-    lam = 0.2
-    assert filter_value(spec, lam, 0.5) == pytest.approx(2.0, rel=1e-14)
-    assert filter_value(spec, lam, 0.2) == pytest.approx(5.0, rel=1e-14)
-    assert filter_value(spec, lam, 0.1999) == 0.0
+    spec = spectral_cutoff(KAPPA_SQ, 0.2)
+    assert filter_value(spec, 0.5) == pytest.approx(2.0, rel=1e-14)
+    assert filter_value(spec, 0.2) == pytest.approx(5.0, rel=1e-14)
+    assert filter_value(spec, 0.1999) == 0.0
     assert spec.qualification == math.inf
 
 
 def test_bias_corrected_tikhonov_closed_form():
-    spec = tikhonov_bias_corrected(KAPPA_SQ)
     us = np.linspace(0.0, KAPPA_SQ, 13)
     lam = 0.07
+    spec = tikhonov_bias_corrected(KAPPA_SQ, lam)
     expected = lam / (lam + us) ** 2 + 1.0 / (lam + us)
-    np.testing.assert_allclose(filter_value(spec, lam, us), expected, rtol=1e-13)
+    np.testing.assert_allclose(filter_value(spec, us), expected, rtol=1e-13)
 
 
 def test_gradient_filter_matches_truncated_sum_oracle():
@@ -69,13 +67,13 @@ def test_gradient_filter_matches_truncated_sum_oracle():
     etas = [0.1, 0.2, 0.05, 0.15]
     spec = landweber(etas, kappa_sq=4.0)
     # Frozen oracle values for this schedule.
-    assert filter_value(spec, None, 0.0) == pytest.approx(0.5, rel=1e-14)
-    assert filter_value(spec, None, 0.3) == pytest.approx(0.47430845, rel=1e-12)
-    assert filter_value(spec, None, 1.7) == pytest.approx(0.36857555, rel=1e-12)
+    assert filter_value(spec, 0.0) == pytest.approx(0.5, rel=1e-14)
+    assert filter_value(spec, 0.3) == pytest.approx(0.47430845, rel=1e-12)
+    assert filter_value(spec, 1.7) == pytest.approx(0.36857555, rel=1e-12)
     # And against the oracle on a random grid.
     rng = np.random.default_rng(4)
     for u in rng.uniform(0.0, 4.0, size=10):
-        assert filter_value(spec, None, u) == pytest.approx(truncated_sum(etas, u), rel=1e-11)
+        assert filter_value(spec, u) == pytest.approx(truncated_sum(etas, u), rel=1e-11)
 
 
 def test_gradient_filter_residual_identity():
@@ -83,7 +81,7 @@ def test_gradient_filter_residual_identity():
     etas = [0.07] * 9
     spec = landweber(etas, kappa_sq=KAPPA_SQ)
     u = 1.3
-    lhs = u * filter_value(spec, None, u)
+    lhs = u * filter_value(spec, u)
     assert lhs == pytest.approx(0.5762839168445267, rel=1e-13)
     assert abs(lhs - (1.0 - residual_product(etas, u))) < 1e-12
     rng = np.random.default_rng(5)
@@ -91,7 +89,7 @@ def test_gradient_filter_residual_identity():
         sched = rng.uniform(0.01, 1.0 / KAPPA_SQ, size=rng.integers(2, 60))
         us = rng.uniform(0.0, KAPPA_SQ, size=8)
         spec_t = landweber(sched, kappa_sq=KAPPA_SQ)
-        gvals = filter_value(spec_t, None, us)
+        gvals = filter_value(spec_t, us)
         np.testing.assert_allclose(us * gvals + residual_product(sched, us), 1.0, atol=1e-12)
 
 
@@ -99,8 +97,8 @@ def test_effective_lambda_and_step_sum():
     etas = [0.1, 0.2, 0.05, 0.15]
     spec = landweber(etas, kappa_sq=4.0)
     assert step_sum(spec) == pytest.approx(0.5, rel=1e-15)
-    assert effective_lambda(spec) == pytest.approx(2.0, rel=1e-15)
-    assert effective_lambda(tikhonov(KAPPA_SQ), 0.03) == 0.03
+    assert spec.lam == pytest.approx(2.0, rel=1e-15)
+    assert tikhonov(KAPPA_SQ, 0.03).lam == 0.03
 
 
 def test_landweber_rejects_inadmissible_schedules():
@@ -117,8 +115,8 @@ def test_landweber_zero_steps_leave_the_filter_unchanged():
     us = np.linspace(0.0, KAPPA_SQ, 33)
     padded = landweber([0.0, eta], kappa_sq=KAPPA_SQ)
     plain = landweber([eta], kappa_sq=KAPPA_SQ)
-    np.testing.assert_array_equal(filter_value(padded, None, us), filter_value(plain, None, us))
-    assert effective_lambda(padded) == effective_lambda(plain)
+    np.testing.assert_array_equal(filter_value(padded, us), filter_value(plain, us))
+    assert padded.lam == plain.lam
     with pytest.raises(InvalidParameterError):
         landweber([0.0, 0.0], kappa_sq=KAPPA_SQ)
 
@@ -140,15 +138,24 @@ def test_landweber_schedule_is_capped_at_its_step_budget():
 
 
 def test_filter_value_domain_checks():
-    spec = tikhonov(KAPPA_SQ)
+    spec = tikhonov(KAPPA_SQ, 0.1)
     with pytest.raises(DomainError):
-        filter_value(spec, 0.1, KAPPA_SQ * 1.01)
+        filter_value(spec, KAPPA_SQ * 1.01)
     with pytest.raises(DomainError):
-        filter_value(spec, 0.1, -0.5)
-    with pytest.raises(InvalidParameterError):
-        filter_value(spec, 0.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        filter_value(spec, -0.2, 1.0)
+        filter_value(spec, -0.5)
+
+
+@pytest.mark.parametrize("build", [tikhonov, spectral_cutoff, tikhonov_bias_corrected])
+@pytest.mark.parametrize("lam", [0.0, -0.2, math.nan, math.inf, None])
+def test_every_filter_is_built_at_a_positive_finite_level(build, lam):
+    with pytest.raises(InvalidParameterError, match="lambda must be positive and finite"):
+        build(KAPPA_SQ, lam)
+
+
+def test_landweber_level_is_checked_like_every_other():
+    # A step mass of 1e-320 puts 1/sum(eta) beyond the largest double.
+    with pytest.raises(InvalidParameterError, match="lambda must be positive and finite"):
+        landweber([1e-320], kappa_sq=KAPPA_SQ)
 
 
 @pytest.mark.parametrize("tag", FILTER_TAGS)
@@ -183,7 +190,7 @@ def test_tikhonov_filter_solves_the_regularized_system():
     data = sample_dataset(problem, 40, seed=21)
     g = gram(kernel, data.inputs)
     lam = 0.05
-    coeffs = apply_filter(tikhonov(problem.kappa_sq), lam, g, data.labels)
+    coeffs = apply_filter(tikhonov(problem.kappa_sq, lam), g, data.labels)
     n = len(data)
     direct = np.linalg.solve(g.entries / n + lam * np.eye(n), data.labels / n)
     np.testing.assert_allclose(coeffs, direct, rtol=1e-9, atol=1e-12)

@@ -19,7 +19,6 @@ from kdc import (
     filter_from_tag,
     sample_dataset,
     spectral_kernel,
-    tikhonov,
 )
 from kdc import spectral_model
 from kdc.trainers import INDEX_CHUNK
@@ -58,6 +57,6 @@ def test_distributed_sgm_copies_no_feature_matrix(default_problem, sample):
 @pytest.mark.parametrize("tag", ["tikhonov", "landweber"])
 def test_distributed_sa_copies_no_feature_matrix(default_problem, sample, tag):
     ksq = default_problem.kappa_sq
-    spec = tikhonov(ksq) if tag == "tikhonov" else filter_from_tag(tag, ksq, 0.05)
+    spec = filter_from_tag(tag, ksq, 0.05)
     kernel = spectral_kernel(default_problem)
-    assert traced_peak(lambda: distributed_sa(sample, spec, 0.05, kernel, 32, 4)) < PEAK_LIMIT_BYTES
+    assert traced_peak(lambda: distributed_sa(sample, spec, kernel, 32, 4)) < PEAK_LIMIT_BYTES

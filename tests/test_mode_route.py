@@ -69,11 +69,11 @@ def test_mode_filter_matches_apply_filter_around_n_equals_dim(monkeypatch, dim, 
         steps = landweber_schedule_for(lam, ksq)
         if tag == "gm_local":
             model = gm_local(data, steps, steps.size, kernel)
-            dual = apply_filter(landweber(steps, kappa_sq=ksq), None, g, data.labels)
+            dual = apply_filter(landweber(steps, kappa_sq=ksq), g, data.labels)
         else:
             spec = filter_from_tag(tag, ksq, lam)
-            model = sa_local(data, spec, lam, kernel)
-            dual = apply_filter(spec, lam, g, data.labels)
+            model = sa_local(data, spec, kernel)
+            dual = apply_filter(spec, g, data.labels)
         dual_modes = problem.eigenvalues * (feats.T @ dual)
         err = max(_rel(model.coeffs, dual), _rel(model.modes, dual_modes))
         assert err <= 1e-10, (tag, lam, err)

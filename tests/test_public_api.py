@@ -1,0 +1,44 @@
+"""The public names of ``kdc`` are pinned, so an API change is a deliberate edit here.
+
+Submodules are left out: which of them are attributes of the package
+depends on what has been imported before.
+"""
+from __future__ import annotations
+
+import inspect
+
+import kdc
+
+PUBLIC_NAMES = (
+    "AveragedModel,Constant,ConstraintViolationError,Dataset,DecompositionReport,"
+    "DegenerateInputError,DivergenceError,DomainError,EigendecompositionError,"
+    "ExperimentConfig,Explicit,FilterSpec,FilterValidationReport,GramMatrix,"
+    "IndivisibleDataError,InsufficientDataError,InvalidParameterError,InvalidRegimeError,"
+    "KdcError,KernelMismatchError,KernelSpec,LocalModel,RateFit,RiskReport,RunRecord,"
+    "SgmConfig,SpectralProblem,StepConditionReport,TrainPlan,apply_filter,average_models,"
+    "basis_matrix,build_problem,capacity_certificate,check_step_condition,dataset_from_csv,"
+    "dataset_to_csv,decompose_error,derive_seed,distributed_sa,distributed_sgm,"
+    "effective_dimension,emit_rate_table,excess_risk_exact,excess_risk_mc,filter_from_tag,"
+    "filter_value,fit_rate,gm_local,gram,kernel_bound,kernel_cross,kernel_eval,landweber,"
+    "mode_projection,partition_data,partition_stream_seed,plan_parameters,population_bias,"
+    "population_sequence,predict,problem_from_json,problem_to_json,pseudo_gm_local,"
+    "read_records_csv,records_from_csv,records_to_csv,regression_value,residual_product,"
+    "resolve_m,resolve_schedule,run_experiment,sa_local,sample_dataset,second_moment_bound,"
+    "sgm_local,spectral_cutoff,spectral_kernel,splitmix64,step_sum,sup_norm_bound,"
+    "sym_eigendecompose,tail_mass,theory_exponent,tikhonov,tikhonov_bias_corrected,"
+    "validate_filter,write_records_csv"
+)
+
+
+def test_public_names_are_pinned():
+    names = sorted(name for name, value in vars(kdc).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert ",".join(names) == PUBLIC_NAMES
+
+
+def test_a_filter_spec_carries_its_own_level():
+    # Lambda is bound when a filter is built; nothing that applies one takes it again.
+    for fn in (kdc.filter_value, kdc.apply_filter, kdc.sa_local, kdc.distributed_sa):
+        assert "lam" not in inspect.signature(fn).parameters, fn.__name__
+    for build in (kdc.tikhonov, kdc.spectral_cutoff, kdc.tikhonov_bias_corrected):
+        assert list(inspect.signature(build).parameters) == ["kappa_sq", "lam"]

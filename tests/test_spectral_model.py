@@ -229,7 +229,7 @@ def test_problem_id_survives_the_json_round_trip_with_integer_parameters():
     assert clone.problem_id == problem.problem_id
     assert problem_to_json(clone) == problem_to_json(problem)
     data = sample_dataset(clone, 16, seed=0)
-    model = sa_local(data, tikhonov(clone.kappa_sq), 0.1, spectral_kernel(clone))
+    model = sa_local(data, tikhonov(clone.kappa_sq, 0.1), spectral_kernel(clone))
     np.testing.assert_array_equal(mode_projection(problem, model), model.modes)
 
 

@@ -128,9 +128,9 @@ def distributed_fits(kernel, partitions):
                     step_schedule=0.05, base_seed=12)
     return {
         "sgm": lambda d: distributed_sgm(d, cfg, kernel, partition_seed=7),
-        "tikhonov": lambda d: distributed_sa(d, tikhonov(ksq), 1e-2, kernel, partitions, 7),
-        "landweber": lambda d: distributed_sa(d, landweber(np.full(25, 0.05), ksq), None,
-                                              kernel, partitions, 7),
+        "tikhonov": lambda d: distributed_sa(d, tikhonov(ksq, 1e-2), kernel, partitions, 7),
+        "landweber": lambda d: distributed_sa(d, landweber(np.full(25, 0.05), ksq), kernel,
+                                              partitions, 7),
     }
 
 
@@ -508,7 +508,7 @@ def test_trained_models_carry_the_modes_of_a_fresh_feature_matrix(request, probl
     data = sample_dataset(problem, n, seed=11)
     cfg = SgmConfig(partitions=3, batch_size=2, iterations=40, step_schedule=0.05, base_seed=6)
     models = [
-        sa_local(data, tikhonov(problem.kappa_sq), 1e-2, kernel),
+        sa_local(data, tikhonov(problem.kappa_sq, 1e-2), kernel),
         gm_local(data, 0.05, 30, kernel),
         sgm_local(data, dataclasses.replace(cfg, partitions=1), kernel, 0),
         *distributed_sgm(data, cfg, kernel, partition_seed=4).locals,
@@ -546,7 +546,7 @@ def test_gm_matches_the_filter_route(data, kernel, small_problem):
     model = gm_local(data, etas, 40, kernel)
     g = gram(kernel, data.inputs)
     spec = landweber(etas, kappa_sq=small_problem.kappa_sq)
-    coeffs = apply_filter(spec, None, g, data.labels)
+    coeffs = apply_filter(spec, g, data.labels)
     np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-10, atol=1e-13)
 
 
@@ -644,6 +644,17 @@ def test_average_models_rejects_mixed_kernels(data, kernel):
         average_models([a, b])
 
 
+def test_a_directly_built_average_rejects_mixed_kernels(data, kernel):
+    # Same dim, different gamma: the mode vectors have one length, so only
+    # the kernel check stands between this average and a silent risk.
+    other = spectral_kernel(build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1))
+    models = tuple(sa_local(data, tikhonov(k.problem.kappa_sq, 1e-2), k) for k in (kernel, other))
+    with pytest.raises(KernelMismatchError):
+        AveragedModel(locals=models)
+    with pytest.raises(InvalidParameterError):
+        AveragedModel(locals=())
+
+
 @pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
 def test_predict_expands_in_kernel_sections(small_problem, kernel, n):
     # predict reads the model's modes; this checks them against its coefficients.
@@ -663,9 +674,9 @@ def test_distributed_runs_are_deterministic(small_problem, kernel):
     assert len(a.locals) == 4
     xs = np.linspace(0.1, 0.9, 5)
     np.testing.assert_array_equal(predict(a, xs), predict(b, xs))
-    spec = tikhonov(small_problem.kappa_sq)
-    sa1 = distributed_sa(data, spec, 0.05, kernel, 4, partition_seed=77)
-    sa2 = distributed_sa(data, spec, 0.05, kernel, 4, partition_seed=77)
+    spec = tikhonov(small_problem.kappa_sq, 0.05)
+    sa1 = distributed_sa(data, spec, kernel, 4, partition_seed=77)
+    sa2 = distributed_sa(data, spec, kernel, 4, partition_seed=77)
     np.testing.assert_array_equal(predict(sa1, xs), predict(sa2, xs))
 
 
