@@ -20,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -280,6 +280,8 @@ def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int
         else:
             filt = filter_from_tag(config.filter_tag, problem.kappa_sq, plan.lam)
             model = distributed_sa(ds, filt, kernel, m, part_seed)
+            # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
+            plan = replace(plan, lam=filt.lam, iterations=filt.step_sizes and len(filt.step_sizes))
         risk = excess_risk_exact(model, problem).excess_risk
         return {
             "risk": risk, "error": "",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigendecompositionError, InvalidParameterError
-from .spectral_model import SpectralProblem, basis_matrix
+from .errors import EigendecompositionError, InvalidParameterError
+from .spectral_model import SpectralProblem, _in_domain, basis_matrix
 
 #: Relative tolerance (times trace/n) below which negative eigenvalues of a
 #: Gram matrix are treated as floating-point noise and clamped to zero.
@@ -52,12 +52,9 @@ def kernel_features(spec: KernelSpec, xs) -> np.ndarray:
     """Feature matrix Phi = basis_matrix(dim, xs), shape (len(xs), dim).
 
     K(xs[j], us[k]) = sum_i sigma_i Phi[j, i] Phi_u[k, i]. Raises
-    DomainError for points outside [0, 1].
+    DomainError for points outside [0, 1], NaN included.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise DomainError("spectral kernel is defined on [0, 1]")
-    return basis_matrix(spec.problem.dim, xs)
+    return basis_matrix(spec.problem.dim, _in_domain(xs))
 
 
 def kernel_eval(spec: KernelSpec, x: float, u: float) -> float:

@@ -18,10 +18,10 @@ from kdc import (
     write_records_csv,
 )
 from kdc import harness
-from kdc.filters import CLAMP_SAFETY, landweber_schedule_for
+from kdc.filters import CLAMP_SAFETY, filter_from_tag, landweber_schedule_for
 from kdc.harness import CSV_COLUMNS, ExperimentConfig, resolve_m, run_experiment
 from kdc.seeding import TAG_DATA
-from kdc.trainers import theory_step_cap
+from kdc.trainers import plan_parameters, theory_step_cap
 
 GOLDEN_HEADER = (
     "version,algorithm,regime,n_total,m_requested,m,n_local,batch_size,iterations,"
@@ -285,6 +285,21 @@ def test_run_experiment_spectral_path():
     assert records[0].lam == pytest.approx(32 ** -0.5, rel=1e-12)
     assert records[0].eta is None
     assert records[0].error == ""
+
+
+def test_landweber_rows_record_the_level_and_steps_the_filter_ran():
+    # The schedule's level 1/sum(eta) sits just below the planned lambda.
+    base = {"regime": "cor5", "algorithm": "sa", "n_list": [256, 1024], "dim": 50,
+            "noise_sd": 0.3, "m_rule": "pow:0.4", "replications": 2}
+    landweber_rows = run_experiment(ExperimentConfig.from_dict({**base, "filter": "landweber"}))
+    tikhonov_rows = run_experiment(ExperimentConfig.from_dict({**base, "filter": "tikhonov"}))
+    ksq = build_problem(dim=50, noise_sd=0.3).kappa_sq
+    for lw, tik in zip(landweber_rows, tikhonov_rows):
+        planned = plan_parameters("cor5", lw.n_total, lw.m, 0.5, 1.0, kappa_sq=ksq).lam
+        spec = filter_from_tag("landweber", ksq, planned)
+        assert lw.lam == spec.lam < planned and lw.iterations == len(spec.step_sizes)
+        assert tik.lam == planned and tik.iterations is None
+        assert lw.error == tik.error == ""
 
 
 def test_landweber_schedule_matches_its_target_level():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,15 @@ from kdc import (
     kernel_bound,
     kernel_cross,
     kernel_eval,
+    predict,
+    regression_value,
+    sa_local,
+    sample_dataset,
     spectral_kernel,
     sym_eigendecompose,
+    tikhonov,
 )
+from kdc.kernels import kernel_features
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +62,17 @@ def test_spectral_kernel_rejects_points_off_the_interval(kernel):
         kernel_eval(kernel, -0.1, 0.5)
     with pytest.raises(DomainError):
         kernel_cross(kernel, np.array([0.2, 1.5]), np.array([0.3]))
+
+
+@pytest.mark.parametrize("xs", [math.nan, np.array([0.5, math.nan])])
+def test_nan_lies_outside_the_domain(small_problem, kernel, xs):
+    model = sa_local(sample_dataset(small_problem, 8, seed=0),
+                     tikhonov(small_problem.kappa_sq, 0.1), kernel)
+    for evaluate in (lambda: kernel_features(kernel, xs),
+                     lambda: regression_value(small_problem, xs),
+                     lambda: predict(model, xs)):
+        with pytest.raises(DomainError):
+            evaluate()
 
 
 def test_kernel_spec_keys_identify_kernels(small_problem, kernel):

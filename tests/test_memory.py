@@ -1,9 +1,9 @@
 """Traced peak allocations of the problem build and the distributed trainers.
 
 tracemalloc sees numpy's buffers, so a trainer that copies the sample's
-N x dim feature matrix, or a kappa_sq grid evaluated in one piece, shows up
-here as megabytes. The bounds hold at dim 200 and N = 8192, where one
-feature matrix is 13 MB.
+N x dim feature matrix, a kappa_sq grid evaluated in one piece, or a basis
+built through an N x dim scratch array shows up here as megabytes. The
+bounds hold at dim 200 and N = 8192, where one feature matrix is 13 MB.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 
 from kdc import (
     SgmConfig,
+    basis_matrix,
     build_problem,
     distributed_sa,
     distributed_sgm,
@@ -45,6 +46,12 @@ def sample(default_problem):
 def test_building_a_problem_evaluates_kappa_sq_in_small_blocks():
     spectral_model._kappa_sq.cache_clear()
     assert traced_peak(lambda: build_problem(dim=200, gamma=0.5)) < PEAK_LIMIT_BYTES
+
+
+def test_basis_matrix_needs_little_beyond_its_output(sample):
+    output_bytes = sample.features.nbytes
+    peak = traced_peak(lambda: basis_matrix(200, sample.inputs))
+    assert peak <= output_bytes + (1 << 20), (peak, output_bytes)
 
 
 def test_distributed_sgm_copies_no_feature_matrix(default_problem, sample):

@@ -174,11 +174,44 @@ def test_sample_dataset_is_deterministic_and_in_domain(default_problem):
     assert len(a) == 64
 
 
-def test_basis_matrix_evaluates_the_textbook_formula_bit_for_bit():
-    x = np.random.default_rng(4).random(37)
-    for dim in (1, 20, 200):
-        expected = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, dim + 1)))
-        np.testing.assert_array_equal(basis_matrix(dim, x), expected)
+def textbook_basis(dim, x):
+    return math.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, dim + 1)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64")
+def test_basis_matrix_is_at_least_as_accurate_as_the_textbook_formula():
+    # Truth in long double, pi included; the float64 points are exact inputs.
+    x = np.concatenate([np.random.default_rng(4).random(3000),
+                        [0.0, 0.5, 1.0, 2.0**-30, 5e-324, 1.0 - 2.0**-53]])
+    pi = 4 * np.arctan(np.longdouble(1))
+    for dim in (1, 20, 200, 400, 4000):
+        modes = np.arange(1, dim + 1, dtype=np.longdouble)
+        err_new = err_textbook = gap = 0.0
+        for chunk in np.array_split(x, 12):
+            angles = pi * np.outer(chunk.astype(np.longdouble), modes)
+            truth = np.sqrt(np.longdouble(2)) * np.sin(angles)
+            new, textbook = basis_matrix(dim, chunk), textbook_basis(dim, chunk)
+            err_new = max(err_new, float(np.max(np.abs(new - truth))))
+            err_textbook = max(err_textbook, float(np.max(np.abs(textbook - truth))))
+            gap = max(gap, float(np.max(np.abs(new - textbook))))
+        assert err_new <= err_textbook, (dim, err_new, err_textbook)
+        assert gap <= 2e-15 * dim, (dim, gap)
+
+
+def test_a_points_basis_row_does_not_depend_on_its_batch():
+    from kdc import spectral_model
+
+    block = spectral_model._BASIS_BLOCK
+    x = np.random.default_rng(9).random(3 * block + 5)
+    for dim in (1, 9, 200, 300):
+        full = basis_matrix(dim, x)
+        for n in (1, block - 1, block, block + 1, 2 * block + 1):
+            for offset in (0, 3, block - 1):
+                np.testing.assert_array_equal(basis_matrix(dim, x[offset:offset + n]),
+                                              full[offset:offset + n])
+        for j in range(0, x.size, 29):
+            np.testing.assert_array_equal(basis_matrix(dim, x[j]), full[j:j + 1])
 
 
 def test_sampled_datasets_carry_their_read_only_basis_matrix(default_problem):
@@ -250,11 +283,11 @@ def test_problem_json_schema_is_exactly_eight_keys(default_problem):
 
 
 def test_problem_id_is_stable(default_problem):
-    assert default_problem.problem_id == "4cbac9603feb"
-    assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.3).problem_id == "4cbac9603feb"
+    assert default_problem.problem_id == "e4f80fe81dfc"
+    assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.3).problem_id == "e4f80fe81dfc"
     # Any parameter change moves the digest.
-    assert build_problem(dim=200, gamma=0.5, zeta=0.5).problem_id != "4cbac9603feb"
-    assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.0).problem_id != "4cbac9603feb"
+    assert build_problem(dim=200, gamma=0.5, zeta=0.5).problem_id != "e4f80fe81dfc"
+    assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.0).problem_id != "e4f80fe81dfc"
 
 
 def test_problem_id_is_hashed_once_per_object(monkeypatch):
@@ -267,29 +300,30 @@ def test_problem_id_is_hashed_once_per_object(monkeypatch):
         spectral_model, "problem_to_json", lambda p: calls.append(p) or real(p)
     )
     kernels = (spectral_kernel(problem), spectral_kernel(problem))
-    assert {k.key() for k in kernels for _ in range(5)} == {("spectral", "4cbac9603feb")}
+    assert {k.key() for k in kernels for _ in range(5)} == {("spectral", "e4f80fe81dfc")}
     assert calls == [problem]
     # replace() builds a new object, which hashes its own fields afresh.
-    assert dataclasses.replace(problem, noise_sd=0.0).problem_id != "4cbac9603feb"
-    assert dataclasses.replace(problem).problem_id == "4cbac9603feb"
+    assert dataclasses.replace(problem, noise_sd=0.0).problem_id != "e4f80fe81dfc"
+    assert dataclasses.replace(problem).problem_id == "e4f80fe81dfc"
     assert len(calls) == 3
 
 
-def test_kappa_sq_is_the_grid_maximum_bit_for_bit_on_first_and_repeated_builds():
+def test_kappa_sq_is_the_grid_maximum_on_first_and_repeated_builds():
     from kdc import spectral_model
 
     spectral_model._kappa_sq.cache_clear()
     grid = np.linspace(0.0, 1.0, spectral_model.KAPPA_GRID_POINTS)
     for dim, gamma in ((1, 1.0), (7, 0.3), (50, 0.5), (200, 1), (200, 1.0), (200, 0.5)):
         eigenvalues = np.arange(1, dim + 1, dtype=float) ** (-1.0 / gamma)
-        expected = float(((basis_matrix(dim, grid) ** 2) @ eigenvalues).max())
+        expected = float(((textbook_basis(dim, grid) ** 2) @ eigenvalues).max())
         first = build_problem(dim=dim, gamma=gamma)
         again = build_problem(dim=dim, gamma=gamma, zeta=1.0, noise_sd=0.3)
-        assert first.kappa_sq == expected and again.kappa_sq == expected
+        assert first.kappa_sq == pytest.approx(expected, rel=1e-15)
+        assert again.kappa_sq == first.kappa_sq
         assert first is not again
     # (200, 1) and (200, 1.0) share one memo entry.
     assert spectral_model._kappa_sq.cache_info().misses == 5
-    assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.3).problem_id == "4cbac9603feb"
+    assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.3).problem_id == "e4f80fe81dfc"
 
 
 def test_problems_and_datasets_compare_by_identity(default_problem):
