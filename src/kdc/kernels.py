@@ -4,8 +4,9 @@ The kernel is the spectrally truncated sine kernel tied to a
 :class:`~kdc.spectral_model.SpectralProblem`, whose integral operator has a
 known spectrum. It has an exact rank-``dim`` feature map,
 K(x, u) = sum_i sigma_i phi_i(x) phi_i(u), so the trainers work on the
-n x dim feature matrix and factor the dim x dim covariance when n > dim;
-an n x n array appears only when n <= dim. ``gram``,
+n x dim feature matrix and, when n > dim, on the dim x dim covariance
+built from it: one linear solve for Tikhonov, one ``eigh`` for the other
+filters. An n x n array appears only when n <= dim. ``gram``,
 ``GramMatrix`` and ``sym_eigendecompose`` are the coefficient-space
 (dual) route; tests and :func:`kdc.filters.apply_filter` use them as an
 independent check of the trainers.

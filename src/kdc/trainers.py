@@ -15,14 +15,17 @@ have passed DIVERGENCE_LIMIT.
 Every spectral filter runs through one path, ``_filter_models``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
 K/n at lambda = 1/sum(eta). A ``FilterSpec`` carries its own lambda, so no
-estimator takes one beside it. The path takes one ``eigh`` of the smaller
-Gram side of the scaled features: the dim x dim covariance when n > dim, so
-the n x n Gram matrix appears only when it is no larger than Phi. The Gram
-route in :mod:`kdc.kernels` and :func:`kdc.filters.apply_filter` is the
-reference they are tested against. Distributed training partitions one dataset
-uniformly at random, trains each block independently, and averages the
-block predictors uniformly; a block is a row of sample indices
-(``_partition_rows``), so no second N x dim matrix is copied.
+estimator takes one beside it. The path works on the smaller Gram side of
+the scaled features Psi = Phi diag(sqrt(sigma / n)): the dim x dim
+covariance, built from Phi^T Phi when n > dim so that no scaled copy of Phi
+is made, and else the n x n matrix K/n, which is then no larger than Phi.
+Tikhonov fits take one linear solve of that side plus lambda I; the other
+filters take one ``eigh`` of it. The Gram route in :mod:`kdc.kernels` and
+:func:`kdc.filters.apply_filter` is the reference they are tested against.
+Distributed training partitions one dataset uniformly at random, trains
+each block independently, and averages the block predictors uniformly; a
+block is a row of sample indices (``_partition_rows``), so no second
+N x dim matrix is copied.
 """
 from __future__ import annotations
 
@@ -256,30 +259,54 @@ def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray,
 
     ``features`` is Phi at the n inputs and ``y`` holds one label vector,
     shape (n,), or c of them, shape (n, c). With Psi = Phi diag(sqrt(sigma))
-    / sqrt(n), K/n = Psi Psi^T; one ``eigh`` of the smaller of Psi^T Psi
-    (dim x dim, when n > dim) and Psi Psi^T (n x n) factors it. For n > dim,
-    K/n vanishes off range(Psi), where G takes the value G(0), so with
-    Psi^T Psi = W diag(s^2) W^T
+    / sqrt(n), K/n = Psi Psi^T; the smaller of C = Psi^T Psi (dim x dim, when
+    n > dim) and Psi Psi^T (n x n) carries the fit. For n > dim, C is built
+    as (Phi^T Phi) scaled by the outer product of sqrt(sigma / n), and Psi is
+    applied as Phi (sqrt(sigma / n) * z), so no n x dim array is formed.
+
+    Tikhonov takes one ``solve`` of that side plus lambda I:
+    alpha = (K/n + lambda I)^-1 y / n for n <= dim, and for n > dim
+
+        alpha = (y - Psi (C + lambda I)^-1 Psi^T y) / (lambda n).
+
+    It does so only when trace(K/n) <= kappa_sq; the trace bounds every
+    eigenvalue, so there the ``eigh`` route could not raise. Every other
+    case, and every other filter, takes one ``eigh``. For n > dim, K/n
+    vanishes off range(Psi), where G takes the value G(0), so with
+    C = W diag(s^2) W^T
 
         alpha = (G(0) y + Psi W diag((G(s^2) - G(0)) / s^2) W^T Psi^T y) / n.
 
     Eigenvalues are clamped at 0, and exact zeros, whose directions Psi
-    annihilates, drop out of the ratio. Costs O(n min(n, dim)^2); no n x n
-    array is formed when n > dim.
+    annihilates, drop out of the ratio; ``filter_value`` raises DomainError
+    for one above kappa_sq. Costs O(n min(n, dim)^2).
     """
     n = y.shape[0]
     cols = y.reshape(n, -1)
-    psi = features * np.sqrt(kernel.problem.eigenvalues / n)
-    if n > psi.shape[1]:
-        s2, w = np.linalg.eigh(psi.T @ psi)
-        s2 = np.maximum(s2, 0.0)
-        gv = filter_value(spec, np.concatenate(([0.0], s2)))
-        ratio = np.divide(gv[1:] - gv[0], s2, out=np.zeros_like(s2), where=s2 > 0.0)
-        alpha = gv[0] * cols + psi @ (w @ (ratio[:, None] * (w.T @ (psi.T @ cols))))
+    scale = np.sqrt(kernel.problem.eigenvalues / n)
+    primal = n > scale.size
+    if primal:
+        side = features.T @ features
+        side *= np.outer(scale, scale)
+        rhs = scale[:, None] * (features.T @ cols)
     else:
-        s2, u = np.linalg.eigh(psi @ psi.T)
-        gv = filter_value(spec, np.maximum(s2, 0.0))
-        alpha = u @ (gv[:, None] * (u.T @ cols))
+        psi = features * scale
+        side = psi @ psi.T
+        rhs = cols
+    if spec.kind == "tikhonov" and np.trace(side) <= spec.kappa_sq:
+        side.flat[::len(side) + 1] += spec.lam
+        z = np.linalg.solve(side, rhs)
+        alpha = (cols - features @ (scale[:, None] * z)) / spec.lam if primal else z
+    else:
+        s2, w = np.linalg.eigh(side)
+        s2 = np.maximum(s2, 0.0)
+        if primal:
+            gv = filter_value(spec, np.concatenate(([0.0], s2)))
+            ratio = np.divide(gv[1:] - gv[0], s2, out=np.zeros_like(s2), where=s2 > 0.0)
+            z = w @ (ratio[:, None] * (w.T @ rhs))
+            alpha = gv[0] * cols + features @ (scale[:, None] * z)
+        else:
+            alpha = w @ (filter_value(spec, s2)[:, None] * (w.T @ cols))
     return (alpha / n).reshape(y.shape)
 
 

@@ -1,9 +1,10 @@
 """Traced peak allocations of the problem build and the distributed trainers.
 
 tracemalloc sees numpy's buffers, so a trainer that copies the sample's
-N x dim feature matrix, a kappa_sq grid evaluated in one piece, or a basis
-built through an N x dim scratch array shows up here as megabytes. The
-bounds hold at dim 200 and N = 8192, where one feature matrix is 13 MB.
+N x dim feature matrix, a filter fit that scales its own copy of it, a
+kappa_sq grid evaluated in one piece, or a basis built through an N x dim
+scratch array shows up here as megabytes. The bounds hold at dim 200 and
+N = 8192, where one feature matrix is 13 MB.
 """
 from __future__ import annotations
 
@@ -18,10 +19,12 @@ from kdc import (
     distributed_sa,
     distributed_sgm,
     filter_from_tag,
+    sa_local,
     sample_dataset,
     spectral_kernel,
 )
 from kdc import spectral_model
+from kdc.filters import FILTER_TAGS
 from kdc.trainers import INDEX_CHUNK
 
 PEAK_LIMIT_BYTES = 4_000_000
@@ -67,3 +70,18 @@ def test_distributed_sa_copies_no_feature_matrix(default_problem, sample, tag):
     spec = filter_from_tag(tag, ksq, 0.05)
     kernel = spectral_kernel(default_problem)
     assert traced_peak(lambda: distributed_sa(sample, spec, kernel, 32, 4)) < PEAK_LIMIT_BYTES
+
+
+@pytest.mark.parametrize("tag", FILTER_TAGS)
+def test_sa_local_scales_no_copy_of_the_features(default_problem, sample, tag):
+    spec = filter_from_tag(tag, default_problem.kappa_sq, 0.05)
+    kernel = spectral_kernel(default_problem)
+    assert traced_peak(lambda: sa_local(sample, spec, kernel)) < PEAK_LIMIT_BYTES
+
+
+@pytest.mark.parametrize("tag", FILTER_TAGS)
+def test_one_partition_copies_the_features_once(default_problem, sample, tag):
+    spec = filter_from_tag(tag, default_problem.kappa_sq, 0.05)
+    kernel = spectral_kernel(default_problem)
+    peak = traced_peak(lambda: distributed_sa(sample, spec, kernel, 1, 4))
+    assert peak < sample.features.nbytes + PEAK_LIMIT_BYTES, peak
