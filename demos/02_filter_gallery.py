@@ -19,7 +19,6 @@ from kdc import (
     filter_value,
     landweber,
     spectral_cutoff,
-    step_sum,
     tikhonov,
     tikhonov_bias_corrected,
     validate_filter,
@@ -51,7 +50,7 @@ def main() -> None:
         )
 
     print(f"\nlandweber schedule: 40 steps of eta={eta:.6f}")
-    print(f"  total step mass sum(eta) = {step_sum(lw):.6f}")
+    print(f"  total step mass sum(eta) = {np.sum(lw.step_sizes):.6f}")
     print(f"  effective lambda 1/sum(eta) = {lam:.6f}")
 
     # Forward recurrence vs the filter evaluation.

@@ -81,9 +81,7 @@ def excess_risk_mc(model, problem: SpectralProblem, n_test: int, seed: int) -> R
     rng = np.random.default_rng(seed)
     xs = rng.random(n_test)
     errs = (np.asarray(predict(model, xs)) - regression_value(problem, xs)) ** 2
-    risk = float(np.mean(errs))
-    se = float(np.std(errs, ddof=1) / math.sqrt(n_test))
-    return RiskReport(excess_risk=risk, method="monte_carlo", std_error=se)
+    return RiskReport(excess_risk=float(np.mean(errs)), method="monte_carlo", std_error=_se(errs))
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,7 @@ class DecompositionReport:
 
 
 def _se(values: np.ndarray) -> float:
+    """Standard error of the mean: std(ddof=1) / sqrt(n)."""
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 

@@ -3,8 +3,9 @@
 A filter G_lambda approximates u -> 1/u on (0, kappa_sq]. A ``FilterSpec``
 is one spectral estimator: the filter family together with the level lambda
 it is built at, so nothing that applies it takes lambda again. Each family
-declares a qualification tau and constants (E, F) that certify, for all
-lambda in (0, kappa_sq]:
+is declared once, in ``FILTER_FAMILIES``, with its qualification tau and
+constants (E, F); a spec only picks the level (and, for Landweber, the
+steps). The constants certify, for all lambda in (0, kappa_sq]:
 
 * value bound:     sup_u |G_lambda(u)| u^alpha lambda^(1-alpha) <= E
                    for alpha in [0, 1],
@@ -23,7 +24,7 @@ that reaches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,56 +43,60 @@ VALIDATION_RTOL = 1e-9
 #: Most steps ``landweber_schedule_for`` builds; a smaller lambda is rejected.
 MAX_LANDWEBER_STEPS = 1_000_000
 
+#: Each filter family's qualification tau and admissibility constants (E, F), by tag.
+#: Spectral cut-off meets the residual bound for every alpha >= 0, so its tau is
+#: infinite. Landweber's F is (tau/e)^tau at tau = 3, which keeps F >= 1 as the
+#: residual bound needs when alpha -> 0; a smaller tau fails validation.
+FILTER_FAMILIES = {
+    "tikhonov": (1.0, 1.0, 1.0),
+    "landweber": (3.0, 1.0, (3.0 / math.e) ** 3.0),
+    "cutoff": (math.inf, 1.0, 1.0),
+    "tikhonov_bc": (2.0, 2.0, 1.0),
+}
+
+FILTER_TAGS = tuple(FILTER_FAMILIES)
+
 
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """A regularization filter at level ``lam``, with its declared admissibility constants."""
+    """A filter of family ``kind`` at level ``lam``; its constants are the family's."""
 
     kind: str
-    qualification: float
-    const_e: float
-    const_f: float
     kappa_sq: float
     lam: float
     step_sizes: tuple[float, ...] | None = None
+    qualification: float = field(init=False)
+    const_e: float = field(init=False)
+    const_f: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.kind not in FILTER_FAMILIES:
+            raise InvalidParameterError(
+                f"unknown filter tag {self.kind!r}; expected one of {FILTER_TAGS}")
+        if self.kind == "landweber" and self.step_sizes is None:
+            raise InvalidParameterError("a landweber filter needs its step_sizes")
         if self.kappa_sq <= 0 or not math.isfinite(self.kappa_sq):
             raise InvalidParameterError("kappa_sq must be positive and finite")
         if self.lam is None or not self.lam > 0 or not math.isfinite(self.lam):
             raise InvalidParameterError(f"lambda must be positive and finite, got {self.lam!r}")
-        if self.qualification <= 0:
-            raise InvalidParameterError("qualification must be positive")
-        if self.const_e <= 0 or self.const_f <= 0:
-            raise InvalidParameterError("filter constants must be positive")
+        for name, value in zip(("qualification", "const_e", "const_f"),
+                               FILTER_FAMILIES[self.kind]):
+            object.__setattr__(self, name, value)
 
 
 def tikhonov(kappa_sq: float, lam: float) -> FilterSpec:
-    """G_lambda(u) = 1 / (u + lambda); qualification 1, E = F = 1."""
-    return FilterSpec(
-        kind="tikhonov", qualification=1.0, const_e=1.0, const_f=1.0,
-        kappa_sq=kappa_sq, lam=lam,
-    )
+    """G_lambda(u) = 1 / (u + lambda)."""
+    return FilterSpec("tikhonov", kappa_sq, lam)
 
 
 def spectral_cutoff(kappa_sq: float, lam: float) -> FilterSpec:
-    """G_lambda(u) = 1/u above the cutoff lambda, 0 below; E = F = 1.
-
-    Holds the residual bound for every alpha >= 0, so the qualification is
-    recorded as infinity.
-    """
-    return FilterSpec(
-        kind="cutoff", qualification=math.inf, const_e=1.0, const_f=1.0,
-        kappa_sq=kappa_sq, lam=lam,
-    )
+    """G_lambda(u) = 1/u above the cutoff lambda, 0 below."""
+    return FilterSpec("cutoff", kappa_sq, lam)
 
 
 def tikhonov_bias_corrected(kappa_sq: float, lam: float) -> FilterSpec:
-    """G_lambda(u) = lambda/(lambda+u)^2 + 1/(lambda+u); qualification 2, E = 2."""
-    return FilterSpec(
-        kind="tikhonov_bc", qualification=2.0, const_e=2.0, const_f=1.0,
-        kappa_sq=kappa_sq, lam=lam,
-    )
+    """G_lambda(u) = lambda/(lambda+u)^2 + 1/(lambda+u)."""
+    return FilterSpec("tikhonov_bc", kappa_sq, lam)
 
 
 def check_step_bound(steps, kappa_sq: float) -> None:
@@ -102,14 +107,11 @@ def check_step_bound(steps, kappa_sq: float) -> None:
         )
 
 
-def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> FilterSpec:
+def landweber(step_sizes, kappa_sq: float) -> FilterSpec:
     """Gradient-descent filter for a step-size schedule.
 
     G_t(u) = sum_k eta_k * prod_{i=k+1..t} (1 - eta_i u), built at the
-    effective level lambda = 1 / sum_k eta_k. Declares E = 1 and
-    F = (tau/e)^tau. The default qualification 3 keeps F >= 1, which the
-    residual bound needs as alpha -> 0; declaring tau < e fails validation
-    honestly rather than being patched over.
+    effective level lambda = 1 / sum_k eta_k.
 
     Steps must satisfy 0 <= eta_k <= 1/kappa_sq with a positive sum, the
     schedule contract of gradient descent and SGM; a zero step leaves G_t
@@ -118,12 +120,9 @@ def landweber(step_sizes, kappa_sq: float, qualification: float = 3.0) -> Filter
     steps = tuple(float(s) for s in np.atleast_1d(np.asarray(step_sizes, dtype=float)))
     if not all(math.isfinite(s) and s >= 0 for s in steps) or not sum(steps) > 0:
         raise InvalidParameterError("step sizes must be finite and nonnegative with a positive sum")
+    spec = FilterSpec("landweber", kappa_sq, 1.0 / float(np.sum(steps)), steps)
     check_step_bound(steps, kappa_sq)
-    const_f = (qualification / math.e) ** qualification
-    return FilterSpec(
-        kind="landweber", qualification=float(qualification), const_e=1.0,
-        const_f=const_f, kappa_sq=kappa_sq, lam=1.0 / float(np.sum(steps)), step_sizes=steps,
-    )
+    return spec
 
 
 def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
@@ -144,31 +143,15 @@ def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
     return np.full(math.ceil(steps), eta)
 
 
-FILTER_TAGS = ("tikhonov", "landweber", "cutoff", "tikhonov_bc")
-
-
 def filter_from_tag(tag: str, kappa_sq: float, lam: float) -> FilterSpec:
     """Build a filter from its config-file tag at level ``lam``.
 
     Landweber runs the schedule of :func:`landweber_schedule_for`, so its
     level is 1/sum(eta), at or just below ``lam``.
     """
-    if tag == "tikhonov":
-        return tikhonov(kappa_sq, lam)
-    if tag == "cutoff":
-        return spectral_cutoff(kappa_sq, lam)
-    if tag == "tikhonov_bc":
-        return tikhonov_bias_corrected(kappa_sq, lam)
     if tag == "landweber":
         return landweber(landweber_schedule_for(lam, kappa_sq), kappa_sq)
-    raise InvalidParameterError(f"unknown filter tag {tag!r}; expected one of {FILTER_TAGS}")
-
-
-def step_sum(spec: FilterSpec) -> float:
-    """Total step mass of a Landweber schedule."""
-    if spec.step_sizes is None:
-        raise InvalidParameterError("filter has no step schedule")
-    return float(np.sum(spec.step_sizes))
+    return FilterSpec(tag, kappa_sq, lam)
 
 
 def residual_product(step_sizes, u) -> np.ndarray | float:
@@ -195,8 +178,9 @@ def landweber_recurrence(step_sizes, u: np.ndarray) -> np.ndarray:
     return g
 
 
-def _filter_values(spec: FilterSpec, lam: float, u: np.ndarray) -> np.ndarray:
-    """The family of ``spec`` at level ``lam``; Landweber's schedule fixes its own."""
+def _filter_values(spec: FilterSpec, u: np.ndarray) -> np.ndarray:
+    """G(u) of ``spec`` at its level; Landweber's schedule fixes that level."""
+    lam = spec.lam
     if spec.kind == "tikhonov":
         return 1.0 / (u + lam)
     if spec.kind == "cutoff":
@@ -206,9 +190,7 @@ def _filter_values(spec: FilterSpec, lam: float, u: np.ndarray) -> np.ndarray:
         return out
     if spec.kind == "tikhonov_bc":
         return lam / (lam + u) ** 2 + 1.0 / (lam + u)
-    if spec.kind == "landweber":
-        return landweber_recurrence(spec.step_sizes, u)
-    raise InvalidParameterError(f"unknown filter kind {spec.kind!r}")
+    return landweber_recurrence(spec.step_sizes, u)
 
 
 def filter_value(spec: FilterSpec, u):
@@ -216,7 +198,7 @@ def filter_value(spec: FilterSpec, u):
     ua = np.asarray(u, dtype=float)
     if np.any(ua < 0.0) or np.any(ua > spec.kappa_sq * (1.0 + 1e-9)):
         raise DomainError(f"filter argument must lie in [0, {spec.kappa_sq:.6g}]")
-    vals = _filter_values(spec, spec.lam, np.atleast_1d(ua))
+    vals = _filter_values(spec, np.atleast_1d(ua))
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(vals[0])
     return vals.reshape(ua.shape)
@@ -255,11 +237,12 @@ class FilterValidationReport:
 
 
 def validate_filter(spec: FilterSpec) -> FilterValidationReport:
-    """Check the declared (E, F) constants on grids of (lambda, u, alpha).
+    """Check the family's (E, F) constants on grids of (lambda, u, alpha).
 
-    The certificate is the family's, so lambda runs over DEFAULT_GRID_POINTS
-    geometric points in [1e-4, 1] whatever the spec's own level, and u over
-    as many in [1e-8, 1] * kappa_sq. The value bound is checked for
+    The certificate is the family's, so the spec is rebuilt at
+    DEFAULT_GRID_POINTS geometric levels lambda in [1e-4, 1] whatever its
+    own, and u runs over as many points in [1e-8, 1] * kappa_sq; each
+    level's G(u) serves both bounds. The value bound is checked for
     alphas in {0, 1/4, 1/2, 3/4, 1} and the residual bound for those, 2 and
     the qualification, each at most the qualification. For Landweber the
     lambda grid collapses to the spec's own level 1/sum(eta); for spectral
@@ -269,9 +252,9 @@ def validate_filter(spec: FilterSpec) -> FilterValidationReport:
     """
     ksq = spec.kappa_sq
     if spec.kind == "landweber":
-        lams = np.asarray([spec.lam])
+        levels = [spec]
     else:
-        lams = np.geomspace(1e-4, 1.0, DEFAULT_GRID_POINTS)
+        levels = [replace(spec, lam=lam) for lam in np.geomspace(1e-4, 1.0, DEFAULT_GRID_POINTS)]
     us = np.geomspace(ksq * 1e-8, ksq, DEFAULT_GRID_POINTS)
     alphas = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
     if math.isfinite(spec.qualification):
@@ -281,12 +264,14 @@ def validate_filter(spec: FilterSpec) -> FilterValidationReport:
 
     max_value = 0.0
     max_residual = 0.0
-    for lam in lams:
+    for level in levels:
+        lam = level.lam
         u_local = us
         if spec.kind == "cutoff" and lam <= ksq * (1.0 + 1e-9):
             u_local = np.unique(np.append(us, lam))
-        gvals = np.abs(_filter_values(spec, lam, u_local))
-        rvals = np.abs(1.0 - u_local * _filter_values(spec, lam, u_local))
+        g = _filter_values(level, u_local)
+        gvals = np.abs(g)
+        rvals = np.abs(1.0 - u_local * g)
         for alpha in value_alphas:
             lhs = float(np.max(gvals * u_local**alpha * lam ** (1.0 - alpha)))
             max_value = max(max_value, lhs)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InvalidParameterError, InvalidRegimeError, KdcError
-from .evaluation import excess_risk_exact, fit_rate, theory_exponent
+from .evaluation import _se, excess_risk_exact, fit_rate, theory_exponent
 from .filters import filter_from_tag, FILTER_TAGS
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
@@ -336,7 +336,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
         batch_size, iterations, eta, lam = plan_info if plan_info else (None, None, None, None)
         if good.size:
             risk_mean = float(np.mean(good))
-            risk_se = float(np.std(good, ddof=1) / math.sqrt(good.size)) if good.size > 1 else 0.0
+            risk_se = _se(good) if good.size > 1 else 0.0
         else:
             risk_mean = math.nan
             risk_se = math.nan

@@ -44,11 +44,6 @@ def spectral_kernel(problem: SpectralProblem) -> KernelSpec:
     return KernelSpec(problem)
 
 
-def kernel_bound(spec: KernelSpec) -> float:
-    """Upper bound kappa_sq on K(x,x)."""
-    return spec.problem.kappa_sq
-
-
 def kernel_features(spec: KernelSpec, xs) -> np.ndarray:
     """Feature matrix Phi = basis_matrix(dim, xs), shape (len(xs), dim).
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, KdcError
 
 #: Number of equispaced grid points used to maximize K(x, x) over [0, 1].
 KAPPA_GRID_POINTS = 10_001
@@ -367,14 +367,30 @@ def problem_to_json(problem: SpectralProblem) -> str:
 
 
 def problem_from_json(text: str) -> SpectralProblem:
-    """Inverse of :func:`problem_to_json`; validates the field set."""
-    doc = json.loads(text)
+    """Inverse of :func:`problem_to_json`; validates the field set.
+
+    A document that is not JSON, not an object of exactly these fields, or
+    holds a value of the wrong type raises InvalidParameterError.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InvalidParameterError(f"problem document is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("problem document must be a JSON object")
     if set(doc) != set(_JSON_FIELDS):
         raise InvalidParameterError(
             f"problem document must have exactly the fields {sorted(_JSON_FIELDS)}, "
             f"got {sorted(doc)}"
         )
-    return SpectralProblem(**doc)
+    if not isinstance(doc["dim"], int) or isinstance(doc["dim"], bool):
+        raise InvalidParameterError(f"problem field 'dim' must be an integer, got {doc['dim']!r}")
+    try:
+        return SpectralProblem(**doc)
+    except KdcError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"problem document has a malformed field: {exc}") from None
 
 
 def dataset_to_csv(ds: Dataset) -> str:
@@ -387,15 +403,22 @@ def dataset_to_csv(ds: Dataset) -> str:
 
 
 def dataset_from_csv(text: str, problem_id: str = "", seed: int = 0) -> Dataset:
-    """Parse the ``x,y`` CSV format produced by :func:`dataset_to_csv`."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != "x,y":
+    """Parse the ``x,y`` CSV format produced by :func:`dataset_to_csv`.
+
+    A row that is not two numbers raises InvalidParameterError naming its line.
+    """
+    lines = [(num, ln) for num, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != "x,y":
         raise InvalidParameterError("dataset CSV must start with the header 'x,y'")
     xs, ys = [], []
-    for ln in lines[1:]:
-        a, b = ln.split(",")
-        xs.append(float(a))
-        ys.append(float(b))
+    for num, ln in lines[1:]:
+        try:
+            a, b = ln.split(",")
+            xs.append(float(a))
+            ys.append(float(b))
+        except ValueError:
+            raise InvalidParameterError(
+                f"dataset CSV line {num}: expected two numbers 'x,y', got {ln!r}") from None
     return Dataset(
         inputs=np.asarray(xs), labels=np.asarray(ys), problem_id=problem_id, seed=seed
     )

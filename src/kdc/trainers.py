@@ -46,7 +46,7 @@ from .errors import (
 from .filters import (
     CLAMP_SAFETY, FilterSpec, check_step_bound, filter_value, landweber, landweber_recurrence,
 )
-from .kernels import KernelSpec, kernel_bound, kernel_features
+from .kernels import KernelSpec, kernel_features
 from .seeding import partition_stream_seed
 from .spectral_model import Dataset, SpectralProblem, check_exponents, regression_value
 
@@ -166,9 +166,6 @@ class LocalModel:
         model.__post_init__(features)
         return model
 
-    def __len__(self) -> int:
-        return self.inputs.size
-
 
 @dataclass(frozen=True, eq=False)
 class AveragedModel:
@@ -189,10 +186,6 @@ class AveragedModel:
         v = sum(m.modes for m in self.locals) / len(self.locals)
         v.setflags(write=False)
         object.__setattr__(self, "modes", v)
-
-    @property
-    def partitions(self) -> int:
-        return len(self.locals)
 
     @property
     def kernel(self) -> KernelSpec:
@@ -346,7 +339,7 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     if np.shape(labels) != (len(feats),) or rows.min() < 0 or rows.max() >= len(feats):
         raise InvalidParameterError(f"rows and labels must index the {len(feats)} feature rows")
     etas = resolve_schedule(config.step_schedule, config.iterations)
-    ksq = kernel_bound(kernel)
+    ksq = kernel.problem.kappa_sq
     check_step_bound(etas, ksq)
     if config.theory_compliant:
         cap = theory_step_cap(ksq, config.iterations)
@@ -482,7 +475,7 @@ def gm_local(
     schedule must hold nonnegative steps of at most 1/kappa_sq with a
     positive sum.
     """
-    spec = landweber(resolve_schedule(step_schedule, iterations), kernel_bound(kernel))
+    spec = landweber(resolve_schedule(step_schedule, iterations), kernel.problem.kappa_sq)
     return sa_local(subset, spec, kernel, partition_index)
 
 
@@ -761,12 +754,6 @@ def check_step_condition(step_schedule, iterations: int, kappa_sq: float) -> Ste
     if np.any(etas <= 0):
         raise InvalidParameterError("step condition is defined for positive steps")
     threshold = 1.0 / (4.0 * kappa_sq)
-    if iterations == 1:
-        return StepConditionReport(
-            passed=True, worst_ratio=0.0, worst_t=1, threshold=threshold,
-            iterations=iterations,
-        )
-
     sq = etas**2
     prefix = np.concatenate(([0.0], np.cumsum(sq)))  # prefix[j] = sum_{i<=j} eta_i^2
     ks = np.arange(1, iterations)

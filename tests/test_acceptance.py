@@ -30,7 +30,6 @@ from kdc import (
     sample_dataset,
     sgm_local,
     spectral_kernel,
-    step_sum,
     tikhonov,
     validate_filter,
 )

@@ -53,6 +53,17 @@ def test_gen_problem_writes_the_json_description(tmp_path):
     assert problem.kappa_sq > 0
 
 
+def test_gen_problem_and_sample_write_to_stdout_without_out(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", {"n_total": 5, "dim": 20, "base_seed": 5})
+    assert main(["gen-problem", "--config", cfg]) == 0
+    problem = problem_from_json(capsys.readouterr().out)
+    assert problem.problem_id == build_problem(dim=20).problem_id
+    assert main(["sample", "--config", cfg]) == 0
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_sample_writes_a_reproducible_csv(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -251,11 +262,14 @@ def test_decompose_writes_its_components_as_csv(tmp_path, capsys):
         ("gen-problem", {"gamma": "x"}),
         ("decompose", {"n_total": 16, "iterations": 5, "eta": "fast"}),
         ("sweep", {"regime": "cor1.1", "n_list": [16], "replications": "two"}),
+        ("sweep", ["regime", "cor1.1"]),
+        ("rate-fit", {"zeta": 0.5}),
     ],
     ids=["unknown-regime", "bad-m-rule", "sample-empty-n-list", "decompose-empty-n-list",
          "decompose-without-iterations", "decompose-zero-iterations", "missing-file", "bad-json",
          "sample-n-total-not-a-number", "gen-problem-gamma-not-a-number",
-         "decompose-eta-not-a-number", "sweep-replications-not-a-number"],
+         "decompose-eta-not-a-number", "sweep-replications-not-a-number",
+         "config-is-a-list", "rate-fit-without-records"],
 )
 def test_unknown_regime_hits_the_error_path(tmp_path, capsys, command, payload):
     # Malformed configs end in "error:" and exit code 2, never in a traceback.

@@ -7,6 +7,7 @@ import pytest
 
 from kdc import (
     DomainError,
+    FilterSpec,
     InvalidParameterError,
     apply_filter,
     build_problem,
@@ -18,11 +19,11 @@ from kdc import (
     sample_dataset,
     spectral_cutoff,
     spectral_kernel,
-    step_sum,
     tikhonov,
     tikhonov_bias_corrected,
     validate_filter,
 )
+from kdc import filters
 from kdc.filters import FILTER_TAGS, MAX_LANDWEBER_STEPS, landweber_schedule_for
 
 KAPPA_SQ = 6.5736410355431385
@@ -96,7 +97,7 @@ def test_gradient_filter_residual_identity():
 def test_effective_lambda_and_step_sum():
     etas = [0.1, 0.2, 0.05, 0.15]
     spec = landweber(etas, kappa_sq=4.0)
-    assert step_sum(spec) == pytest.approx(0.5, rel=1e-15)
+    assert np.sum(spec.step_sizes) == pytest.approx(0.5, rel=1e-15)
     assert spec.lam == pytest.approx(2.0, rel=1e-15)
     assert tikhonov(KAPPA_SQ, 0.03).lam == 0.03
 
@@ -169,11 +170,12 @@ def test_default_filters_pass_their_own_certificates(tag):
     assert report.max_residual_lhs <= spec.const_f * (1.0 + 1e-9)
 
 
-def test_validation_catches_an_undersized_residual_constant():
+def test_validation_catches_an_undersized_residual_constant(monkeypatch):
     # Declaring qualification 1 forces F = (1/e) ~ 0.37, but the residual
     # polynomial starts at 1 near u = 0, so the certificate must fail.
+    monkeypatch.setitem(filters.FILTER_FAMILIES, "landweber", (1.0, 1.0, (1.0 / math.e) ** 1.0))
     sched = np.full(40, 1.0 / (2.0 * KAPPA_SQ))
-    spec = landweber(sched, kappa_sq=KAPPA_SQ, qualification=1.0)
+    spec = landweber(sched, kappa_sq=KAPPA_SQ)
     report = validate_filter(spec)
     assert not report.residual_ok
     assert not report.passed
@@ -182,6 +184,38 @@ def test_validation_catches_an_undersized_residual_constant():
 def test_filter_from_tag_rejects_unknown_tags():
     with pytest.raises(InvalidParameterError):
         filter_from_tag("ridge", KAPPA_SQ, 0.1)
+
+
+def test_an_unknown_kind_or_a_landweber_spec_without_steps_is_caught_when_built():
+    with pytest.raises(InvalidParameterError,
+                       match=r"unknown filter tag 'ridge'; expected one of \('tikhonov'"):
+        FilterSpec("ridge", KAPPA_SQ, 0.1)
+    with pytest.raises(InvalidParameterError, match="a landweber filter needs its step_sizes"):
+        FilterSpec("landweber", KAPPA_SQ, 0.1)
+
+
+def test_each_family_declares_its_constants_once():
+    assert FILTER_TAGS == ("tikhonov", "landweber", "cutoff", "tikhonov_bc")
+    assert filters.FILTER_FAMILIES["landweber"] == (3.0, 1.0, (3.0 / math.e) ** 3.0)
+    for tag in FILTER_TAGS:
+        spec = filter_from_tag(tag, KAPPA_SQ, 0.2)
+        assert spec.kind == tag
+        assert (spec.qualification, spec.const_e, spec.const_f) == filters.FILTER_FAMILIES[tag]
+
+
+@pytest.mark.parametrize("kappa_sq", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("build", [tikhonov, spectral_cutoff, tikhonov_bias_corrected,
+                                   lambda ksq, lam: landweber([0.1], ksq)])
+def test_every_filter_needs_a_positive_finite_kernel_bound(build, kappa_sq):
+    with pytest.raises(InvalidParameterError, match="kappa_sq must be positive and finite"):
+        build(kappa_sq, 0.1)
+
+
+def test_apply_filter_needs_one_label_per_gram_row():
+    problem = build_problem(dim=20, gamma=1.0, zeta=0.5)
+    g = gram(spectral_kernel(problem), np.linspace(0.1, 0.9, 5))
+    with pytest.raises(InvalidParameterError, match="rhs length must match the Gram matrix"):
+        apply_filter(tikhonov(problem.kappa_sq, 0.1), g, np.zeros(6))
 
 
 def test_tikhonov_filter_solves_the_regularized_system():

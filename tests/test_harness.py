@@ -107,6 +107,13 @@ def test_config_validation():
         tiny_config(scale=-1.0)
 
 
+def test_config_needs_a_sample_size_and_runs_need_a_worker():
+    with pytest.raises(InvalidParameterError, match="n_list must be nonempty"):
+        tiny_config(n_list=[])
+    with pytest.raises(InvalidParameterError, match=r"workers must be >= 1 \(or 0 for auto\)"):
+        run_experiment(tiny_config(), workers=-1)
+
+
 @pytest.mark.parametrize("key, value", [
     ("replications", "two"), ("gamma", "1"), ("base_seed", "7"), ("theory_compliant", "yes"),
     ("n_list", ["16"]), ("dim", 20.0), ("scale", True), ("m_rule", 1.5), ("out_path", 3),
@@ -158,6 +165,13 @@ def test_records_csv_names_the_line_and_column_of_a_bad_cell():
     lines[2] = ",".join(cells)
     with pytest.raises(InvalidParameterError,
                        match="line 3, column risk_mean: cannot read 'abc' as float"):
+        records_from_csv("\n".join(lines))
+
+
+def test_records_csv_names_the_line_of_a_row_with_the_wrong_field_count():
+    lines = records_to_csv(run_experiment(tiny_config())).splitlines()
+    lines[2] += ",extra"
+    with pytest.raises(InvalidParameterError, match="malformed records CSV row at line 3"):
         records_from_csv("\n".join(lines))
 
 

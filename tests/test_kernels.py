@@ -12,7 +12,6 @@ from kdc import (
     InvalidParameterError,
     build_problem,
     gram,
-    kernel_bound,
     kernel_cross,
     kernel_eval,
     predict,
@@ -54,7 +53,6 @@ def test_kernel_is_symmetric_and_bounded(kernel, small_problem):
         assert kernel_eval(kernel, x, u) == pytest.approx(kernel_eval(kernel, u, x), rel=1e-12)
     diag = [kernel_eval(kernel, x, x) for x in pts]
     assert max(diag) <= small_problem.kappa_sq * (1.0 + 1e-12)
-    assert kernel_bound(kernel) == small_problem.kappa_sq
 
 
 def test_spectral_kernel_rejects_points_off_the_interval(kernel):
@@ -112,6 +110,16 @@ def test_gram_matrix_rejects_asymmetric_entries():
     bad = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(InvalidParameterError):
         GramMatrix(2, bad)
+
+
+def test_gram_algebra_rejects_malformed_inputs(kernel):
+    with pytest.raises(InvalidParameterError, match="entries must be an n x n matrix"):
+        GramMatrix(2, np.zeros((2, 3)))
+    with pytest.raises(InvalidParameterError, match="inputs must be nonempty"):
+        gram(kernel, [])
+    for mat in (np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(InvalidParameterError, match="matrix must be square"):
+            sym_eigendecompose(mat)
 
 
 def test_eigendecomposition_reconstructs_and_sorts(kernel):

@@ -19,12 +19,12 @@ PUBLIC_NAMES = (
     "basis_matrix,build_problem,capacity_certificate,check_step_condition,dataset_from_csv,"
     "dataset_to_csv,decompose_error,derive_seed,distributed_sa,distributed_sgm,"
     "effective_dimension,emit_rate_table,excess_risk_exact,excess_risk_mc,filter_from_tag,"
-    "filter_value,fit_rate,gm_local,gram,kernel_bound,kernel_cross,kernel_eval,landweber,"
+    "filter_value,fit_rate,gm_local,gram,kernel_cross,kernel_eval,landweber,"
     "mode_projection,partition_data,partition_stream_seed,plan_parameters,population_bias,"
     "population_sequence,predict,problem_from_json,problem_to_json,pseudo_gm_local,"
     "read_records_csv,records_from_csv,records_to_csv,regression_value,residual_product,"
     "resolve_m,resolve_schedule,run_experiment,sa_local,sample_dataset,second_moment_bound,"
-    "sgm_local,spectral_cutoff,spectral_kernel,splitmix64,step_sum,sup_norm_bound,"
+    "sgm_local,spectral_cutoff,spectral_kernel,splitmix64,sup_norm_bound,"
     "sym_eigendecompose,tail_mass,theory_exponent,tikhonov,tikhonov_bias_corrected,"
     "validate_filter,write_records_csv"
 )
@@ -42,3 +42,11 @@ def test_a_filter_spec_carries_its_own_level():
         assert "lam" not in inspect.signature(fn).parameters, fn.__name__
     for build in (kdc.tikhonov, kdc.spectral_cutoff, kdc.tikhonov_bias_corrected):
         assert list(inspect.signature(build).parameters) == ["kappa_sq", "lam"]
+
+
+def test_a_filter_spec_takes_only_what_varies_within_its_family():
+    # Qualification and constants are the family's; a spec picks the level and the steps.
+    assert list(inspect.signature(kdc.FilterSpec).parameters) == [
+        "kind", "kappa_sq", "lam", "step_sizes"]
+    assert list(inspect.signature(kdc.landweber).parameters) == ["step_sizes", "kappa_sq"]
+    assert list(inspect.signature(kdc.filters._filter_values).parameters) == ["spec", "u"]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from kdc import (
+    Dataset,
     DomainError,
     InvalidParameterError,
     basis_matrix,
@@ -343,3 +345,64 @@ def test_dataset_csv_round_trip_is_exact(default_problem):
     clone = dataset_from_csv(text, problem_id=data.problem_id, seed=data.seed)
     np.testing.assert_array_equal(clone.inputs, data.inputs)
     np.testing.assert_array_equal(clone.labels, data.labels)
+
+
+def _problem_document(problem, drop=(), **changes):
+    doc = json.loads(problem_to_json(problem))
+    doc.update(changes)
+    for name in drop:
+        del doc[name]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(eigenvalues=[1.0, 0.5, 0.25]), "must have length dim"),
+    (dict(eigenvalues=[0.5, 1.0]), "strictly positive and non-increasing"),
+    (dict(kappa_sq=0.5), "kappa_sq must dominate"),
+    (dict(source_norm=2.0), "violate the smoothness certificate"),
+    (dict(drop=("noise_sd",)), "exactly the fields"),
+    (dict(dim="5"), "'dim' must be an integer"),
+    (dict(dim=2.0), "'dim' must be an integer"),
+    (dict(gamma="abc"), "malformed field"),
+    (dict(target_coeffs={"a": 1}), "malformed field"),
+], ids=["lengths", "order", "kappa-sq", "smoothness", "missing-field", "dim-string",
+        "dim-float", "gamma-string", "coeffs-object"])
+def test_problem_documents_are_checked_field_by_field(two_mode, edit, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        problem_from_json(_problem_document(two_mode, **edit))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "not JSON"),
+    (json.dumps(["dim", "gamma", "zeta", "source_norm", "noise_sd", "eigenvalues",
+                 "target_coeffs", "kappa_sq"]), "must be a JSON object"),
+], ids=["not-json", "list-of-field-names"])
+def test_a_problem_document_must_be_a_json_object(text, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        problem_from_json(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,y\n0.1,0.2,0.3\n", "line 2: expected two numbers 'x,y', got '0.1,0.2,0.3'"),
+    ("x,y\n0.1,abc\n", "line 2: expected two numbers 'x,y', got '0.1,abc'"),
+    ("x,y\n0.1,0.2\n\n0.3\n", "line 4: expected two numbers"),
+    ("0.1,0.2\n", "must start with the header 'x,y'"),
+], ids=["three-fields", "not-a-number", "line-after-a-blank", "no-header"])
+def test_malformed_dataset_csv_names_its_line(text, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        dataset_from_csv(text)
+
+
+def test_invalid_sampling_and_spectral_parameters_are_rejected(two_mode):
+    with pytest.raises(InvalidParameterError, match="inputs and labels must be equal-length"):
+        Dataset(inputs=np.array([0.1, 0.2]), labels=np.array([0.3]), problem_id="", seed=0)
+    with pytest.raises(InvalidParameterError, match="n_total must be >= 1"):
+        sample_dataset(two_mode, 0, seed=0)
+    for lam in (0.0, -1.0):
+        with pytest.raises(InvalidParameterError, match="lambda must be > 0"):
+            effective_dimension(two_mode, lam)
+    with pytest.raises(InvalidParameterError, match="dim must be >= 1"):
+        tail_mass(0, 0.5)
+    for gamma in (0.0, 1.5):
+        with pytest.raises(InvalidParameterError, match=r"gamma must lie in \(0, 1\]"):
+            tail_mass(10, gamma)

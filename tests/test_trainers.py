@@ -21,6 +21,7 @@ from kdc import (
     KernelMismatchError,
     LocalModel,
     SgmConfig,
+    StepConditionReport,
     apply_filter,
     average_models,
     basis_matrix,
@@ -476,6 +477,14 @@ def test_sgm_validates_batch_and_steps(data, kernel):
         )
 
 
+@pytest.mark.parametrize("name", ["partitions", "batch_size", "iterations"])
+def test_sgm_config_counts_must_be_positive(name):
+    counts = dict(partitions=1, batch_size=1, iterations=1)
+    counts[name] = 0
+    with pytest.raises(InvalidParameterError, match=f"{name} must be >= 1"):
+        SgmConfig(**counts, step_schedule=0.1, base_seed=0)
+
+
 def test_sgm_theory_mode_rejects_large_steps(data, kernel, small_problem):
     cap = 1.0 / (4.0 * small_problem.kappa_sq * math.log(50))
     cfg = SgmConfig(
@@ -523,6 +532,17 @@ def test_local_model_checks_the_shape_of_handed_features(data, kernel):
         LocalModel._from_features(np.zeros((len(data), kernel.problem.dim + 1)),
                                   inputs=data.inputs, coeffs=np.zeros(len(data)),
                                   partition_index=0, kernel=kernel)
+
+
+def test_local_model_needs_one_coefficient_per_input(data, kernel):
+    with pytest.raises(InvalidParameterError, match="inputs and coeffs must be matching 1-D"):
+        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data) - 1), partition_index=0,
+                   kernel=kernel)
+
+
+def test_distributed_sa_needs_a_partition(data, kernel, small_problem):
+    with pytest.raises(InvalidParameterError, match="partitions must be >= 1"):
+        distributed_sa(data, tikhonov(small_problem.kappa_sq, 0.1), kernel, 0, 0)
 
 
 def test_local_model_rejects_nonfinite_coefficients(data, kernel):
@@ -964,6 +984,21 @@ def test_step_condition_frozen_constant_schedules():
     hot = check_step_condition(1.0 / ksq, t, ksq)
     assert not hot.passed
     assert hot.worst_ratio == pytest.approx(16.749510070558483, rel=1e-12)
+
+
+@pytest.mark.parametrize("schedule, kappa_sq, message", [
+    (0.1, 0.0, "kappa_sq must be positive"),
+    (0.1, -2.5, "kappa_sq must be positive"),
+    (Explicit((0.1, 0.0, 0.1)), 2.5, "defined for positive steps"),
+])
+def test_step_condition_rejects_a_nonpositive_bound_or_step(schedule, kappa_sq, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        check_step_condition(schedule, 3, kappa_sq)
+
+
+def test_step_condition_for_one_iteration_reports_the_empty_window_loop():
+    assert check_step_condition(0.1, 1, 2.5) == StepConditionReport(
+        passed=True, worst_ratio=0.0, worst_t=1, threshold=0.1, iterations=1)
 
 
 def test_step_condition_single_iteration_passes_vacuously():
