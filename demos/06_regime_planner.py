@@ -12,15 +12,12 @@ from __future__ import annotations
 import math
 
 from kdc import ConstraintViolationError, check_step_condition, plan_parameters
+from kdc.trainers import SA_REGIMES, SGM_REGIMES
 
 N_TOTAL = 4096
 ZETA = 0.5
 GAMMA = 1.0
 KAPPA_SQ = 6.573641035543138
-
-SGM_REGIMES = ("cor1.1", "cor1.2", "cor2.1", "cor2.2", "cor2.3", "cor2.4",
-               "cor3.1", "cor3.2", "cor3.3", "cor3.4")
-SA_REGIMES = ("cor5", "cor6")
 
 
 def main() -> None:

@@ -31,16 +31,18 @@ from .spectral_model import (
 from .trainers import Constant, SgmConfig, theory_step_cap
 
 
-def _load_config(path: str) -> dict:
-    """Read a JSON config object and check the types of the keys it holds."""
+def _load_config(args) -> dict:
+    """Read the ``--config`` JSON object, check its key types, and let ``--seed`` set base_seed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidParameterError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidParameterError("config file must hold a JSON object")
     check_config_types(raw)
+    if args.seed is not None:
+        raw["base_seed"] = args.seed
     return raw
 
 
@@ -68,7 +70,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _cmd_gen_problem(args) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args)
     problem = _problem_from_config(raw)
     _write_text(problem_to_json(problem), args.out)
     print(f"problem {problem.problem_id}: dim={problem.dim} gamma={problem.gamma} "
@@ -77,19 +79,10 @@ def _cmd_gen_problem(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    raw = _load_config(args.config)
-    problem = _problem_from_config(raw)
-    n_total = _n_total(raw)
-    seed = args.seed if args.seed is not None else int(raw.get("base_seed", 0))
-    ds = sample_dataset(problem, n_total, seed)
+    raw = _load_config(args)
+    ds = sample_dataset(_problem_from_config(raw), _n_total(raw), raw.get("base_seed", 0))
     _write_text(dataset_to_csv(ds), args.out)
     return 0
-
-
-def _experiment_config(raw: dict, args) -> ExperimentConfig:
-    if args.seed is not None:
-        raw = {**raw, "base_seed": args.seed}
-    return ExperimentConfig.from_dict(raw)
 
 
 def _print_records(records) -> None:
@@ -102,8 +95,7 @@ def _print_records(records) -> None:
 
 
 def _cmd_train(args) -> int:
-    raw = _load_config(args.config)
-    cfg = _experiment_config(raw, args)
+    cfg = ExperimentConfig.from_dict(_load_config(args))
     if len(cfg.n_list) != 1:
         raise InvalidParameterError("train expects a single-entry n_list; use sweep for grids")
     records = run_experiment(cfg, workers=args.workers)
@@ -114,8 +106,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
-    cfg = _experiment_config(raw, args)
+    cfg = ExperimentConfig.from_dict(_load_config(args))
     records = run_experiment(cfg, workers=args.workers)
     _print_records(records)
     out = args.out or cfg.out_path or "records.csv"
@@ -125,7 +116,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args)
     problem = _problem_from_config(raw)
     n_total = _n_total(raw)
     m_rule = raw.get("m_rule", raw.get("m", 1))
@@ -138,10 +129,9 @@ def _cmd_decompose(args) -> int:
         eta = float(raw["eta"])
     else:
         eta = theory_step_cap(CLAMP_SAFETY * problem.kappa_sq, iterations)
-    seed = args.seed if args.seed is not None else int(raw.get("base_seed", 0))
     config = SgmConfig(
         partitions=m, batch_size=batch_size, iterations=iterations,
-        step_schedule=Constant(eta), base_seed=seed,
+        step_schedule=Constant(eta), base_seed=raw.get("base_seed", 0),
     )
     reps = (int(raw.get("n_data", 100)), int(raw.get("n_index", 50)))
     report = decompose_error(problem, n_total, config, replications=reps)
@@ -158,7 +148,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_rate_fit(args) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args)
     records_path = args.records or raw.get("out_path")
     if not records_path:
         raise InvalidParameterError("need --records or out_path in the config")
@@ -170,7 +160,7 @@ def _cmd_rate_fit(args) -> int:
 
 
 def _cmd_validate_filters(args) -> int:
-    raw = _load_config(args.config) if args.config else {}
+    raw = _load_config(args) if args.config else {}
     ksq = _problem_from_config(raw).kappa_sq
     lam = float(raw.get("lam", 0.01))
     tags = FILTER_TAGS if args.filter == "all" else (args.filter,)

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .filters import landweber
 from .kernels import spectral_kernel
-from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
+from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed, make_rng
 from .spectral_model import SpectralProblem, check_exponents, regression_value, sample_dataset
 from .trainers import (
     AveragedModel,
@@ -78,8 +78,7 @@ def excess_risk_mc(model, problem: SpectralProblem, n_test: int, seed: int) -> R
     """
     if n_test < 100:
         raise InsufficientDataError("need at least 100 test points")
-    rng = np.random.default_rng(seed)
-    xs = rng.random(n_test)
+    xs = make_rng(seed).random(n_test)
     errs = (np.asarray(predict(model, xs)) - regression_value(problem, xs)) ** 2
     return RiskReport(excess_risk=float(np.mean(errs)), method="monte_carlo", std_error=_se(errs))
 
@@ -178,8 +177,7 @@ def decompose_error(
             pairs.append(_filter_models(ds.inputs[idx], block_feats,
                                         (block_feats @ target, ds.labels[idx]),
                                         spec, kernel, s))
-        pseudo = sum(p.modes for p, _ in pairs) / partitions
-        batch = sum(b.modes for _, b in pairs) / partitions
+        pseudo, batch = (AveragedModel(models).modes for models in zip(*pairs))
 
         bias_d[d] = float(np.sum((pseudo - target) ** 2))
         sv_d[d] = float(np.sum((batch - pseudo) ** 2))

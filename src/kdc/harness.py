@@ -7,10 +7,13 @@ CSV with enough precision to round-trip exactly. Failures inside a point
 (divergence, constraint violations) are recorded on the row instead of
 aborting the sweep.
 
-Replications are independent tasks keyed by (N, rep); with ``workers`` > 1
-(0 = one per CPU that the process may use) they execute in a process pool.
-Results are aggregated in task order, so parallel runs produce
-byte-identical records.
+Each (N, m) point is planned once, in the calling process: its tasks get
+the point's TrainPlan (SGM) or FilterSpec (SA), and its record's plan
+columns come from the same object. A point that cannot be planned records
+the error and runs no task. Replications are independent tasks keyed by
+(N, rep); with ``workers`` > 1 (0 = one per CPU that the process may use)
+they execute in a process pool. Results are aggregated in task order, so
+parallel runs produce byte-identical records.
 """
 from __future__ import annotations
 
@@ -20,20 +23,23 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._version import __version__
 from .errors import InvalidParameterError, InvalidRegimeError, KdcError
 from .evaluation import _se, excess_risk_exact, fit_rate, theory_exponent
-from .filters import filter_from_tag, FILTER_TAGS
+from .filters import FILTER_TAGS, FilterSpec, filter_from_tag
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 from .spectral_model import (
-    PROBLEM_PARAMS, build_problem, problem_from_json, problem_to_json, sample_dataset,
+    PROBLEM_PARAMS, build_problem, has_json_type, problem_from_json, problem_to_json,
+    sample_dataset,
 )
-from .trainers import SA_REGIMES, SGM_REGIMES, distributed_sa, distributed_sgm, plan_parameters
+from .trainers import (
+    SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
+)
 
 
 #: Types of the config keys that sweeps and the CLI read; other keys are ignored.
@@ -50,21 +56,16 @@ CONFIG_TYPES = {
 }
 
 
-def _has_type(value, types) -> bool:
-    # JSON true/false parse as bool, a subclass of int; they count as numbers nowhere.
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
-
-
 def check_config_types(raw: dict) -> None:
     """Raise InvalidParameterError unless each CONFIG_TYPES key in ``raw`` has its type.
 
     The entries of ``n_list`` must be integers.
     """
     for key, types in CONFIG_TYPES.items():
-        if key in raw and not _has_type(raw[key], types):
+        if key in raw and not has_json_type(raw[key], types):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             raise InvalidParameterError(f"config key {key!r} must be {names}, got {raw[key]!r}")
-    if not all(_has_type(n, (int,)) for n in raw.get("n_list", ())):
+    if not all(has_json_type(n, (int,)) for n in raw.get("n_list", ())):
         raise InvalidParameterError(f"config key 'n_list' must hold ints, got {raw['n_list']!r}")
 
 
@@ -260,49 +261,38 @@ def read_records_csv(path: str) -> list[RunRecord]:
     return records_from_csv(text)
 
 
-def _run_point(config: ExperimentConfig, problem_json: str, n_total: int, m: int, rep: int) -> dict:
-    """Run one (N, rep) task; returns risk or a recorded error."""
+def _run_point(problem_json: str, fit: TrainPlan | FilterSpec, n_total: int, m: int, rep: int,
+               base_seed: int) -> dict:
+    """Sample, fit and score one (N, rep) task; returns its risk or a recorded error.
+
+    ``fit`` is the point's TrainPlan for SGM or its FilterSpec for SA.
+    """
     t0 = time.perf_counter()
     try:
         problem = problem_from_json(problem_json)
         kernel = spectral_kernel(problem)
-        data_seed = derive_seed(config.base_seed, TAG_DATA, n_total, rep)
-        part_seed = derive_seed(config.base_seed, TAG_PARTITION, n_total, rep)
-        index_seed = derive_seed(config.base_seed, TAG_INDEX, n_total, rep)
-        ds = sample_dataset(problem, n_total, data_seed)
-        plan = plan_parameters(
-            config.regime, n_total, m, problem.zeta, problem.gamma,
-            config.scale, kappa_sq=problem.kappa_sq,
-            theory_compliant=config.theory_compliant,
-        )
-        if plan.algorithm == "sgm":
-            model = distributed_sgm(ds, plan.to_config(index_seed), kernel, part_seed)
+        ds = sample_dataset(problem, n_total, derive_seed(base_seed, TAG_DATA, n_total, rep))
+        part_seed = derive_seed(base_seed, TAG_PARTITION, n_total, rep)
+        if isinstance(fit, TrainPlan):
+            config = fit.to_config(derive_seed(base_seed, TAG_INDEX, n_total, rep))
+            model = distributed_sgm(ds, config, kernel, part_seed)
         else:
-            filt = filter_from_tag(config.filter_tag, problem.kappa_sq, plan.lam)
-            model = distributed_sa(ds, filt, kernel, m, part_seed)
-            # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
-            plan = replace(plan, lam=filt.lam, iterations=filt.step_sizes and len(filt.step_sizes))
-        risk = excess_risk_exact(model, problem).excess_risk
-        return {
-            "risk": risk, "error": "",
-            "wall_ms": 1e3 * (time.perf_counter() - t0),
-            "plan": (plan.batch_size, plan.iterations, plan.eta, plan.lam),
-        }
+            model = distributed_sa(ds, fit, kernel, m, part_seed)
+        risk, error = excess_risk_exact(model, problem).excess_risk, ""
     except (KdcError, np.linalg.LinAlgError, FloatingPointError) as exc:  # recorded per row
-        return {
-            "risk": math.nan, "error": f"{type(exc).__name__}: {exc}",
-            "wall_ms": 1e3 * (time.perf_counter() - t0), "plan": None,
-        }
+        risk, error = math.nan, f"{type(exc).__name__}: {exc}"
+    return {"risk": risk, "error": error, "wall_ms": 1e3 * (time.perf_counter() - t0)}
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """Run a full sweep and return one record per (N, m) point.
 
-    ``workers`` processes run the replications (0 = one per CPU that this
-    process may run on).
-    Per-replication failures are folded into the row's ``error`` column;
-    the risk statistics then cover the surviving replications (NaN if none
-    survive). Rows come back in ``n_list`` order.
+    Each point is planned once. A point whose plan or filter cannot be
+    built records that error and runs no task; otherwise ``workers``
+    processes run its replications (0 = one per CPU that this process may
+    run on). Per-replication failures are folded into the row's ``error``
+    column; the risk statistics then cover the surviving replications (NaN
+    if none survive). Rows come back in ``n_list`` order.
     """
     if workers == 0:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -311,13 +301,29 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
         raise InvalidParameterError("workers must be >= 1 (or 0 for auto)")
     problem = build_problem(**{name: getattr(config, name) for name in PROBLEM_PARAMS})
     problem_json = problem_to_json(problem)
+    reps = config.replications
 
     points = []
     tasks = []
     for n_total in config.n_list:
         m_requested, m = resolve_m(n_total, config.m_rule)
-        points.append((n_total, m_requested, m))
-        tasks += [(config, problem_json, n_total, m, rep) for rep in range(config.replications)]
+        try:
+            plan = plan_parameters(
+                config.regime, n_total, m, problem.zeta, problem.gamma, config.scale,
+                kappa_sq=problem.kappa_sq, theory_compliant=config.theory_compliant,
+            )
+            if plan.algorithm == "sgm":
+                fit = plan
+                columns = (plan.batch_size, plan.iterations, plan.eta, None)
+            else:
+                # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
+                fit = filter_from_tag(config.filter_tag, problem.kappa_sq, plan.lam)
+                columns = (None, fit.step_sizes and len(fit.step_sizes), None, fit.lam)
+        except KdcError as exc:  # recorded once; the point runs no task
+            points.append((n_total, m_requested, m, (None,) * 4, f"{type(exc).__name__}: {exc}"))
+        else:
+            points.append((n_total, m_requested, m, columns, None))
+            tasks += [(problem_json, fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
 
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -326,14 +332,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
         results = [_run_point(*task) for task in tasks]
 
     records = []
-    reps = config.replications
-    for i, (n_total, m_requested, m) in enumerate(points):
-        chunk = results[i * reps:(i + 1) * reps]
+    remaining = iter(results)
+    for n_total, m_requested, m, (batch_size, iterations, eta, lam), plan_error in points:
+        chunk = [] if plan_error else [next(remaining) for _ in range(reps)]
         risks = np.array([c["risk"] for c in chunk])
         good = risks[np.isfinite(risks)]
-        failures = [c["error"] for c in chunk if c["error"]]
-        plan_info = next((c["plan"] for c in chunk if c["plan"] is not None), None)
-        batch_size, iterations, eta, lam = plan_info if plan_info else (None, None, None, None)
+        failures = [plan_error] if plan_error else [c["error"] for c in chunk if c["error"]]
         if good.size:
             risk_mean = float(np.mean(good))
             risk_se = _se(good) if good.size > 1 else 0.0

@@ -4,9 +4,13 @@ All randomness in the package flows from user-supplied 64-bit base seeds
 through the splitmix64 mixing function, so that independent components
 (data sampling, partition shuffling, per-partition index streams, Monte
 Carlo evaluation) get decorrelated streams that are reproducible across
-process and worker-count changes.
+process and worker-count changes; :func:`make_rng` builds every generator.
 """
 from __future__ import annotations
+
+import operator
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 
@@ -46,3 +50,11 @@ def partition_stream_seed(base_seed: int, partition_index: int) -> int:
     auditable.
     """
     return (base_seed & _MASK) ^ splitmix64(partition_index)
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """numpy Generator for ``seed`` folded into 64 bits, as derive_seed folds a base seed.
+
+    Seeds in [0, 2^64) keep numpy's default_rng(seed) stream.
+    """
+    return np.random.default_rng(operator.index(seed) & _MASK)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, KdcError
+from .errors import DomainError, InvalidParameterError
+from .seeding import make_rng
 
 #: Number of equispaced grid points used to maximize K(x, x) over [0, 1].
 KAPPA_GRID_POINTS = 10_001
@@ -280,7 +281,7 @@ def sample_dataset(problem: SpectralProblem, n_total: int, seed: int) -> Dataset
     """
     if n_total < 1:
         raise InvalidParameterError("n_total must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     inputs = rng.random(n_total)
     features = basis_matrix(problem.dim, inputs)
     labels = features @ problem.target_coeffs
@@ -366,11 +367,17 @@ def problem_to_json(problem: SpectralProblem) -> str:
     return json.dumps(doc, default=lambda array: array.tolist())
 
 
+def has_json_type(value, types) -> bool:
+    """isinstance(value, types), except that a bool (JSON true/false) is never a number."""
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
 def problem_from_json(text: str) -> SpectralProblem:
     """Inverse of :func:`problem_to_json`; validates the field set.
 
     A document that is not JSON, not an object of exactly these fields, or
-    holds a value of the wrong type raises InvalidParameterError.
+    holds a value of the wrong type raises InvalidParameterError: ``dim`` is
+    an integer, the arrays are lists of numbers and the other fields numbers.
     """
     try:
         doc = json.loads(text)
@@ -383,14 +390,20 @@ def problem_from_json(text: str) -> SpectralProblem:
             f"problem document must have exactly the fields {sorted(_JSON_FIELDS)}, "
             f"got {sorted(doc)}"
         )
-    if not isinstance(doc["dim"], int) or isinstance(doc["dim"], bool):
+    if not has_json_type(doc["dim"], (int,)):
         raise InvalidParameterError(f"problem field 'dim' must be an integer, got {doc['dim']!r}")
-    try:
-        return SpectralProblem(**doc)
-    except KdcError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"problem document has a malformed field: {exc}") from None
+    for name in (n for n in _JSON_FIELDS if n != "dim"):
+        value = doc[name]
+        if name in ("eigenvalues", "target_coeffs"):
+            kind = "a list of numbers"
+            ok = isinstance(value, list) and all(has_json_type(v, (int, float)) for v in value)
+        else:
+            kind = "a number"
+            ok = has_json_type(value, (int, float))
+        if not ok:
+            raise InvalidParameterError(
+                f"problem document has a malformed field {name!r}: must be {kind}, got {value!r}")
+    return SpectralProblem(**doc)
 
 
 def dataset_to_csv(ds: Dataset) -> str:

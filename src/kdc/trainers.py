@@ -1,13 +1,15 @@
 """Training algorithms: mini-batch SGM, batch gradient descent, and
 spectral-filter estimators, together with the parameter planner that maps
 a regime tag to concrete (eta, batch size, iterations) or lambda choices.
+A step schedule is a ``Constant``, a float, or a sequence of one step per
+iteration.
 
 A model is a weight vector alpha over its training inputs, predicting
 x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
 coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
 alpha from the n x dim feature matrix Phi of the spectral kernel
 (K = Phi diag(sigma) Phi^T): a sampled dataset's ``features``, or else
-evaluated once per call.
+evaluated once per call, and hand that Phi to the LocalModel constructor.
 Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
 steps all its runs together and settles their alpha once per block of
 SETTLE steps, replaying a block step by step only once a coefficient may
@@ -30,7 +32,7 @@ N x dim matrix is copied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -44,10 +46,11 @@ from .errors import (
     KernelMismatchError,
 )
 from .filters import (
-    CLAMP_SAFETY, FilterSpec, check_step_bound, filter_value, landweber, landweber_recurrence,
+    CLAMP_SAFETY, FilterSpec, check_kappa_sq, check_step_bound, filter_value, landweber,
+    landweber_recurrence,
 )
 from .kernels import KernelSpec, kernel_features
-from .seeding import partition_stream_seed
+from .seeding import make_rng, partition_stream_seed
 from .spectral_model import Dataset, SpectralProblem, check_exponents, regression_value
 
 #: Coefficient magnitude beyond which an iterate is declared divergent.
@@ -75,21 +78,12 @@ class Constant:
     eta: float
 
 
-@dataclass(frozen=True)
-class Explicit:
-    """Explicit step schedule; length must equal the iteration count."""
-
-    values: tuple[float, ...]
-
-
 def resolve_schedule(schedule, iterations: int) -> np.ndarray:
-    """Materialize a schedule (Constant, Explicit, float, or sequence)."""
+    """Materialize a schedule: a Constant, a float, or a sequence of one step per iteration."""
     if iterations < 1:
         raise InvalidParameterError("iterations must be >= 1")
     if isinstance(schedule, Constant):
         arr = np.full(iterations, float(schedule.eta))
-    elif isinstance(schedule, Explicit):
-        arr = np.asarray(schedule.values, dtype=float)
     elif np.isscalar(schedule):
         arr = np.full(iterations, float(schedule))
     else:
@@ -110,7 +104,7 @@ class SgmConfig:
     partitions: int
     batch_size: int
     iterations: int
-    step_schedule: Constant | Explicit
+    step_schedule: Constant | float | tuple[float, ...]
     base_seed: int
     theory_compliant: bool = False
 
@@ -119,8 +113,6 @@ class SgmConfig:
             raise InvalidParameterError("partitions must be >= 1")
         if self.batch_size < 1:
             raise InvalidParameterError("batch_size must be >= 1")
-        if self.iterations < 1:
-            raise InvalidParameterError("iterations must be >= 1")
         resolve_schedule(self.step_schedule, self.iterations)
 
 
@@ -129,17 +121,20 @@ class LocalModel:
     """Predictor trained on one partition: coefficients alpha at its inputs.
 
     ``modes`` is computed once from them: the eigenbasis coefficients
-    v = sigma * Phi^T alpha of the prediction function, read-only. Raises
-    DomainError for inputs outside [0, 1].
+    v = sigma * Phi^T alpha of the prediction function, read-only. A trainer
+    that already holds Phi = kernel_features(kernel, inputs) hands it over as
+    the init-only ``_features``, whose shape is checked; otherwise Phi is
+    evaluated. Raises DomainError for inputs outside [0, 1].
     """
 
     inputs: np.ndarray
     coeffs: np.ndarray
     partition_index: int
     kernel: KernelSpec
+    _features: InitVar[np.ndarray | None] = None
     modes: np.ndarray = field(init=False)
 
-    def __post_init__(self, features: np.ndarray | None = None) -> None:
+    def __post_init__(self, features: np.ndarray | None) -> None:
         x = np.asarray(self.inputs, dtype=float)
         a = np.asarray(self.coeffs, dtype=float)
         if x.ndim != 1 or a.shape != x.shape:
@@ -156,15 +151,6 @@ class LocalModel:
         for name, arr in (("inputs", x), ("coeffs", a), ("modes", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _from_features(cls, features: np.ndarray, **fields) -> "LocalModel":
-        """Build a model whose trainer already holds Phi = kernel_features(kernel, inputs)."""
-        model = cls.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(model, name, value)
-        model.__post_init__(features)
-        return model
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +192,7 @@ def predict(model, xs):
 
 
 def _partition_rows(n_total: int, partitions: int, seed: int) -> np.ndarray:
-    """Rows of default_rng(seed).permutation(n_total) as ``partitions`` equal blocks, (m, n).
+    """Rows of make_rng(seed).permutation(n_total) as ``partitions`` equal blocks, (m, n).
 
     Raises IndivisibleDataError unless partitions divides n_total.
     """
@@ -216,7 +202,7 @@ def _partition_rows(n_total: int, partitions: int, seed: int) -> np.ndarray:
         raise IndivisibleDataError(
             f"{partitions} partitions do not divide {n_total} samples"
         )
-    return np.random.default_rng(seed).permutation(n_total).reshape(partitions, -1)
+    return make_rng(seed).permutation(n_total).reshape(partitions, -1)
 
 
 def partition_data(dataset: Dataset, partitions: int, seed: int) -> list[Dataset]:
@@ -243,6 +229,7 @@ def _dataset_features(kernel: KernelSpec, dataset: Dataset) -> np.ndarray:
 
 def theory_step_cap(kappa_sq: float, iterations: int) -> float:
     """Step cap 1/(4 kappa_sq max(1, ln T)) of the SGM rates (Lin & Cevher, 1801.07226)."""
+    check_kappa_sq(kappa_sq)
     return 1.0 / (4.0 * kappa_sq * max(1.0, math.log(iterations)))
 
 
@@ -346,7 +333,7 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
         if np.max(etas) > cap * (1.0 + 1e-12):
             raise ConstraintViolationError(f"theory-compliant runs need eta <= {cap:.6g}")
 
-    rngs = [np.random.default_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
+    rngs = [make_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
     # Sample row of each run's local index, laid out like alpha.
     run_rows = rows[[i for i, _, _ in runs]].ravel()
     own = n * np.arange(len(runs))[:, None]
@@ -443,8 +430,7 @@ def sgm_local(
     feats = _dataset_features(kernel, subset)
     alpha, _ = _sgm_runs(feats, subset.labels, np.arange(len(subset))[None], config, kernel,
                          [(0, partition_index, config.base_seed)])
-    return LocalModel._from_features(feats, inputs=subset.inputs, coeffs=alpha[0],
-                                     partition_index=partition_index, kernel=kernel)
+    return LocalModel(subset.inputs, alpha[0], partition_index, kernel, _features=feats)
 
 
 def _filter_models(inputs: np.ndarray, feats: np.ndarray, label_columns,
@@ -456,9 +442,7 @@ def _filter_models(inputs: np.ndarray, feats: np.ndarray, label_columns,
     one factorization of :func:`_mode_filter`.
     """
     alphas = _mode_filter(kernel, feats, np.column_stack(label_columns), filter_spec)
-    return [LocalModel._from_features(feats, inputs=inputs, coeffs=a,
-                                      partition_index=partition_index, kernel=kernel)
-            for a in alphas.T]
+    return [LocalModel(inputs, a, partition_index, kernel, _features=feats) for a in alphas.T]
 
 
 def gm_local(
@@ -540,8 +524,7 @@ def distributed_sgm(
     alphas, _ = _sgm_runs(feats, dataset.labels, rows, config, kernel,
                           [(s, s, config.base_seed) for s in range(config.partitions)])
     return average_models([
-        LocalModel._from_features(feats[idx], inputs=dataset.inputs[idx], coeffs=a,
-                                  partition_index=s, kernel=kernel)
+        LocalModel(dataset.inputs[idx], a, s, kernel, _features=feats[idx])
         for s, (idx, a) in enumerate(zip(rows, alphas))
     ])
 
@@ -634,7 +617,9 @@ def plan_parameters(
     check_exponents(zeta, gamma)
     if scale <= 0:
         raise InvalidParameterError("scale must be positive")
-    if theory_compliant and kappa_sq is None:
+    if kappa_sq is not None:
+        check_kappa_sq(kappa_sq)
+    elif theory_compliant:
         raise InvalidParameterError("theory_compliant planning needs kappa_sq")
     if regime not in SGM_REGIMES + SA_REGIMES:
         raise InvalidRegimeError(
@@ -748,31 +733,22 @@ def check_step_condition(step_schedule, iterations: int, kappa_sq: float) -> Ste
     (0 when T == 1, which is vacuously fine). For a constant schedule S_t
     reduces to eta * (H_t - 1), with H_t the t-th harmonic number.
     """
-    if kappa_sq <= 0:
-        raise InvalidParameterError("kappa_sq must be positive")
+    check_kappa_sq(kappa_sq)
     etas = resolve_schedule(step_schedule, iterations)
     if np.any(etas <= 0):
         raise InvalidParameterError("step condition is defined for positive steps")
     threshold = 1.0 / (4.0 * kappa_sq)
     sq = etas**2
-    prefix = np.concatenate(([0.0], np.cumsum(sq)))  # prefix[j] = sum_{i<=j} eta_i^2
-    ks = np.arange(1, iterations)
-    weights = 1.0 / (ks * (ks + 1.0))
-
-    worst_ratio = 0.0
-    worst_t = 1
-    for t in range(2, iterations + 1):
-        k = ks[: t - 1]
-        window = prefix[t - 1] - prefix[t - 1 - k]
-        s_t = float(np.dot(weights[: t - 1], window)) / etas[t - 1]
-        ratio = s_t / threshold
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_t = t
+    t = np.arange(1, iterations + 1)
+    # The window weights telescope, sum_{k=t-i..t-1} 1/(k(k+1)) = 1/(t-i) - 1/t, so
+    # eta_t S_t = sum_{i<t} eta_i^2 / (t-i) - (1/t) sum_{i<t} eta_i^2; t = 1 has no window.
+    eta_s = np.convolve(sq, 1.0 / t)[:iterations - 1] - np.cumsum(sq)[:-1] / t[1:]
+    ratios = np.concatenate(([0.0], eta_s)) / etas / threshold
+    worst = int(np.argmax(ratios))
     return StepConditionReport(
-        passed=worst_ratio <= 1.0 + 1e-12,
-        worst_ratio=worst_ratio,
-        worst_t=worst_t,
+        passed=bool(ratios[worst] <= 1.0 + 1e-12),
+        worst_ratio=float(ratios[worst]),
+        worst_t=worst + 1,
         threshold=threshold,
         iterations=iterations,
     )

@@ -84,6 +84,14 @@ def test_sample_writes_a_reproducible_csv(tmp_path):
     assert out_c.read_text() != out_a.read_text()
 
 
+def test_sample_folds_a_negative_seed_into_64_bits(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json", {"n_total": 6, "dim": 20, "noise_sd": 0.1})
+    assert main(["sample", "--config", cfg, "--seed", "-1"]) == 0
+    negative = capsys.readouterr().out
+    assert main(["sample", "--config", cfg, "--seed", str(2**64 - 1)]) == 0
+    assert capsys.readouterr().out == negative
+
+
 def test_sweep_writes_records_and_exits_clean(tmp_path, sweep_config):
     out = tmp_path / "records.csv"
     assert main(["sweep", "--config", sweep_config, "--out", str(out)]) == 0

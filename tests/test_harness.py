@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kdc import (
+    DivergenceError,
     InvalidParameterError,
     InvalidRegimeError,
     build_problem,
@@ -256,6 +257,35 @@ def test_run_experiment_captures_row_errors():
     assert len(records) == 1
     assert "ConstraintViolationError" in records[0].error
     assert math.isnan(records[0].risk_mean)
+
+
+def test_a_point_whose_plan_fails_records_it_once_and_runs_no_task(monkeypatch):
+    calls = []
+    run_point = harness._run_point
+    monkeypatch.setattr(harness, "_run_point", lambda *task: calls.append(task) or run_point(*task))
+    cfg = ExperimentConfig.from_dict(
+        {"regime": "cor3.1", "n_list": [16], "dim": 20, "m_rule": 2, "replications": 3}
+    )
+    (rec,) = run_experiment(cfg)
+    assert calls == []
+    assert rec.error == "ConstraintViolationError: regime cor3.1 requires partitions == 1"
+    assert rec.wall_ms == 0.0 and math.isnan(rec.risk_mean)
+    assert (rec.batch_size, rec.iterations, rec.eta, rec.lam) == (None, None, None, None)
+
+
+def test_a_row_whose_every_fit_fails_keeps_its_plan(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergenceError("diverged")
+
+    monkeypatch.setattr(harness, "distributed_sgm", diverge)
+    records = run_experiment(tiny_config())
+    ksq = build_problem(dim=20, noise_sd=0.1).kappa_sq
+    for rec in records:
+        plan = plan_parameters("cor1.1", rec.n_total, rec.m, 0.5, 1.0, kappa_sq=ksq)
+        assert (rec.batch_size, rec.iterations, rec.eta, rec.lam) == (
+            plan.batch_size, plan.iterations, plan.eta, None)
+        assert rec.error == "DivergenceError: diverged (+1 more)"
+        assert math.isnan(rec.risk_mean)
 
 
 def test_landweber_sweeps_record_an_unreachable_level_as_a_row_error():

@@ -12,7 +12,7 @@ import kdc
 PUBLIC_NAMES = (
     "AveragedModel,Constant,ConstraintViolationError,Dataset,DecompositionReport,"
     "DegenerateInputError,DivergenceError,DomainError,EigendecompositionError,"
-    "ExperimentConfig,Explicit,FilterSpec,FilterValidationReport,GramMatrix,"
+    "ExperimentConfig,FilterSpec,FilterValidationReport,GramMatrix,"
     "IndivisibleDataError,InsufficientDataError,InvalidParameterError,InvalidRegimeError,"
     "KdcError,KernelMismatchError,KernelSpec,LocalModel,RateFit,RiskReport,RunRecord,"
     "SgmConfig,SpectralProblem,StepConditionReport,TrainPlan,apply_filter,average_models,"

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 
-from kdc import derive_seed, partition_stream_seed, splitmix64
+from kdc import (
+    SgmConfig, build_problem, derive_seed, distributed_sgm, excess_risk_mc, partition_data,
+    partition_stream_seed, sample_dataset, spectral_kernel, splitmix64,
+)
+from kdc.seeding import make_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kdc"
 
 MASK64 = (1 << 64) - 1
 
@@ -47,3 +56,27 @@ def test_seed_streams_feed_numpy_generators_independently():
     assert not np.array_equal(draw0, draw1)
     # Re-seeding reproduces the stream exactly.
     assert np.array_equal(draw0, np.random.default_rng(s0).integers(0, 1000, size=32))
+
+
+def test_every_generator_is_built_in_the_seeding_module():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and "default_rng" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert calls and all(c.startswith("seeding.py:") for c in calls), calls
+
+
+def test_generator_seeds_fold_into_64_bits_like_derived_seeds():
+    assert np.array_equal(make_rng(5).random(4), np.random.default_rng(5).random(4))
+    assert np.array_equal(make_rng(MASK64 + 6).random(4), make_rng(5).random(4))
+    problem = build_problem(dim=10, noise_sd=0.1)
+    folded, negative = sample_dataset(problem, 8, MASK64), sample_dataset(problem, 8, -1)
+    assert np.array_equal(folded.labels, negative.labels)
+    for a, b in zip(partition_data(folded, 2, MASK64), partition_data(folded, 2, -1)):
+        assert np.array_equal(a.inputs, b.inputs)
+    config = SgmConfig(partitions=2, batch_size=1, iterations=5, step_schedule=0.1, base_seed=-1)
+    model = distributed_sgm(negative, config, spectral_kernel(problem), partition_seed=-1)
+    assert excess_risk_mc(model, problem, 100, -1) == excess_risk_mc(model, problem, 100, MASK64)

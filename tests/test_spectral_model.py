@@ -365,8 +365,14 @@ def _problem_document(problem, drop=(), **changes):
     (dict(dim=2.0), "'dim' must be an integer"),
     (dict(gamma="abc"), "malformed field"),
     (dict(target_coeffs={"a": 1}), "malformed field"),
+    (dict(gamma="1.0"), "'gamma': must be a number"),
+    (dict(noise_sd=True), "'noise_sd': must be a number"),
+    (dict(kappa_sq=None), "'kappa_sq': must be a number"),
+    (dict(eigenvalues=["1.0", "0.5"]), "'eigenvalues': must be a list of numbers"),
+    (dict(target_coeffs=A1_EXPECTED), "'target_coeffs': must be a list of numbers"),
 ], ids=["lengths", "order", "kappa-sq", "smoothness", "missing-field", "dim-string",
-        "dim-float", "gamma-string", "coeffs-object"])
+        "dim-float", "gamma-string", "coeffs-object", "gamma-numeric-string", "noise-bool",
+        "kappa-sq-null", "eigenvalues-strings", "coeffs-scalar"])
 def test_problem_documents_are_checked_field_by_field(two_mode, edit, message):
     with pytest.raises(InvalidParameterError, match=message):
         problem_from_json(_problem_document(two_mode, **edit))

@@ -14,7 +14,6 @@ from kdc import (
     Dataset,
     DivergenceError,
     DomainError,
-    Explicit,
     IndivisibleDataError,
     InvalidParameterError,
     InvalidRegimeError,
@@ -47,6 +46,7 @@ from kdc import (
     tikhonov,
 )
 from kdc import trainers
+from kdc.filters import check_step_bound, filter_from_tag, landweber_schedule_for
 from kdc.kernels import kernel_features
 from kdc.seeding import partition_stream_seed
 from kdc.trainers import INDEX_CHUNK, SETTLE
@@ -71,13 +71,13 @@ def data(small_problem):
 def test_resolve_schedule_accepts_scalars_and_wrappers():
     np.testing.assert_array_equal(resolve_schedule(0.05, 4), np.full(4, 0.05))
     np.testing.assert_array_equal(resolve_schedule(Constant(0.1), 3), np.full(3, 0.1))
-    np.testing.assert_array_equal(resolve_schedule(Explicit([0.1, 0.2]), 2), [0.1, 0.2])
+    np.testing.assert_array_equal(resolve_schedule([0.1, 0.2], 2), [0.1, 0.2])
     np.testing.assert_array_equal(resolve_schedule([0.3, 0.2, 0.1], 3), [0.3, 0.2, 0.1])
 
 
 def test_resolve_schedule_rejects_bad_input():
     with pytest.raises(InvalidParameterError):
-        resolve_schedule(Explicit([0.1, 0.2]), 3)
+        resolve_schedule([0.1, 0.2], 3)
     with pytest.raises(InvalidParameterError):
         resolve_schedule([-0.1, 0.1], 2)
     with pytest.raises(InvalidParameterError):
@@ -529,9 +529,8 @@ def test_trained_models_carry_the_modes_of_a_fresh_feature_matrix(request, probl
 
 def test_local_model_checks_the_shape_of_handed_features(data, kernel):
     with pytest.raises(InvalidParameterError):
-        LocalModel._from_features(np.zeros((len(data), kernel.problem.dim + 1)),
-                                  inputs=data.inputs, coeffs=np.zeros(len(data)),
-                                  partition_index=0, kernel=kernel)
+        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)), partition_index=0,
+                   kernel=kernel, _features=np.zeros((len(data), kernel.problem.dim + 1)))
 
 
 def test_local_model_needs_one_coefficient_per_input(data, kernel):
@@ -615,7 +614,7 @@ def test_pseudo_gm_strips_label_noise(small_problem, kernel):
 
 def test_population_sequence_matches_scalar_recursion(small_problem):
     etas = [0.1, 0.05, 0.12]
-    g = population_sequence(small_problem, Explicit(etas), 3)
+    g = population_sequence(small_problem, etas, 3)
     for i, sigma in enumerate(small_problem.eigenvalues[:5]):
         ref = 0.0
         for eta in etas:
@@ -968,7 +967,7 @@ def test_step_condition_matches_brute_force_on_random_schedules():
     for _ in range(3):
         t_max = int(rng.integers(5, 40))
         etas = rng.uniform(0.01, 1.0 / ksq, size=t_max)
-        report = check_step_condition(Explicit(etas), t_max, ksq)
+        report = check_step_condition(etas, t_max, ksq)
         worst = max(brute_force_window_sum(etas, t) for t in range(2, t_max + 1))
         assert report.worst_ratio == pytest.approx(worst * 4.0 * ksq, rel=1e-10)
         assert report.passed == (worst <= 1.0 / (4.0 * ksq))
@@ -989,11 +988,26 @@ def test_step_condition_frozen_constant_schedules():
 @pytest.mark.parametrize("schedule, kappa_sq, message", [
     (0.1, 0.0, "kappa_sq must be positive"),
     (0.1, -2.5, "kappa_sq must be positive"),
-    (Explicit((0.1, 0.0, 0.1)), 2.5, "defined for positive steps"),
+    ((0.1, 0.0, 0.1), 2.5, "defined for positive steps"),
 ])
 def test_step_condition_rejects_a_nonpositive_bound_or_step(schedule, kappa_sq, message):
     with pytest.raises(InvalidParameterError, match=message):
         check_step_condition(schedule, 3, kappa_sq)
+
+
+@pytest.mark.parametrize("kappa_sq", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda ksq: landweber_schedule_for(0.1, ksq),
+    lambda ksq: filter_from_tag("landweber", ksq, 0.1),
+    lambda ksq: check_step_bound([0.1], ksq),
+    lambda ksq: trainers.theory_step_cap(ksq, 10),
+    lambda ksq: plan_parameters("cor1.1", 256, 2, 0.5, 1.0, kappa_sq=ksq),
+    lambda ksq: check_step_condition(0.1, 5, ksq),
+], ids=["landweber_schedule_for", "filter_from_tag", "check_step_bound", "theory_step_cap",
+        "plan_parameters", "check_step_condition"])
+def test_every_use_of_the_kernel_bound_needs_it_positive_and_finite(call, kappa_sq):
+    with pytest.raises(InvalidParameterError, match="kappa_sq must be positive and finite"):
+        call(kappa_sq)
 
 
 def test_step_condition_for_one_iteration_reports_the_empty_window_loop():
