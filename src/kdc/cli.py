@@ -48,7 +48,7 @@ def _load_config(args) -> dict:
 
 def _n_total(raw: dict) -> int:
     """The config's sample size: ``n_total``, else the first entry of ``n_list``."""
-    n_total = int(raw.get("n_total", (raw.get("n_list") or [0])[0]))
+    n_total = raw.get("n_total", (raw.get("n_list") or [0])[0])
     if n_total < 1:
         raise InvalidParameterError("config needs n_total (or a nonempty n_list)")
     return n_total
@@ -121,19 +121,15 @@ def _cmd_decompose(args) -> int:
     n_total = _n_total(raw)
     m_rule = raw.get("m_rule", raw.get("m", 1))
     _, m = resolve_m(n_total, m_rule)
-    iterations = int(raw.get("iterations", 0))
+    iterations = raw.get("iterations", 0)
     if iterations < 1:
         raise InvalidParameterError("decompose config needs iterations >= 1")
-    batch_size = int(raw.get("batch_size", 1))
-    if "eta" in raw:
-        eta = float(raw["eta"])
-    else:
-        eta = theory_step_cap(CLAMP_SAFETY * problem.kappa_sq, iterations)
+    cap = theory_step_cap(CLAMP_SAFETY * problem.kappa_sq, iterations)
     config = SgmConfig(
-        partitions=m, batch_size=batch_size, iterations=iterations,
-        step_schedule=Constant(eta), base_seed=raw.get("base_seed", 0),
+        partitions=m, batch_size=raw.get("batch_size", 1), iterations=iterations,
+        step_schedule=Constant(raw.get("eta", cap)), base_seed=raw.get("base_seed", 0),
     )
-    reps = (int(raw.get("n_data", 100)), int(raw.get("n_index", 50)))
+    reps = (raw.get("n_data", 100), raw.get("n_index", 50))
     report = decompose_error(problem, n_total, config, replications=reps)
     parts = [(name, getattr(report, name), getattr(report, f"se_{name}"))
              for name in ("total", "bias", "sample_var", "comp_var")]
@@ -153,16 +149,14 @@ def _cmd_rate_fit(args) -> int:
     if not records_path:
         raise InvalidParameterError("need --records or out_path in the config")
     records = read_records_csv(records_path)
-    zeta = float(raw.get("zeta", 0.5))
-    gamma = float(raw.get("gamma", 1.0))
-    emit_rate_table(records, zeta, gamma, out_path=args.out)
+    emit_rate_table(records, raw.get("zeta", 0.5), raw.get("gamma", 1.0), out_path=args.out)
     return 0
 
 
 def _cmd_validate_filters(args) -> int:
     raw = _load_config(args) if args.config else {}
     ksq = _problem_from_config(raw).kappa_sq
-    lam = float(raw.get("lam", 0.01))
+    lam = raw.get("lam", 0.01)
     tags = FILTER_TAGS if args.filter == "all" else (args.filter,)
     all_ok = True
     results = {}

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameterError
 from .kernels import GramMatrix, sym_eigendecompose
+from .spectral_model import check_positive
 
 #: Points in each of validate_filter's lambda and u grids.
 DEFAULT_GRID_POINTS = 200
@@ -57,12 +58,6 @@ FILTER_FAMILIES = {
 FILTER_TAGS = tuple(FILTER_FAMILIES)
 
 
-def check_kappa_sq(kappa_sq: float) -> None:
-    """Raise InvalidParameterError unless the kernel bound kappa_sq is positive and finite."""
-    if not (kappa_sq > 0 and math.isfinite(kappa_sq)):
-        raise InvalidParameterError(f"kappa_sq must be positive and finite, got {kappa_sq!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
     """A filter of family ``kind`` at level ``lam``; its constants are the family's."""
@@ -81,9 +76,8 @@ class FilterSpec:
                 f"unknown filter tag {self.kind!r}; expected one of {FILTER_TAGS}")
         if self.kind == "landweber" and self.step_sizes is None:
             raise InvalidParameterError("a landweber filter needs its step_sizes")
-        check_kappa_sq(self.kappa_sq)
-        if self.lam is None or not self.lam > 0 or not math.isfinite(self.lam):
-            raise InvalidParameterError(f"lambda must be positive and finite, got {self.lam!r}")
+        check_positive("kappa_sq", self.kappa_sq)
+        check_positive("lambda", self.lam)
         for name, value in zip(("qualification", "const_e", "const_f"),
                                FILTER_FAMILIES[self.kind]):
             object.__setattr__(self, name, value)
@@ -106,7 +100,7 @@ def tikhonov_bias_corrected(kappa_sq: float, lam: float) -> FilterSpec:
 
 def check_step_bound(steps, kappa_sq: float) -> None:
     """Raise unless every step is <= 1/kappa_sq: the Landweber, GD and SGM contract."""
-    check_kappa_sq(kappa_sq)
+    check_positive("kappa_sq", kappa_sq)
     if np.max(steps) > (1.0 + 1e-12) / kappa_sq:
         raise InvalidParameterError(
             f"step sizes must not exceed 1/kappa_sq = {1.0 / kappa_sq:.6g}"
@@ -139,9 +133,8 @@ def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
     Raises InvalidParameterError unless lam and kappa_sq are positive and
     finite and t is at most MAX_LANDWEBER_STEPS.
     """
-    if lam is None or not math.isfinite(lam) or lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive and finite, got {lam!r}")
-    check_kappa_sq(kappa_sq)
+    check_positive("lambda", lam)
+    check_positive("kappa_sq", kappa_sq)
     eta = 1.0 / (2.0 * CLAMP_SAFETY * kappa_sq)
     steps = 1.0 / (lam * eta) if lam * eta > 0.0 else math.inf
     if steps > MAX_LANDWEBER_STEPS:

@@ -34,39 +34,32 @@ from .filters import FILTER_TAGS, FilterSpec, filter_from_tag
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 from .spectral_model import (
-    PROBLEM_PARAMS, build_problem, has_json_type, problem_from_json, problem_to_json,
-    sample_dataset,
+    PROBLEM_PARAMS, build_problem, check_json_types, check_positive, problem_from_json,
+    problem_to_json, sample_dataset,
 )
 from .trainers import (
     SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
 )
 
 
-#: Types of the config keys that sweeps and the CLI read; other keys are ignored.
+#: JSON kind (a key of spectral_model.JSON_KINDS) of each config key that sweeps and
+#: the CLI read; other keys are ignored.
 CONFIG_TYPES = {
-    **dict.fromkeys(("regime", "algorithm", "filter", "filter_tag"), (str,)),
+    **dict.fromkeys(("regime", "algorithm", "filter"), "a string"),
     **dict.fromkeys(("n_total", "dim", "m", "replications", "base_seed", "iterations",
-                     "batch_size", "n_data", "n_index"), (int,)),
+                     "batch_size", "n_data", "n_index"), "an integer"),
     **dict.fromkeys(("gamma", "zeta", "source_norm", "noise_sd", "scale", "eta", "lam"),
-                    (int, float)),
-    "n_list": (list, tuple),
-    "m_rule": (int, str),
-    "out_path": (str, type(None)),
-    "theory_compliant": (bool,),
+                    "a number"),
+    "n_list": "a list of integers",
+    "m_rule": "an integer or a string",
+    "out_path": "a string or null",
+    "theory_compliant": "a boolean",
 }
 
 
 def check_config_types(raw: dict) -> None:
-    """Raise InvalidParameterError unless each CONFIG_TYPES key in ``raw`` has its type.
-
-    The entries of ``n_list`` must be integers.
-    """
-    for key, types in CONFIG_TYPES.items():
-        if key in raw and not has_json_type(raw[key], types):
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise InvalidParameterError(f"config key {key!r} must be {names}, got {raw[key]!r}")
-    if not all(has_json_type(n, (int,)) for n in raw.get("n_list", ())):
-        raise InvalidParameterError(f"config key 'n_list' must hold ints, got {raw['n_list']!r}")
+    """Raise InvalidParameterError unless each CONFIG_TYPES key in ``raw`` is of its JSON kind."""
+    check_json_types(raw, CONFIG_TYPES, "config key")
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class ExperimentConfig:
     noise_sd: float = 0.0
     algorithm: str = "sgm"
     scale: float = 1.0
-    filter_tag: str = "tikhonov"
+    filter: str = "tikhonov"
     m_rule: int | str = 1
     replications: int = 1
     base_seed: int = 0
@@ -98,7 +91,7 @@ class ExperimentConfig:
             raise InvalidRegimeError(
                 f"regime {self.regime!r} is not valid for algorithm {self.algorithm!r}"
             )
-        if self.filter_tag not in FILTER_TAGS:
+        if self.filter not in FILTER_TAGS:
             raise InvalidParameterError(f"filter must be one of {FILTER_TAGS}")
         ns = tuple(self.n_list)
         if len(ns) == 0:
@@ -109,16 +102,13 @@ class ExperimentConfig:
         _parse_m_rule(self.m_rule)  # validates
         if self.replications < 1:
             raise InvalidParameterError("replications must be >= 1")
-        if self.scale <= 0:
-            raise InvalidParameterError("scale must be positive")
+        check_positive("scale", self.scale)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         """Build from a parsed config file; unrelated keys are ignored."""
         known = {f.name for f in fields(ExperimentConfig)}
         kwargs = {k: v for k, v in raw.items() if k in known}
-        if "filter" in raw:
-            kwargs["filter_tag"] = raw["filter"]
         missing = {"regime", "n_list"} - kwargs.keys()
         if missing:
             raise InvalidParameterError(f"config is missing keys: {sorted(missing)}")
@@ -317,7 +307,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
                 columns = (plan.batch_size, plan.iterations, plan.eta, None)
             else:
                 # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
-                fit = filter_from_tag(config.filter_tag, problem.kappa_sq, plan.lam)
+                fit = filter_from_tag(config.filter, problem.kappa_sq, plan.lam)
                 columns = (None, fit.step_sizes and len(fit.step_sizes), None, fit.lam)
         except KdcError as exc:  # recorded once; the point runs no task
             points.append((n_total, m_requested, m, (None,) * 4, f"{type(exc).__name__}: {exc}"))
@@ -360,7 +350,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             eta=eta,
             lam=lam,
             scale=config.scale,
-            filter=config.filter_tag if config.algorithm == "sa" else "",
+            filter=config.filter if config.algorithm == "sa" else "",
             replications=reps,
             base_seed=config.base_seed,
             data_seed_first=derive_seed(config.base_seed, TAG_DATA, n_total, 0),

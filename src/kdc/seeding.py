@@ -2,9 +2,10 @@
 
 All randomness in the package flows from user-supplied 64-bit base seeds
 through the splitmix64 mixing function, so that independent components
-(data sampling, partition shuffling, per-partition index streams, Monte
-Carlo evaluation) get decorrelated streams that are reproducible across
-process and worker-count changes; :func:`make_rng` builds every generator.
+(data sampling, partition shuffling, per-partition index streams) get
+decorrelated streams that are reproducible across process and worker-count
+changes; :func:`make_rng` builds every generator, and Monte Carlo
+evaluation seeds it with its caller's seed directly.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ _MASK = (1 << 64) - 1
 TAG_DATA = 0xD1
 TAG_PARTITION = 0x9A
 TAG_INDEX = 0x1D
-TAG_MC = 0x3C
 
 
 def splitmix64(value: int) -> int:

@@ -37,27 +37,65 @@ DEFAULT_DIM = 200
 #: Parameters of the problem family: the arguments of :func:`build_problem`.
 PROBLEM_PARAMS = ("dim", "gamma", "zeta", "source_norm", "noise_sd")
 
-_JSON_FIELDS = PROBLEM_PARAMS + ("eigenvalues", "target_coeffs", "kappa_sq")
+
+def is_finite(value) -> bool:
+    """The rule for every real value: it converts to a finite float (NaN, inf, 10**400 do not)."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
+
+
+def check_positive(name: str, value) -> None:
+    """Raise InvalidParameterError unless ``value`` is positive and finite."""
+    if not (is_finite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+#: Each JSON kind a field may be declared as, with its test; true/false is never a number.
+JSON_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and is_finite(v),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an integer or a string": lambda v: isinstance(v, (int, str)) and not isinstance(v, bool),
+    "a list of integers": lambda v: isinstance(v, (list, tuple)) and set(map(type, v)) <= {int},
+    "a list of numbers": lambda v: (isinstance(v, (list, tuple))
+                                    and set(map(type, v)) <= {int, float}
+                                    and all(map(is_finite, v))),
+}
+
+
+def check_json_types(doc: dict, table: dict, what: str) -> None:
+    """Raise InvalidParameterError for the first ``table`` key in ``doc`` not of its JSON kind."""
+    for key, kind in table.items():
+        if key in doc and not JSON_KINDS[kind](doc[key]):
+            raise InvalidParameterError(f"{what} {key!r}: must be {kind}, got {doc[key]!r}")
+
+
+#: JSON kind of each field of a problem document, in document order.
+_JSON_FIELDS = {"dim": "an integer", **dict.fromkeys(PROBLEM_PARAMS[1:], "a number"),
+                **dict.fromkeys(("eigenvalues", "target_coeffs"), "a list of numbers"),
+                "kappa_sq": "a number"}
 
 
 def check_exponents(zeta: float, gamma: float) -> None:
     """The family's exponent rule: source exponent zeta > 0, capacity gamma in (0, 1]."""
     if not (0.0 < gamma <= 1.0):
         raise InvalidParameterError("gamma must lie in (0, 1]")
-    if zeta <= 0:
-        raise InvalidParameterError("zeta must be > 0")
+    check_positive("zeta", zeta)
 
 
 def check_problem_params(dim: int, gamma: float, zeta: float, source_norm: float,
                          noise_sd: float) -> None:
-    """Validate the family's parameters (PROBLEM_PARAMS); raises InvalidParameterError."""
+    """Validate the family's parameters (PROBLEM_PARAMS), each real one finite."""
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
     check_exponents(zeta, gamma)
-    if source_norm <= 0:
-        raise InvalidParameterError("source_norm must be > 0")
-    if noise_sd < 0:
-        raise InvalidParameterError("noise_sd must be >= 0")
+    check_positive("source_norm", source_norm)
+    if not (is_finite(noise_sd) and noise_sd >= 0):
+        raise InvalidParameterError(f"noise_sd must be >= 0 and finite, got {noise_sd!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,10 +136,11 @@ class SpectralProblem:
     kappa_sq: float
 
     def __post_init__(self) -> None:
+        check_problem_params(self.dim, self.gamma, self.zeta, self.source_norm, self.noise_sd)
+        check_positive("kappa_sq", self.kappa_sq)
         # Stored as floats, so that a problem and its JSON round trip share one id.
         for name in ("gamma", "zeta", "source_norm", "noise_sd", "kappa_sq"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        check_problem_params(self.dim, self.gamma, self.zeta, self.source_norm, self.noise_sd)
         ev = np.asarray(self.eigenvalues, dtype=float)
         tc = np.asarray(self.target_coeffs, dtype=float)
         if ev.shape != (self.dim,) or tc.shape != (self.dim,):
@@ -293,8 +332,7 @@ def sample_dataset(problem: SpectralProblem, n_total: int, seed: int) -> Dataset
 
 def effective_dimension(problem: SpectralProblem, lam: float) -> float:
     """Effective dimension sum_i sigma_i / (sigma_i + lambda)."""
-    if lam <= 0:
-        raise InvalidParameterError("lambda must be > 0")
+    check_positive("lambda", lam)
     ev = problem.eigenvalues
     return float(np.sum(ev / (ev + lam)))
 
@@ -367,17 +405,13 @@ def problem_to_json(problem: SpectralProblem) -> str:
     return json.dumps(doc, default=lambda array: array.tolist())
 
 
-def has_json_type(value, types) -> bool:
-    """isinstance(value, types), except that a bool (JSON true/false) is never a number."""
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
-
-
 def problem_from_json(text: str) -> SpectralProblem:
-    """Inverse of :func:`problem_to_json`; validates the field set.
+    """Inverse of :func:`problem_to_json`; validates the field set and their JSON kinds.
 
     A document that is not JSON, not an object of exactly these fields, or
-    holds a value of the wrong type raises InvalidParameterError: ``dim`` is
-    an integer, the arrays are lists of numbers and the other fields numbers.
+    holds a value of the wrong kind raises InvalidParameterError: ``dim`` is
+    an integer, the arrays are lists of numbers and the other fields numbers,
+    each number a finite float.
     """
     try:
         doc = json.loads(text)
@@ -390,19 +424,7 @@ def problem_from_json(text: str) -> SpectralProblem:
             f"problem document must have exactly the fields {sorted(_JSON_FIELDS)}, "
             f"got {sorted(doc)}"
         )
-    if not has_json_type(doc["dim"], (int,)):
-        raise InvalidParameterError(f"problem field 'dim' must be an integer, got {doc['dim']!r}")
-    for name in (n for n in _JSON_FIELDS if n != "dim"):
-        value = doc[name]
-        if name in ("eigenvalues", "target_coeffs"):
-            kind = "a list of numbers"
-            ok = isinstance(value, list) and all(has_json_type(v, (int, float)) for v in value)
-        else:
-            kind = "a number"
-            ok = has_json_type(value, (int, float))
-        if not ok:
-            raise InvalidParameterError(
-                f"problem document has a malformed field {name!r}: must be {kind}, got {value!r}")
+    check_json_types(doc, _JSON_FIELDS, "problem document has a malformed field")
     return SpectralProblem(**doc)
 
 

@@ -28,6 +28,8 @@ Distributed training partitions one dataset uniformly at random, trains
 each block independently, and averages the block predictors uniformly; a
 block is a row of sample indices (``_partition_rows``), so no second
 N x dim matrix is copied.
+Steps have one runtime contract, eta <= 1/kappa_sq; every tighter cap (the
+1/(1.01 kappa_sq) clamp, the theory cap) is planned, only in ``plan_parameters``.
 """
 from __future__ import annotations
 
@@ -46,12 +48,13 @@ from .errors import (
     KernelMismatchError,
 )
 from .filters import (
-    CLAMP_SAFETY, FilterSpec, check_kappa_sq, check_step_bound, filter_value, landweber,
-    landweber_recurrence,
+    CLAMP_SAFETY, FilterSpec, check_step_bound, filter_value, landweber, landweber_recurrence,
 )
 from .kernels import KernelSpec, kernel_features
 from .seeding import make_rng, partition_stream_seed
-from .spectral_model import Dataset, SpectralProblem, check_exponents, regression_value
+from .spectral_model import (
+    Dataset, SpectralProblem, check_exponents, check_positive, regression_value,
+)
 
 #: Coefficient magnitude beyond which an iterate is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -99,14 +102,16 @@ def resolve_schedule(schedule, iterations: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SgmConfig:
-    """Mini-batch SGM hyperparameters for one distributed run."""
+    """Mini-batch SGM hyperparameters for one distributed run.
+
+    Its steps must keep eta <= 1/kappa_sq; the theory cap is planned, not checked here.
+    """
 
     partitions: int
     batch_size: int
     iterations: int
     step_schedule: Constant | float | tuple[float, ...]
     base_seed: int
-    theory_compliant: bool = False
 
     def __post_init__(self) -> None:
         if self.partitions < 1:
@@ -229,7 +234,7 @@ def _dataset_features(kernel: KernelSpec, dataset: Dataset) -> np.ndarray:
 
 def theory_step_cap(kappa_sq: float, iterations: int) -> float:
     """Step cap 1/(4 kappa_sq max(1, ln T)) of the SGM rates (Lin & Cevher, 1801.07226)."""
-    check_kappa_sq(kappa_sq)
+    check_positive("kappa_sq", kappa_sq)
     return 1.0 / (4.0 * kappa_sq * max(1.0, math.log(iterations)))
 
 
@@ -328,10 +333,6 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     etas = resolve_schedule(config.step_schedule, config.iterations)
     ksq = kernel.problem.kappa_sq
     check_step_bound(etas, ksq)
-    if config.theory_compliant:
-        cap = theory_step_cap(ksq, config.iterations)
-        if np.max(etas) > cap * (1.0 + 1e-12):
-            raise ConstraintViolationError(f"theory-compliant runs need eta <= {cap:.6g}")
 
     rngs = [make_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
     # Sample row of each run's local index, laid out like alpha.
@@ -565,7 +566,6 @@ class TrainPlan:
     gamma: float
     clamped: bool
     partition_warning: bool
-    theory_compliant: bool
 
     def to_config(self, base_seed: int) -> SgmConfig:
         """SGM configuration realizing this plan."""
@@ -577,7 +577,6 @@ class TrainPlan:
             iterations=self.iterations,
             step_schedule=Constant(self.eta),
             base_seed=base_seed,
-            theory_compliant=self.theory_compliant,
         )
 
 
@@ -602,10 +601,11 @@ def plan_parameters(
     capacity-independent worst case; ``cor3.k`` (Lin & Rosasco, JMLR 2017)
     is shape k at m = 1 with s replaced by max(1, s). ``cor5`` sets lambda =
     scale * N^(-1/s); ``cor6`` is ``cor5`` at m = 1 with max(1, s) for s.
-    ``scale`` multiplies the step size or regularization level. When
-    ``kappa_sq`` is given, step sizes are clamped to 1/(1.01 kappa_sq) so
-    the SGM step-size contract always holds; with ``theory_compliant`` the
-    tighter cap 1/(4 * 1.01 * kappa_sq * max(1, ln T)) applies as well.
+    ``scale`` (positive and finite) multiplies the step size or regularization
+    level. When ``kappa_sq`` is given, step sizes are clamped to
+    1/(1.01 kappa_sq) so the SGM step-size contract always holds; with
+    ``theory_compliant`` the tighter cap 1/(4 * 1.01 * kappa_sq * max(1, ln T))
+    applies as well, here and nowhere else: a plan's SgmConfig holds only eta.
     Iteration counts round up; batch sizes round to the nearest integer in
     [1, n]. Raises InvalidRegimeError for unknown tags and
     ConstraintViolationError when a regime's side condition fails.
@@ -615,10 +615,9 @@ def plan_parameters(
     if partitions < 1 or partitions > n_total:
         raise InvalidParameterError("partitions must lie in [1, n_total]")
     check_exponents(zeta, gamma)
-    if scale <= 0:
-        raise InvalidParameterError("scale must be positive")
+    check_positive("scale", scale)
     if kappa_sq is not None:
-        check_kappa_sq(kappa_sq)
+        check_positive("kappa_sq", kappa_sq)
     elif theory_compliant:
         raise InvalidParameterError("theory_compliant planning needs kappa_sq")
     if regime not in SGM_REGIMES + SA_REGIMES:
@@ -707,7 +706,6 @@ def plan_parameters(
         gamma=gamma,
         clamped=clamped,
         partition_warning=partition_warning,
-        theory_compliant=theory_compliant,
     )
 
 
@@ -733,7 +731,7 @@ def check_step_condition(step_schedule, iterations: int, kappa_sq: float) -> Ste
     (0 when T == 1, which is vacuously fine). For a constant schedule S_t
     reduces to eta * (H_t - 1), with H_t the t-th harmonic number.
     """
-    check_kappa_sq(kappa_sq)
+    check_positive("kappa_sq", kappa_sq)
     etas = resolve_schedule(step_schedule, iterations)
     if np.any(etas <= 0):
         raise InvalidParameterError("step condition is defined for positive steps")

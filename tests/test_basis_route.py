@@ -29,7 +29,7 @@ def textbook_basis(dim, x):
 ])
 def test_sweeps_match_the_textbook_basis(monkeypatch, algorithm, regime, filter_tag):
     # dim 50: n_local is 16 at N = 64 and 128 at N = 512.
-    config = ExperimentConfig(regime=regime, algorithm=algorithm, filter_tag=filter_tag,
+    config = ExperimentConfig(regime=regime, algorithm=algorithm, filter=filter_tag,
                               n_list=(64, 512), dim=50, gamma=0.5, noise_sd=0.3, m_rule=4,
                               replications=2, base_seed=5)
     fast = run_experiment(config)

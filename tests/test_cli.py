@@ -272,12 +272,16 @@ def test_decompose_writes_its_components_as_csv(tmp_path, capsys):
         ("sweep", {"regime": "cor1.1", "n_list": [16], "replications": "two"}),
         ("sweep", ["regime", "cor1.1"]),
         ("rate-fit", {"zeta": 0.5}),
+        ("gen-problem", {"source_norm": 10**400}),
+        ("gen-problem", '{"noise_sd": NaN}'),
+        ("sweep", '{"regime": "cor1.1", "n_list": [16], "scale": Infinity}'),
     ],
     ids=["unknown-regime", "bad-m-rule", "sample-empty-n-list", "decompose-empty-n-list",
          "decompose-without-iterations", "decompose-zero-iterations", "missing-file", "bad-json",
          "sample-n-total-not-a-number", "gen-problem-gamma-not-a-number",
          "decompose-eta-not-a-number", "sweep-replications-not-a-number",
-         "config-is-a-list", "rate-fit-without-records"],
+         "config-is-a-list", "rate-fit-without-records", "gen-problem-400-digit-source-norm",
+         "gen-problem-nan-noise-sd", "sweep-infinite-scale"],
 )
 def test_unknown_regime_hits_the_error_path(tmp_path, capsys, command, payload):
     # Malformed configs end in "error:" and exit code 2, never in a traceback.

@@ -82,9 +82,16 @@ def test_config_from_dict_defaults_and_aliases():
     cfg = ExperimentConfig.from_dict(
         {"regime": "cor5", "n_list": [64], "algorithm": "sa", "filter": "cutoff", "junk": 1}
     )
-    assert cfg.filter_tag == "cutoff"
+    assert cfg.filter == "cutoff"
     assert cfg.dim == 200
     assert cfg.replications == 1
+
+
+def test_filter_tag_is_an_unknown_config_key():
+    # ``filter`` is the one key; ``filter_tag`` is ignored like any other unknown key.
+    cfg = ExperimentConfig.from_dict(
+        {"regime": "cor5", "n_list": [64], "algorithm": "sa", "filter_tag": "cutoff"})
+    assert cfg.filter == "tikhonov"
 
 
 def test_config_validation():
@@ -118,6 +125,9 @@ def test_config_needs_a_sample_size_and_runs_need_a_worker():
 @pytest.mark.parametrize("key, value", [
     ("replications", "two"), ("gamma", "1"), ("base_seed", "7"), ("theory_compliant", "yes"),
     ("n_list", ["16"]), ("dim", 20.0), ("scale", True), ("m_rule", 1.5), ("out_path", 3),
+    ("scale", math.inf), ("gamma", math.nan), ("noise_sd", -math.inf),
+    pytest.param("source_norm", 10**400, id="source_norm-400-digits"),
+    pytest.param("zeta", -10**400, id="zeta-400-digits"),
 ])
 def test_config_rejects_values_of_the_wrong_type(key, value):
     # A value of the wrong type is an InvalidParameterError, never a TypeError or a coercion.

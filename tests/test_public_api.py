@@ -1,4 +1,5 @@
-"""The public names of ``kdc`` are pinned, so an API change is a deliberate edit here.
+"""The public names of ``kdc`` and its settable knobs are pinned, so an API change
+or a new setting is a deliberate edit here.
 
 Submodules are left out: which of them are attributes of the package
 depends on what has been imported before.
@@ -6,8 +7,10 @@ depends on what has been imported before.
 from __future__ import annotations
 
 import inspect
+from dataclasses import fields
 
 import kdc
+from kdc.harness import CONFIG_TYPES
 
 PUBLIC_NAMES = (
     "AveragedModel,Constant,ConstraintViolationError,Dataset,DecompositionReport,"
@@ -27,6 +30,20 @@ PUBLIC_NAMES = (
     "sgm_local,spectral_cutoff,spectral_kernel,splitmix64,sup_norm_bound,"
     "sym_eigendecompose,tail_mass,theory_exponent,tikhonov,tikhonov_bias_corrected,"
     "validate_filter,write_records_csv"
+)
+
+#: Fields of each settable dataclass, in order, and the keys a config file may set.
+KNOBS = {
+    kdc.ExperimentConfig: "regime,n_list,dim,gamma,zeta,source_norm,noise_sd,algorithm,scale,"
+                          "filter,m_rule,replications,base_seed,out_path,theory_compliant",
+    kdc.SgmConfig: "partitions,batch_size,iterations,step_schedule,base_seed",
+    kdc.TrainPlan: "regime,algorithm,n_total,partitions,n_local,batch_size,iterations,eta,"
+                   "eta_raw,lam,scale,zeta,gamma,clamped,partition_warning",
+}
+CONFIG_KEYS = (
+    "regime,algorithm,filter,n_total,dim,m,replications,base_seed,iterations,batch_size,"
+    "n_data,n_index,gamma,zeta,source_norm,noise_sd,scale,eta,lam,n_list,m_rule,out_path,"
+    "theory_compliant"
 )
 
 
@@ -50,3 +67,9 @@ def test_a_filter_spec_takes_only_what_varies_within_its_family():
         "kind", "kappa_sq", "lam", "step_sizes"]
     assert list(inspect.signature(kdc.landweber).parameters) == ["step_sizes", "kappa_sq"]
     assert list(inspect.signature(kdc.filters._filter_values).parameters) == ["spec", "u"]
+
+
+def test_settable_fields_and_config_keys_are_pinned():
+    for cls, names in KNOBS.items():
+        assert ",".join(f.name for f in fields(cls)) == names, cls.__name__
+    assert ",".join(CONFIG_TYPES) == CONFIG_KEYS

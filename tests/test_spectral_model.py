@@ -123,6 +123,30 @@ def test_build_problem_rejects_bad_parameters():
         build_problem(noise_sd=-0.1)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("noise_sd", math.nan, "noise_sd must be >= 0 and finite"),
+    ("noise_sd", math.inf, "noise_sd must be >= 0 and finite"),
+    ("source_norm", math.inf, "source_norm must be positive and finite"),
+    ("source_norm", math.nan, "source_norm must be positive and finite"),
+    ("source_norm", 10**400, "source_norm must be positive and finite"),
+    ("zeta", math.nan, "zeta must be positive and finite"),
+    ("zeta", 10**400, "zeta must be positive and finite"),
+], ids=["noise-nan", "noise-inf", "norm-inf", "norm-nan", "norm-400-digits", "zeta-nan",
+        "zeta-400-digits"])
+def test_problem_parameters_must_be_finite(two_mode, name, value, message):
+    # NaN fails every comparison, so a check of the form `x <= 0` alone lets it through.
+    with pytest.raises(InvalidParameterError, match=message):
+        build_problem(**{name: value})
+    with pytest.raises(InvalidParameterError, match=message):
+        dataclasses.replace(two_mode, **{name: value})
+
+
+@pytest.mark.parametrize("kappa_sq", [math.nan, math.inf, 10**400])
+def test_a_problem_needs_a_finite_kernel_bound(two_mode, kappa_sq):
+    with pytest.raises(InvalidParameterError, match="kappa_sq must be positive and finite"):
+        dataclasses.replace(two_mode, kappa_sq=kappa_sq)
+
+
 def test_effective_dimension_hand_sum():
     # sigma = [1, 1/4, 1/9] at lambda=1: 1/2 + 1/5 + 1/10 = 0.8.
     p = build_problem(dim=3, gamma=0.5, zeta=0.5)
@@ -361,8 +385,8 @@ def _problem_document(problem, drop=(), **changes):
     (dict(kappa_sq=0.5), "kappa_sq must dominate"),
     (dict(source_norm=2.0), "violate the smoothness certificate"),
     (dict(drop=("noise_sd",)), "exactly the fields"),
-    (dict(dim="5"), "'dim' must be an integer"),
-    (dict(dim=2.0), "'dim' must be an integer"),
+    (dict(dim="5"), "'dim': must be an integer"),
+    (dict(dim=2.0), "'dim': must be an integer"),
     (dict(gamma="abc"), "malformed field"),
     (dict(target_coeffs={"a": 1}), "malformed field"),
     (dict(gamma="1.0"), "'gamma': must be a number"),
@@ -370,9 +394,15 @@ def _problem_document(problem, drop=(), **changes):
     (dict(kappa_sq=None), "'kappa_sq': must be a number"),
     (dict(eigenvalues=["1.0", "0.5"]), "'eigenvalues': must be a list of numbers"),
     (dict(target_coeffs=A1_EXPECTED), "'target_coeffs': must be a list of numbers"),
+    (dict(noise_sd=math.nan), "'noise_sd': must be a number, got nan"),
+    (dict(kappa_sq=math.inf), "'kappa_sq': must be a number, got inf"),
+    (dict(source_norm=10**400), "'source_norm': must be a number, got 1000"),
+    (dict(eigenvalues=[1.0, math.nan]), "'eigenvalues': must be a list of numbers"),
+    (dict(target_coeffs=[10**400, 0.5]), "'target_coeffs': must be a list of numbers"),
 ], ids=["lengths", "order", "kappa-sq", "smoothness", "missing-field", "dim-string",
         "dim-float", "gamma-string", "coeffs-object", "gamma-numeric-string", "noise-bool",
-        "kappa-sq-null", "eigenvalues-strings", "coeffs-scalar"])
+        "kappa-sq-null", "eigenvalues-strings", "coeffs-scalar", "noise-nan", "kappa-sq-inf",
+        "source-norm-400-digits", "eigenvalues-nan", "coeffs-400-digits"])
 def test_problem_documents_are_checked_field_by_field(two_mode, edit, message):
     with pytest.raises(InvalidParameterError, match=message):
         problem_from_json(_problem_document(two_mode, **edit))
@@ -404,8 +434,8 @@ def test_invalid_sampling_and_spectral_parameters_are_rejected(two_mode):
         Dataset(inputs=np.array([0.1, 0.2]), labels=np.array([0.3]), problem_id="", seed=0)
     with pytest.raises(InvalidParameterError, match="n_total must be >= 1"):
         sample_dataset(two_mode, 0, seed=0)
-    for lam in (0.0, -1.0):
-        with pytest.raises(InvalidParameterError, match="lambda must be > 0"):
+    for lam in (0.0, -1.0, math.nan, math.inf, None):
+        with pytest.raises(InvalidParameterError, match="lambda must be positive and finite"):
             effective_dimension(two_mode, lam)
     with pytest.raises(InvalidParameterError, match="dim must be >= 1"):
         tail_mass(0, 0.5)
