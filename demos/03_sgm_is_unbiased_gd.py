@@ -43,7 +43,7 @@ def main() -> None:
     print(f"batch GD excess risk      : {excess_risk_exact(batch, problem).excess_risk:.6f}")
 
     # The same T steps as a loop: alpha <- alpha - (eta/n) (K alpha - y).
-    k = gram(kernel, data.inputs).entries
+    k = gram(kernel, data.inputs)
     alpha = np.zeros(N)
     for _ in range(ITERATIONS):
         alpha -= (ETA / N) * (k @ alpha - data.labels)

@@ -22,7 +22,9 @@ from .errors import (
 from .filters import landweber
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed, make_rng
-from .spectral_model import SpectralProblem, check_exponents, regression_value, sample_dataset
+from .spectral_model import (
+    SpectralProblem, check_exponents, is_finite, regression_value, sample_dataset,
+)
 from .trainers import (
     AveragedModel,
     LocalModel,
@@ -221,8 +223,12 @@ def fit_rate(points, burn_in: int = 0) -> RateFit:
     """Fit risk ~ C * N^slope through (N, risk) pairs on log-log axes.
 
     ``burn_in`` drops that many leading points (smallest N first). Needs at
-    least three surviving points with positive finite risks.
+    least three surviving points with positive finite risks, and every N
+    finite and at least 1.
     """
+    points = list(points)
+    if not all(is_finite(n) and n >= 1 for n, _ in points):
+        raise InvalidParameterError("sample sizes must be finite and >= 1")
     pts = sorted((int(n), float(r)) for n, r in points)
     if burn_in < 0:
         raise InvalidParameterError("burn_in must be nonnegative")

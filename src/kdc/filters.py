@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
-from .kernels import GramMatrix, sym_eigendecompose
+from .kernels import sym_eigendecompose
 from .spectral_model import check_positive
 
 #: Points in each of validate_filter's lambda and u grids.
@@ -204,8 +204,8 @@ def filter_value(spec: FilterSpec, u):
     return vals.reshape(ua.shape)
 
 
-def apply_filter(spec: FilterSpec, g: GramMatrix, rhs) -> np.ndarray:
-    """Coefficients alpha = G_lambda(gram/n) (rhs/n) via eigendecomposition.
+def apply_filter(spec: FilterSpec, g, rhs) -> np.ndarray:
+    """Coefficients alpha = G_lambda(g/n) (rhs/n) for an n x n Gram array ``g``.
 
     This is the spectral-algorithm estimator in coefficient space: the
     returned alpha weight the kernel sections at the training inputs.
@@ -213,12 +213,14 @@ def apply_filter(spec: FilterSpec, g: GramMatrix, rhs) -> np.ndarray:
     feature matrix; this n x n route is kept as the reference it is tested
     against.
     """
+    mat = np.asarray(g, dtype=float)
     y = np.asarray(rhs, dtype=float)
-    if y.shape != (g.n,):
+    if y.shape != mat.shape[:1]:
         raise InvalidParameterError("rhs length must match the Gram matrix")
-    evals, evecs = sym_eigendecompose(g.entries / g.n)
+    n = y.size
+    evals, evecs = sym_eigendecompose(mat / n)
     gv = filter_value(spec, evals)
-    return evecs @ (np.asarray(gv) * (evecs.T @ y)) / g.n
+    return evecs @ (np.asarray(gv) * (evecs.T @ y)) / n
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ known spectrum. It has an exact rank-``dim`` feature map,
 K(x, u) = sum_i sigma_i phi_i(x) phi_i(u), so the trainers work on the
 n x dim feature matrix and, when n > dim, on the dim x dim covariance
 built from it: one linear solve for Tikhonov, one ``eigh`` for the other
-filters. An n x n array appears only when n <= dim. ``gram``,
-``GramMatrix`` and ``sym_eigendecompose`` are the coefficient-space
-(dual) route; tests and :func:`kdc.filters.apply_filter` use them as an
-independent check of the trainers.
+filters. An n x n array appears only when n <= dim. ``gram`` and
+``sym_eigendecompose`` are the coefficient-space (dual) route on plain
+arrays, and the latter checks every Gram matrix; tests and
+:func:`kdc.filters.apply_filter` use them to check the trainers.
 """
 from __future__ import annotations
 
@@ -26,6 +26,9 @@ EIG_CLAMP_REL = 1e-8
 
 #: Relative Frobenius tolerance for eigendecomposition reconstruction.
 EIG_RECONSTRUCT_REL = 1e-8
+
+#: Largest |m - m^T| accepted, relative to max(1, max |m|), for a symmetric matrix.
+SYMMETRY_REL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +56,6 @@ def kernel_features(spec: KernelSpec, xs) -> np.ndarray:
     return basis_matrix(spec.problem.dim, _in_domain(xs))
 
 
-def kernel_eval(spec: KernelSpec, x: float, u: float) -> float:
-    """Evaluate K(x, u) for a single pair of points."""
-    return float(kernel_cross(spec, x, u)[0, 0])
-
-
 def kernel_cross(spec: KernelSpec, xs, us) -> np.ndarray:
     """Matrix of kernel values K(xs[j], us[k]), shape (len(xs), len(us))."""
     fx = kernel_features(spec, xs)
@@ -65,30 +63,8 @@ def kernel_cross(spec: KernelSpec, xs, us) -> np.ndarray:
     return (fx * spec.problem.eigenvalues) @ fu.T
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Symmetric n x n matrix of pairwise kernel values."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.n, self.n):
-            raise InvalidParameterError("entries must be an n x n matrix")
-        asym = float(np.max(np.abs(e - e.T))) if self.n else 0.0
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(e)))):
-            raise InvalidParameterError("Gram matrix must be symmetric")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
-
-def gram(spec: KernelSpec, inputs) -> GramMatrix:
-    """Build the Gram matrix of ``inputs``.
+def gram(spec: KernelSpec, inputs) -> np.ndarray:
+    """The n x n Gram matrix of ``inputs``, read-only.
 
     (1/n) times this matrix represents the empirical covariance operator on
     coefficient vectors. Construction is exactly symmetric (the cross matrix
@@ -99,23 +75,29 @@ def gram(spec: KernelSpec, inputs) -> GramMatrix:
         raise InvalidParameterError("inputs must be nonempty")
     m = kernel_cross(spec, xs, xs)
     m = 0.5 * (m + m.T)
-    return GramMatrix(n=xs.size, entries=m)
+    m.setflags(write=False)
+    return m
 
 
-def sym_eigendecompose(g) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigendecompose(mat) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric PSD matrix; eigenvalues descending.
 
-    Accepts a GramMatrix or a raw symmetric ndarray. Tiny negative
+    Raises InvalidParameterError unless ``mat`` is a nonempty square array,
+    symmetric to SYMMETRY_REL times max(1, max |entry|). Tiny negative
     eigenvalues (within EIG_CLAMP_REL * trace/n of zero) are clamped to 0;
     anything more negative, or a reconstruction error beyond
     EIG_RECONSTRUCT_REL in relative Frobenius norm, raises
     EigendecompositionError. Returns (eigenvalues, eigenvectors) with
     eigenvectors in columns matching the eigenvalue order.
     """
-    mat = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
+    mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameterError("matrix must be square")
     n = mat.shape[0]
+    if n == 0:
+        raise InvalidParameterError("matrix must be nonempty")
+    if np.max(np.abs(mat - mat.T)) > SYMMETRY_REL * max(1.0, float(np.max(np.abs(mat)))):
+        raise InvalidParameterError("matrix must be symmetric")
     sym = 0.5 * (mat + mat.T)
     try:
         vals, vecs = np.linalg.eigh(sym)

@@ -34,6 +34,15 @@ _BASIS_BLOCK = 128
 #: Default truncation order of the spectrum.
 DEFAULT_DIM = 200
 
+#: Largest truncation order: basis_matrix's 128-point complex scratch is then
+#: about 200 MB, and it is 25 times the largest dim the tests use (4,000).
+MAX_DIM = 100_000
+
+#: Largest sample sample_dataset draws: 2**24 points, 2,048 times the largest
+#: sweep size the benchmarks run (8,192), so a size numpy cannot allocate is
+#: rejected as a parameter.
+MAX_N_TOTAL = 2**24
+
 #: Parameters of the problem family: the arguments of :func:`build_problem`.
 PROBLEM_PARAMS = ("dim", "gamma", "zeta", "source_norm", "noise_sd")
 
@@ -92,6 +101,8 @@ def check_problem_params(dim: int, gamma: float, zeta: float, source_norm: float
     """Validate the family's parameters (PROBLEM_PARAMS), each real one finite."""
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
+    if dim > MAX_DIM:
+        raise InvalidParameterError(f"dim must be <= {MAX_DIM}")
     check_exponents(zeta, gamma)
     check_positive("source_norm", source_norm)
     if not (is_finite(noise_sd) and noise_sd >= 0):
@@ -320,6 +331,8 @@ def sample_dataset(problem: SpectralProblem, n_total: int, seed: int) -> Dataset
     """
     if n_total < 1:
         raise InvalidParameterError("n_total must be >= 1")
+    if n_total > MAX_N_TOTAL:
+        raise InvalidParameterError(f"n_total must be <= {MAX_N_TOTAL}")
     rng = make_rng(seed)
     inputs = rng.random(n_total)
     features = basis_matrix(problem.dim, inputs)

@@ -22,8 +22,9 @@ the scaled features Psi = Phi diag(sqrt(sigma / n)): the dim x dim
 covariance, built from Phi^T Phi when n > dim so that no scaled copy of Phi
 is made, and else the n x n matrix K/n, which is then no larger than Phi.
 Tikhonov fits take one linear solve of that side plus lambda I; the other
-filters take one ``eigh`` of it. The Gram route in :mod:`kdc.kernels` and
-:func:`kdc.filters.apply_filter` is the reference they are tested against.
+filters take one ``eigh`` of it. The Gram route (:func:`kdc.kernels.gram`,
+:func:`kdc.filters.apply_filter`) is the reference they are tested against.
+Gradient descent on the noiseless labels f(x_j) is ``gm_local`` on them.
 Distributed training partitions one dataset uniformly at random, trains
 each block independently, and averages the block predictors uniformly; a
 block is a row of sample indices (``_partition_rows``), so no second
@@ -52,9 +53,7 @@ from .filters import (
 )
 from .kernels import KernelSpec, kernel_features
 from .seeding import make_rng, partition_stream_seed
-from .spectral_model import (
-    Dataset, SpectralProblem, check_exponents, check_positive, regression_value,
-)
+from .spectral_model import Dataset, SpectralProblem, check_exponents, check_positive
 
 #: Coefficient magnitude beyond which an iterate is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -464,35 +463,12 @@ def gm_local(
     return sa_local(subset, spec, kernel, partition_index)
 
 
-def pseudo_gm_local(
-    subset: Dataset,
-    step_schedule,
-    iterations: int,
-    kernel: KernelSpec,
-    partition_index: int = 0,
-) -> LocalModel:
-    """Gradient descent against noiseless labels f(x_j) at the same inputs.
-
-    Only available for synthetic problems where the regression function is
-    known (the kernel's problem); used to split estimation error into bias
-    and variance pieces.
-    """
-    clean = replace(subset, labels=regression_value(kernel.problem, subset.inputs))
-    return gm_local(clean, step_schedule, iterations, kernel, partition_index)
-
-
-def population_sequence(problem: SpectralProblem, step_schedule, iterations: int) -> np.ndarray:
-    """Filter multipliers G_T(sigma_i) of population gradient descent.
-
-    Returned per eigenmode; the population iterate after T steps has mode
-    coefficients a_i * sigma_i * G_T(sigma_i).
-    """
-    return landweber_recurrence(resolve_schedule(step_schedule, iterations), problem.eigenvalues)
-
-
 def population_bias(problem: SpectralProblem, step_schedule, iterations: int) -> float:
-    """Squared norm of the population gradient-descent bias after T steps."""
-    g = population_sequence(problem, step_schedule, iterations)
+    """Squared norm of the population gradient-descent bias after T steps.
+
+    The population iterate is a_i sigma_i G_T(sigma_i), G_T the schedule's Landweber filter.
+    """
+    g = landweber_recurrence(resolve_schedule(step_schedule, iterations), problem.eigenvalues)
     resid = problem.eigenvalues * g - 1.0
     return float(np.sum((problem.target_coeffs * resid) ** 2))
 

@@ -167,6 +167,28 @@ def test_rate_fit_reports_an_unreadable_records_file(tmp_path, sweep_config, cap
     assert "error: records CSV line 2, column " in capsys.readouterr().err
 
 
+def test_rate_fit_rejects_a_records_row_at_sample_size_zero(tmp_path, sweep_config, capsys):
+    out = tmp_path / "records.csv"
+    main(["sweep", "--config", sweep_config, "--out", str(out)])
+    header, first, *rest = out.read_text().splitlines()
+    zero = first.split(",")
+    zero[header.split(",").index("n_total")] = "0"
+    out.write_text("\n".join([header, ",".join(zero), *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["rate-fit", "--config", sweep_config, "--records", str(out)]) == 2
+    assert "error: sample sizes must be finite and >= 1" in capsys.readouterr().err
+
+
+def test_sweep_records_an_oversized_sample_on_its_row(tmp_path, capsys):
+    cfg = write_config(tmp_path, "big.json",
+                       {"regime": "cor6", "algorithm": "sa", "n_list": [16, 10**30], "dim": 20})
+    out = tmp_path / "records.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    small, big = read_records_csv(str(out))
+    assert small.error == "" and big.n_total == 10**30
+    assert big.error.startswith("InvalidParameterError: n_total must be <= 16777216")
+
+
 def test_validate_filters_all_pass(capsys):
     assert main(["validate-filters"]) == 0
     printed = capsys.readouterr().out
@@ -275,13 +297,16 @@ def test_decompose_writes_its_components_as_csv(tmp_path, capsys):
         ("gen-problem", {"source_norm": 10**400}),
         ("gen-problem", '{"noise_sd": NaN}'),
         ("sweep", '{"regime": "cor1.1", "n_list": [16], "scale": Infinity}'),
+        ("gen-problem", {"dim": 10**40}),
+        ("sample", {"n_total": 10**30}),
     ],
     ids=["unknown-regime", "bad-m-rule", "sample-empty-n-list", "decompose-empty-n-list",
          "decompose-without-iterations", "decompose-zero-iterations", "missing-file", "bad-json",
          "sample-n-total-not-a-number", "gen-problem-gamma-not-a-number",
          "decompose-eta-not-a-number", "sweep-replications-not-a-number",
          "config-is-a-list", "rate-fit-without-records", "gen-problem-400-digit-source-norm",
-         "gen-problem-nan-noise-sd", "sweep-infinite-scale"],
+         "gen-problem-nan-noise-sd", "sweep-infinite-scale", "gen-problem-oversized-dim",
+         "sample-oversized-n-total"],
 )
 def test_unknown_regime_hits_the_error_path(tmp_path, capsys, command, payload):
     # Malformed configs end in "error:" and exit code 2, never in a traceback.

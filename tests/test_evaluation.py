@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -275,6 +276,12 @@ def test_fit_rate_rejects_degenerate_input():
         fit_rate([(16, 1.0), (32, 0.0), (64, 0.25)])
     with pytest.raises(InvalidParameterError):
         fit_rate([(16, 1.0), (32, 0.5), (64, 0.25)], burn_in=-1)
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 0, -16, 0.5])
+def test_fit_rate_rejects_a_sample_size_that_is_not_finite_and_at_least_one(n):
+    with pytest.raises(InvalidParameterError, match="sample sizes must be finite and >= 1"):
+        fit_rate([(n, 2.0), (32, 0.5), (64, 0.25), (128, 0.125)])
 
 
 def test_theory_exponent_table():

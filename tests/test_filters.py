@@ -226,5 +226,5 @@ def test_tikhonov_filter_solves_the_regularized_system():
     lam = 0.05
     coeffs = apply_filter(tikhonov(problem.kappa_sq, lam), g, data.labels)
     n = len(data)
-    direct = np.linalg.solve(g.entries / n + lam * np.eye(n), data.labels / n)
+    direct = np.linalg.solve(g / n + lam * np.eye(n), data.labels / n)
     np.testing.assert_allclose(coeffs, direct, rtol=1e-9, atol=1e-12)

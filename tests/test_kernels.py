@@ -8,12 +8,11 @@ import pytest
 from kdc import (
     DomainError,
     EigendecompositionError,
-    GramMatrix,
     InvalidParameterError,
+    apply_filter,
     build_problem,
     gram,
     kernel_cross,
-    kernel_eval,
     predict,
     regression_value,
     sa_local,
@@ -22,6 +21,7 @@ from kdc import (
     sym_eigendecompose,
     tikhonov,
 )
+from kdc.filters import filter_from_tag
 from kdc.kernels import kernel_features
 
 
@@ -43,21 +43,22 @@ def test_spectral_kernel_matches_the_mode_sum(small_problem, kernel):
                 * np.sin(modes * np.pi * u)
             )
         )
-        assert kernel_eval(kernel, x, u) == pytest.approx(expected, rel=1e-12)
+        assert kernel_cross(kernel, x, u)[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_is_symmetric_and_bounded(kernel, small_problem):
     rng = np.random.default_rng(1)
     pts = rng.random(40)
     for x, u in zip(pts[:20], pts[20:]):
-        assert kernel_eval(kernel, x, u) == pytest.approx(kernel_eval(kernel, u, x), rel=1e-12)
-    diag = [kernel_eval(kernel, x, x) for x in pts]
+        assert kernel_cross(kernel, x, u)[0, 0] == pytest.approx(
+            kernel_cross(kernel, u, x)[0, 0], rel=1e-12)
+    diag = [kernel_cross(kernel, x, x)[0, 0] for x in pts]
     assert max(diag) <= small_problem.kappa_sq * (1.0 + 1e-12)
 
 
 def test_spectral_kernel_rejects_points_off_the_interval(kernel):
     with pytest.raises(DomainError):
-        kernel_eval(kernel, -0.1, 0.5)
+        kernel_cross(kernel, -0.1, 0.5)
     with pytest.raises(DomainError):
         kernel_cross(kernel, np.array([0.2, 1.5]), np.array([0.3]))
 
@@ -91,35 +92,76 @@ def test_kernel_cross_agrees_with_pointwise_eval(kernel):
     assert block.shape == (3, 2)
     for i, x in enumerate(xs):
         for j, u in enumerate(us):
-            assert block[i, j] == pytest.approx(kernel_eval(kernel, x, u), rel=1e-12)
+            assert block[i, j] == pytest.approx(kernel_cross(kernel, x, u)[0, 0], rel=1e-12)
 
 
 def test_gram_is_symmetric_psd_and_read_only(kernel):
     rng = np.random.default_rng(2)
     xs = rng.random(30)
     g = gram(kernel, xs)
-    assert g.n == 30
-    np.testing.assert_allclose(g.entries, g.entries.T, atol=0.0)
-    assert np.min(np.linalg.eigvalsh(g.entries)) >= -1e-10
-    assert g.trace == pytest.approx(float(np.trace(g.entries)), rel=1e-15)
+    assert type(g) is np.ndarray and g.shape == (30, 30)
+    np.testing.assert_allclose(g, g.T, atol=0.0)
+    assert np.min(np.linalg.eigvalsh(g)) >= -1e-10
+    assert not g.flags.writeable
     with pytest.raises(ValueError):
-        g.entries[0, 0] = 5.0
+        g[0, 0] = 5.0
 
 
-def test_gram_matrix_rejects_asymmetric_entries():
-    bad = np.array([[1.0, 0.5], [0.2, 1.0]])
-    with pytest.raises(InvalidParameterError):
-        GramMatrix(2, bad)
+# Each malformed matrix with the message the one set of checks raises for it.
+MALFORMED = [
+    (np.zeros((2, 3)), "matrix must be square"),
+    (np.zeros(3), "matrix must be square"),
+    (np.zeros((2, 2, 2)), "matrix must be square"),
+    (np.zeros((0, 0)), "matrix must be nonempty"),
+    (np.array([[1.0, 0.5], [0.2, 1.0]]), "matrix must be symmetric"),
+    # A nested list too; not the eigenvalues [1.25, 0.75] of its symmetric part.
+    ([[1, 0.5], [0, 1]], "matrix must be symmetric"),
+]
 
 
-def test_gram_algebra_rejects_malformed_inputs(kernel):
-    with pytest.raises(InvalidParameterError, match="entries must be an n x n matrix"):
-        GramMatrix(2, np.zeros((2, 3)))
+@pytest.mark.parametrize("mat, message", MALFORMED)
+def test_sym_eigendecompose_rejects_malformed_arrays(mat, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        sym_eigendecompose(mat)
+
+
+@pytest.mark.parametrize("mat, message", MALFORMED)
+def test_apply_filter_rejects_malformed_arrays(small_problem, mat, message):
+    spec = tikhonov(small_problem.kappa_sq, 0.1)
+    with pytest.raises(InvalidParameterError, match=message):
+        apply_filter(spec, mat, np.ones(len(mat)))
+
+
+def test_symmetry_is_checked_to_1e12_relative():
+    scale = 1e3
+    base = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+    within = base + np.array([[0.0, 0.5e-12 * scale], [0.0, 0.0]])
+    beyond = base + np.array([[0.0, 4e-12 * scale], [0.0, 0.0]])
+    sym_eigendecompose(within)
+    with pytest.raises(InvalidParameterError, match="matrix must be symmetric"):
+        sym_eigendecompose(beyond)
+    # Below unit scale the tolerance is absolute, 1e-12.
+    small = np.array([[1e-3, 0.0], [5e-13, 1e-3]])
+    sym_eigendecompose(small)
+    with pytest.raises(InvalidParameterError, match="matrix must be symmetric"):
+        sym_eigendecompose(small + np.array([[0.0, 0.0], [2e-12, 0.0]]))
+
+
+def test_gram_rejects_no_inputs(kernel):
     with pytest.raises(InvalidParameterError, match="inputs must be nonempty"):
         gram(kernel, [])
-    for mat in (np.zeros((2, 3)), np.zeros(3)):
-        with pytest.raises(InvalidParameterError, match="matrix must be square"):
-            sym_eigendecompose(mat)
+
+
+def test_apply_filter_takes_a_plain_array(small_problem, kernel):
+    # The same bits from gram's read-only array and from a hand-built copy of it.
+    data = sample_dataset(small_problem, 12, seed=5)
+    g = gram(kernel, data.inputs)
+    copy = np.array(g.tolist())
+    assert copy.flags.writeable
+    for tag in ("tikhonov", "cutoff", "landweber"):
+        spec = filter_from_tag(tag, small_problem.kappa_sq, 0.05)
+        np.testing.assert_array_equal(apply_filter(spec, g, data.labels),
+                                      apply_filter(spec, copy, data.labels))
 
 
 def test_eigendecomposition_reconstructs_and_sorts(kernel):
@@ -130,10 +172,10 @@ def test_eigendecomposition_reconstructs_and_sorts(kernel):
     assert np.all(np.diff(vals) <= 0)
     assert np.all(vals >= 0.0)
     np.testing.assert_allclose(
-        vecs @ (vals[:, None] * vecs.T), g.entries, atol=1e-10 * max(1.0, np.abs(g.entries).max())
+        vecs @ (vals[:, None] * vecs.T), g, atol=1e-10 * max(1.0, np.abs(g).max())
     )
     # Agreement with numpy's symmetric solver, up to ordering.
-    ref = np.sort(np.linalg.eigvalsh(g.entries))[::-1]
+    ref = np.sort(np.linalg.eigvalsh(g))[::-1]
     np.testing.assert_allclose(vals, np.maximum(ref, 0.0), atol=1e-10)
 
 

@@ -85,7 +85,7 @@ def test_mode_filter_matches_apply_filter_around_n_equals_dim(monkeypatch, dim, 
     feats = kernel_features(kernel, data.inputs)
 
     # A cutoff 1e-6 relative above an empirical eigenvalue of K/n.
-    evals, _ = eigendecompose(g.entries / g.n)
+    evals, _ = eigendecompose(g / n)
     cases = [(tag, lam) for tag in FILTER_TAGS + ("gm_local",) for lam in LAMBDAS]
     cases.append(("cutoff", float(evals[min(10, n - 1)]) * (1.0 + 1e-6)))
 
@@ -148,8 +148,8 @@ def test_tikhonov_past_the_trace_bound_takes_eigh_and_keeps_its_domain_error(
     kernel = spectral_kernel(default_problem)
     data = sample_dataset(default_problem, n, seed=11)
     g = gram(kernel, data.inputs)
-    evals = np.linalg.eigvalsh(g.entries / n)
-    top, trace = float(evals[-1]), g.trace / n
+    evals = np.linalg.eigvalsh(g / n)
+    top, trace = float(evals[-1]), np.trace(g) / n
     assert top < trace
     calls = _count_eigh(monkeypatch)
 

@@ -15,16 +15,16 @@ from kdc.harness import CONFIG_TYPES
 PUBLIC_NAMES = (
     "AveragedModel,Constant,ConstraintViolationError,Dataset,DecompositionReport,"
     "DegenerateInputError,DivergenceError,DomainError,EigendecompositionError,"
-    "ExperimentConfig,FilterSpec,FilterValidationReport,GramMatrix,"
+    "ExperimentConfig,FilterSpec,FilterValidationReport,"
     "IndivisibleDataError,InsufficientDataError,InvalidParameterError,InvalidRegimeError,"
     "KdcError,KernelMismatchError,KernelSpec,LocalModel,RateFit,RiskReport,RunRecord,"
     "SgmConfig,SpectralProblem,StepConditionReport,TrainPlan,apply_filter,average_models,"
     "basis_matrix,build_problem,capacity_certificate,check_step_condition,dataset_from_csv,"
     "dataset_to_csv,decompose_error,derive_seed,distributed_sa,distributed_sgm,"
     "effective_dimension,emit_rate_table,excess_risk_exact,excess_risk_mc,filter_from_tag,"
-    "filter_value,fit_rate,gm_local,gram,kernel_cross,kernel_eval,landweber,"
+    "filter_value,fit_rate,gm_local,gram,kernel_cross,landweber,"
     "mode_projection,partition_data,partition_stream_seed,plan_parameters,population_bias,"
-    "population_sequence,predict,problem_from_json,problem_to_json,pseudo_gm_local,"
+    "predict,problem_from_json,problem_to_json,"
     "read_records_csv,records_from_csv,records_to_csv,regression_value,residual_product,"
     "resolve_m,resolve_schedule,run_experiment,sa_local,sample_dataset,second_moment_bound,"
     "sgm_local,spectral_cutoff,spectral_kernel,splitmix64,sup_norm_bound,"

@@ -29,6 +29,7 @@ from kdc import (
     tail_mass,
     tikhonov,
 )
+from kdc.spectral_model import MAX_DIM, MAX_N_TOTAL
 
 # Two-mode problem, worked by hand: sigma = [1, 1/2], weights w = [1, 1/2],
 # |w| = sqrt(5)/2, so g = [2, 1]/sqrt(5) and
@@ -427,6 +428,18 @@ def test_a_problem_document_must_be_a_json_object(text, message):
 def test_malformed_dataset_csv_names_its_line(text, message):
     with pytest.raises(InvalidParameterError, match=message):
         dataset_from_csv(text)
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 2**63, 10**400])
+def test_an_oversized_dim_is_a_parameter_error(dim):
+    with pytest.raises(InvalidParameterError, match=f"dim must be <= {MAX_DIM}"):
+        build_problem(dim=dim)
+
+
+@pytest.mark.parametrize("n_total", [MAX_N_TOTAL + 1, 2**63, 10**30])
+def test_an_oversized_sample_is_a_parameter_error(two_mode, n_total):
+    with pytest.raises(InvalidParameterError, match=f"n_total must be <= {MAX_N_TOTAL}"):
+        sample_dataset(two_mode, n_total, seed=0)
 
 
 def test_invalid_sampling_and_spectral_parameters_are_rejected(two_mode):

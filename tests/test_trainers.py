@@ -35,9 +35,8 @@ from kdc import (
     partition_data,
     plan_parameters,
     population_bias,
-    population_sequence,
     predict,
-    pseudo_gm_local,
+    regression_value,
     resolve_schedule,
     sa_local,
     sample_dataset,
@@ -46,7 +45,9 @@ from kdc import (
     tikhonov,
 )
 from kdc import trainers
-from kdc.filters import check_step_bound, filter_from_tag, landweber_schedule_for
+from kdc.filters import (
+    check_step_bound, filter_from_tag, landweber_recurrence, landweber_schedule_for,
+)
 from kdc.kernels import kernel_features
 from kdc.seeding import partition_stream_seed
 from kdc.trainers import INDEX_CHUNK, SETTLE
@@ -190,7 +191,7 @@ def test_sgm_is_reproducible_and_seed_sensitive(data, kernel):
 
 def gram_replay(kernel, subset, base_seed, partition, batch, iterations, eta):
     """SGM on one partition replayed step by step on its Gram matrix."""
-    g = gram(kernel, subset.inputs).entries
+    g = gram(kernel, subset.inputs)
     rng = np.random.default_rng(partition_stream_seed(base_seed, partition))
     idx = rng.integers(0, len(subset), size=(iterations, batch))
     alpha = np.zeros(len(subset))
@@ -567,21 +568,26 @@ def test_gm_rejects_an_all_zero_schedule(data, kernel):
     with pytest.raises(InvalidParameterError):
         gm_local(data, 0.0, 5, kernel)
     with pytest.raises(InvalidParameterError):
-        pseudo_gm_local(data, [0.0, 0.0], 2, kernel)
+        gm_local(data, [0.0, 0.0], 2, kernel)
+
+
+def pseudo(data, problem):
+    """The dataset with its labels replaced by the noiseless f(x_j)."""
+    return dataclasses.replace(data, labels=regression_value(problem, data.inputs))
 
 
 def test_pseudo_gm_equals_gm_without_noise(noiseless_small_problem):
     kernel = spectral_kernel(noiseless_small_problem)
     data = sample_dataset(noiseless_small_problem, 32, seed=4)
     a = gm_local(data, 0.1, 25, kernel)
-    b = pseudo_gm_local(data, 0.1, 25, kernel)
+    b = gm_local(pseudo(data, noiseless_small_problem), 0.1, 25, kernel)
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
 def test_pseudo_gm_strips_label_noise(small_problem, kernel):
     data = sample_dataset(small_problem, 32, seed=4)
     a = gm_local(data, 0.1, 25, kernel)
-    b = pseudo_gm_local(data, 0.1, 25, kernel)
+    b = gm_local(pseudo(data, small_problem), 0.1, 25, kernel)
     assert not np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -589,9 +595,9 @@ def test_pseudo_gm_strips_label_noise(small_problem, kernel):
 # population iterates
 
 
-def test_population_sequence_matches_scalar_recursion(small_problem):
+def test_population_filter_matches_scalar_recursion(small_problem):
     etas = [0.1, 0.05, 0.12]
-    g = population_sequence(small_problem, etas, 3)
+    g = landweber_recurrence(resolve_schedule(etas, 3), small_problem.eigenvalues)
     for i, sigma in enumerate(small_problem.eigenvalues[:5]):
         ref = 0.0
         for eta in etas:
