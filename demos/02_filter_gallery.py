@@ -4,8 +4,9 @@ Every spectral method in this package is "apply a scalar function
 G_lambda(u) to the Gram eigenvalues", and a filter spec carries its level
 lambda. The filters differ in how sharply they cut off small eigenvalues
 and in their qualification — the largest smoothness exponent they can
-exploit. This script builds all four at the level 1/sum(eta) of a
-40-step Landweber schedule, prints each filter's declared constants, runs
+exploit. Each is one ``FilterSpec(kind, kappa_sq, lambda)``; Landweber's
+spec also holds its steps. This script builds all four at the level
+1/sum(eta) of a 40-step Landweber schedule, prints each filter's declared constants, runs
 the numeric admissibility check, and then shows that gradient descent
 (Landweber) really is one of them: its filter values match the forward
 recurrence g <- g * (1 - eta * u) + eta exactly.
@@ -15,14 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kdc import (
-    filter_value,
-    landweber,
-    spectral_cutoff,
-    tikhonov,
-    tikhonov_bias_corrected,
-    validate_filter,
-)
+from kdc import FilterSpec, filter_value, landweber, validate_filter
 
 KAPPA_SQ = 6.573641035543138
 
@@ -32,12 +26,8 @@ def main() -> None:
     lw = landweber([eta] * 40, KAPPA_SQ)
     # Landweber's schedule sets its level; the other filters are built there too.
     lam = lw.lam
-    specs = [
-        tikhonov(KAPPA_SQ, lam),
-        spectral_cutoff(KAPPA_SQ, lam),
-        tikhonov_bias_corrected(KAPPA_SQ, lam),
-        lw,
-    ]
+    specs = [FilterSpec(kind, KAPPA_SQ, lam) for kind in ("tikhonov", "cutoff", "tikhonov_bc")]
+    specs.append(lw)
 
     print(f"{'filter':<12} {'qual':>6} {'E':>4} {'F':>7}   admissibility check")
     for spec in specs:

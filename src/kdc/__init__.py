@@ -33,9 +33,6 @@ from .filters import (
     filter_value,
     landweber,
     residual_product,
-    spectral_cutoff,
-    tikhonov,
-    tikhonov_bias_corrected,
     validate_filter,
 )
 from .harness import (

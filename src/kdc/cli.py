@@ -28,7 +28,7 @@ from .harness import (
 from .spectral_model import (
     PROBLEM_PARAMS, build_problem, dataset_to_csv, problem_to_json, sample_dataset,
 )
-from .trainers import Constant, SgmConfig, theory_step_cap
+from .trainers import SgmConfig, theory_step_cap
 
 
 def _load_config(args) -> dict:
@@ -127,7 +127,7 @@ def _cmd_decompose(args) -> int:
     cap = theory_step_cap(CLAMP_SAFETY * problem.kappa_sq, iterations)
     config = SgmConfig(
         partitions=m, batch_size=raw.get("batch_size", 1), iterations=iterations,
-        step_schedule=Constant(raw.get("eta", cap)), base_seed=raw.get("base_seed", 0),
+        step_schedule=raw.get("eta", cap), base_seed=raw.get("base_seed", 0),
     )
     reps = (raw.get("n_data", 100), raw.get("n_index", 50))
     report = decompose_error(problem, n_total, config, replications=reps)

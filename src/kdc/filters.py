@@ -4,8 +4,8 @@ A filter G_lambda approximates u -> 1/u on (0, kappa_sq]. A ``FilterSpec``
 is one spectral estimator: the filter family together with the level lambda
 it is built at, so nothing that applies it takes lambda again. Each family
 is declared once, in ``FILTER_FAMILIES``, with its qualification tau and
-constants (E, F); a spec only picks the level (and, for Landweber, the
-steps). The constants certify, for all lambda in (0, kappa_sq]:
+constants (E, F); a spec picks and checks only the level (and, for
+Landweber, the steps). The constants certify, for all lambda in (0, kappa_sq]:
 
 * value bound:     sup_u |G_lambda(u)| u^alpha lambda^(1-alpha) <= E
                    for alpha in [0, 1],
@@ -18,8 +18,8 @@ into the CLI so every shipped filter can be certified at runtime.
 T steps of gradient descent are the Landweber filter G_T of K/n at
 lambda = 1/sum(eta), so the gradient-descent trainers build a ``landweber``
 spec and share the filter path of every other estimator;
-``landweber_schedule_for`` turns a regularization level into the schedule
-that reaches it.
+``filter_from_tag`` turns a regularization level into the schedule that
+reaches it.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ CLAMP_SAFETY = 1.01
 #: Relative slack on the declared constants during validation.
 VALIDATION_RTOL = 1e-9
 
-#: Most steps ``landweber_schedule_for`` builds; a smaller lambda is rejected.
+#: Most steps ``filter_from_tag`` gives a Landweber filter; a smaller lambda is rejected.
 MAX_LANDWEBER_STEPS = 1_000_000
 
 #: Each filter family's qualification tau and admissibility constants (E, F), by tag.
@@ -60,12 +60,15 @@ FILTER_TAGS = tuple(FILTER_FAMILIES)
 
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """A filter of family ``kind`` at level ``lam``; its constants are the family's."""
+    """A filter of family ``kind`` at level ``lam``; its constants are the family's.
+
+    Landweber's ``step_sizes`` are a checked, read-only array at level lam = 1/sum(eta).
+    """
 
     kind: str
     kappa_sq: float
     lam: float
-    step_sizes: tuple[float, ...] | None = None
+    step_sizes: np.ndarray | None = None
     qualification: float = field(init=False)
     const_e: float = field(init=False)
     const_f: float = field(init=False)
@@ -74,28 +77,27 @@ class FilterSpec:
         if self.kind not in FILTER_FAMILIES:
             raise InvalidParameterError(
                 f"unknown filter tag {self.kind!r}; expected one of {FILTER_TAGS}")
-        if self.kind == "landweber" and self.step_sizes is None:
-            raise InvalidParameterError("a landweber filter needs its step_sizes")
+        if self.kind == "landweber":
+            if self.step_sizes is None:
+                raise InvalidParameterError("a landweber filter needs its step_sizes")
+            steps = np.array(self.step_sizes, dtype=float)
+            if steps.ndim != 1:
+                raise InvalidParameterError(f"step sizes must be 1-D, got shape {steps.shape}")
+            if not (np.all(np.isfinite(steps) & (steps >= 0)) and steps.sum() > 0):
+                raise InvalidParameterError(
+                    "step sizes must be finite and nonnegative with a positive sum")
+            steps.setflags(write=False)
+            object.__setattr__(self, "step_sizes", steps)
         check_positive("kappa_sq", self.kappa_sq)
         check_positive("lambda", self.lam)
+        if self.kind == "landweber":
+            check_step_bound(self.step_sizes, self.kappa_sq)
+            if self.lam != _step_level(self.step_sizes):
+                raise InvalidParameterError(
+                    f"a landweber filter's lambda must be 1/sum(step_sizes), got {self.lam!r}")
         for name, value in zip(("qualification", "const_e", "const_f"),
                                FILTER_FAMILIES[self.kind]):
             object.__setattr__(self, name, value)
-
-
-def tikhonov(kappa_sq: float, lam: float) -> FilterSpec:
-    """G_lambda(u) = 1 / (u + lambda)."""
-    return FilterSpec("tikhonov", kappa_sq, lam)
-
-
-def spectral_cutoff(kappa_sq: float, lam: float) -> FilterSpec:
-    """G_lambda(u) = 1/u above the cutoff lambda, 0 below."""
-    return FilterSpec("cutoff", kappa_sq, lam)
-
-
-def tikhonov_bias_corrected(kappa_sq: float, lam: float) -> FilterSpec:
-    """G_lambda(u) = lambda/(lambda+u)^2 + 1/(lambda+u)."""
-    return FilterSpec("tikhonov_bc", kappa_sq, lam)
 
 
 def check_step_bound(steps, kappa_sq: float) -> None:
@@ -107,32 +109,29 @@ def check_step_bound(steps, kappa_sq: float) -> None:
         )
 
 
+def _step_level(steps) -> float:
+    """A schedule's level 1/sum(eta), a Python float (NaN unless the sum is positive)."""
+    total = float(np.sum(steps))
+    return 1.0 / total if total > 0 else math.nan
+
+
 def landweber(step_sizes, kappa_sq: float) -> FilterSpec:
     """Gradient-descent filter for a step-size schedule.
 
-    G_t(u) = sum_k eta_k * prod_{i=k+1..t} (1 - eta_i u), built at the
-    effective level lambda = 1 / sum_k eta_k.
-
-    Steps must satisfy 0 <= eta_k <= 1/kappa_sq with a positive sum, the
-    schedule contract of gradient descent and SGM; a zero step leaves G_t
-    unchanged.
+    G_t(u) = sum_k eta_k * prod_{i=k+1..t} (1 - eta_i u) at the effective
+    level lambda = 1 / sum_k eta_k; :class:`FilterSpec` checks the schedule.
     """
-    steps = tuple(float(s) for s in np.atleast_1d(np.asarray(step_sizes, dtype=float)))
-    if not all(math.isfinite(s) and s >= 0 for s in steps) or not sum(steps) > 0:
-        raise InvalidParameterError("step sizes must be finite and nonnegative with a positive sum")
-    spec = FilterSpec("landweber", kappa_sq, 1.0 / float(np.sum(steps)), steps)
-    check_step_bound(steps, kappa_sq)
-    return spec
+    return FilterSpec("landweber", kappa_sq, _step_level(step_sizes), np.atleast_1d(step_sizes))
 
 
-def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
-    """Constant Landweber schedule matching a target regularization level.
+def filter_from_tag(tag: str, kappa_sq: float, lam: float) -> FilterSpec:
+    """Build a filter from its config-file tag at level ``lam``.
 
-    Uses eta = 1/(2 * CLAMP_SAFETY * kappa_sq) and t = ceil(1/(lam * eta))
-    steps so the effective lambda = 1/(t * eta) sits at or just below ``lam``.
-    Raises InvalidParameterError unless lam and kappa_sq are positive and
-    finite and t is at most MAX_LANDWEBER_STEPS.
+    Landweber runs t = ceil(1/(lam * eta)) steps of eta = 1/(2 * CLAMP_SAFETY * kappa_sq),
+    at the level 1/(t * eta) at or just below ``lam``; t is at most MAX_LANDWEBER_STEPS.
     """
+    if tag != "landweber":
+        return FilterSpec(tag, kappa_sq, lam)
     check_positive("lambda", lam)
     check_positive("kappa_sq", kappa_sq)
     eta = 1.0 / (2.0 * CLAMP_SAFETY * kappa_sq)
@@ -140,18 +139,7 @@ def landweber_schedule_for(lam: float, kappa_sq: float) -> np.ndarray:
     if steps > MAX_LANDWEBER_STEPS:
         raise InvalidParameterError(
             f"lambda {lam:.3g} needs more than {MAX_LANDWEBER_STEPS} Landweber steps")
-    return np.full(math.ceil(steps), eta)
-
-
-def filter_from_tag(tag: str, kappa_sq: float, lam: float) -> FilterSpec:
-    """Build a filter from its config-file tag at level ``lam``.
-
-    Landweber runs the schedule of :func:`landweber_schedule_for`, so its
-    level is 1/sum(eta), at or just below ``lam``.
-    """
-    if tag == "landweber":
-        return landweber(landweber_schedule_for(lam, kappa_sq), kappa_sq)
-    return FilterSpec(tag, kappa_sq, lam)
+    return landweber(np.full(math.ceil(steps), eta), kappa_sq)
 
 
 def residual_product(step_sizes, u) -> np.ndarray | float:
@@ -181,14 +169,14 @@ def landweber_recurrence(step_sizes, u: np.ndarray) -> np.ndarray:
 def _filter_values(spec: FilterSpec, u: np.ndarray) -> np.ndarray:
     """G(u) of ``spec`` at its level; Landweber's schedule fixes that level."""
     lam = spec.lam
-    if spec.kind == "tikhonov":
+    if spec.kind == "tikhonov":  # 1/(u + lambda)
         return 1.0 / (u + lam)
-    if spec.kind == "cutoff":
+    if spec.kind == "cutoff":  # 1/u above the cutoff lambda, 0 below
         out = np.zeros_like(u)
         mask = u >= lam
         out[mask] = 1.0 / u[mask]
         return out
-    if spec.kind == "tikhonov_bc":
+    if spec.kind == "tikhonov_bc":  # lambda/(lambda + u)^2 + 1/(lambda + u)
         return lam / (lam + u) ** 2 + 1.0 / (lam + u)
     return landweber_recurrence(spec.step_sizes, u)
 

@@ -34,8 +34,8 @@ from .filters import FILTER_TAGS, FilterSpec, filter_from_tag
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 from .spectral_model import (
-    PROBLEM_PARAMS, build_problem, check_json_types, check_positive, problem_from_json,
-    problem_to_json, sample_dataset,
+    MAX_N_TOTAL, PROBLEM_PARAMS, build_problem, check_json_types, check_positive,
+    problem_from_json, problem_to_json, sample_dataset,
 )
 from .trainers import (
     SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
@@ -136,18 +136,23 @@ def resolve_m(n_total: int, m_rule) -> tuple[int, int]:
     """Resolve the partition count for one sample size.
 
     'pow:beta' asks for floor(N^beta); a fixed integer asks for itself.
-    Either way the request is decremented to the nearest divisor of N (so
-    partitions always split the data evenly). Returns (requested, resolved).
+    Either way the request is lowered to the largest divisor of N not above
+    it (so partitions always split the data evenly), found by trial division
+    up to sqrt(N). Returns (requested, resolved); N outside [1, MAX_N_TOTAL]
+    raises InvalidParameterError.
     """
     kind, value = _parse_m_rule(m_rule)
+    if n_total < 1:
+        raise InvalidParameterError("n_total must be >= 1")
+    if n_total > MAX_N_TOTAL:
+        raise InvalidParameterError(f"n_total must be <= {MAX_N_TOTAL}")
     if kind == "pow":
         requested = max(1, math.floor(n_total ** value))
     else:
         requested = min(int(value), n_total)
-    m = requested
-    while n_total % m != 0:
-        m -= 1
-    return requested, m
+    divisors = (d for i in range(1, math.isqrt(n_total) + 1) if n_total % i == 0
+                for d in (i, n_total // i))
+    return requested, max(d for d in divisors if d <= requested)
 
 
 @dataclass(frozen=True)
@@ -158,9 +163,9 @@ class RunRecord:
     algorithm: str
     regime: str
     n_total: int
-    m_requested: int
-    m: int
-    n_local: int
+    m_requested: int | None
+    m: int | None
+    n_local: int | None
     batch_size: int | None
     iterations: int | None
     eta: float | None
@@ -277,12 +282,12 @@ def _run_point(problem_json: str, fit: TrainPlan | FilterSpec, n_total: int, m: 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """Run a full sweep and return one record per (N, m) point.
 
-    Each point is planned once. A point whose plan or filter cannot be
-    built records that error and runs no task; otherwise ``workers``
-    processes run its replications (0 = one per CPU that this process may
-    run on). Per-replication failures are folded into the row's ``error``
-    column; the risk statistics then cover the surviving replications (NaN
-    if none survive). Rows come back in ``n_list`` order.
+    Each point is planned once. A point whose partition count, plan or
+    filter cannot be resolved records that error and runs no task;
+    otherwise ``workers`` processes run its replications (0 = one per CPU
+    that this process may run on). Per-replication failures are folded into
+    the row's ``error`` column; the risk statistics then cover the surviving
+    replications (NaN if none survive). Rows come back in ``n_list`` order.
     """
     if workers == 0:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -296,8 +301,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     points = []
     tasks = []
     for n_total in config.n_list:
-        m_requested, m = resolve_m(n_total, config.m_rule)
+        m_requested = m = None
         try:
+            m_requested, m = resolve_m(n_total, config.m_rule)
             plan = plan_parameters(
                 config.regime, n_total, m, problem.zeta, problem.gamma, config.scale,
                 kappa_sq=problem.kappa_sq, theory_compliant=config.theory_compliant,
@@ -308,7 +314,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             else:
                 # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
                 fit = filter_from_tag(config.filter, problem.kappa_sq, plan.lam)
-                columns = (None, fit.step_sizes and len(fit.step_sizes), None, fit.lam)
+                columns = (None, None if fit.step_sizes is None else fit.step_sizes.size,
+                           None, fit.lam)
         except KdcError as exc:  # recorded once; the point runs no task
             points.append((n_total, m_requested, m, (None,) * 4, f"{type(exc).__name__}: {exc}"))
         else:
@@ -344,7 +351,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             n_total=n_total,
             m_requested=m_requested,
             m=m,
-            n_local=n_total // m,
+            n_local=None if m is None else n_total // m,
             batch_size=batch_size,
             iterations=iterations,
             eta=eta,

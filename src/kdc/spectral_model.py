@@ -89,20 +89,32 @@ _JSON_FIELDS = {"dim": "an integer", **dict.fromkeys(PROBLEM_PARAMS[1:], "a numb
                 "kappa_sq": "a number"}
 
 
+def _check_dim(dim: int) -> None:
+    """The truncation rule: dim is an integer (true/false is not one) in [1, MAX_DIM]."""
+    if not JSON_KINDS["an integer"](dim):
+        raise InvalidParameterError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise InvalidParameterError("dim must be >= 1")
+    if dim > MAX_DIM:
+        raise InvalidParameterError(f"dim must be <= {MAX_DIM}")
+
+
+def _check_gamma(gamma: float) -> None:
+    """The capacity rule: gamma lies in (0, 1]."""
+    if not (is_finite(gamma) and 0.0 < gamma <= 1.0):
+        raise InvalidParameterError("gamma must lie in (0, 1]")
+
+
 def check_exponents(zeta: float, gamma: float) -> None:
     """The family's exponent rule: source exponent zeta > 0, capacity gamma in (0, 1]."""
-    if not (0.0 < gamma <= 1.0):
-        raise InvalidParameterError("gamma must lie in (0, 1]")
+    _check_gamma(gamma)
     check_positive("zeta", zeta)
 
 
 def check_problem_params(dim: int, gamma: float, zeta: float, source_norm: float,
                          noise_sd: float) -> None:
     """Validate the family's parameters (PROBLEM_PARAMS), each real one finite."""
-    if dim < 1:
-        raise InvalidParameterError("dim must be >= 1")
-    if dim > MAX_DIM:
-        raise InvalidParameterError(f"dim must be <= {MAX_DIM}")
+    _check_dim(dim)
     check_exponents(zeta, gamma)
     check_positive("source_norm", source_norm)
     if not (is_finite(noise_sd) and noise_sd >= 0):
@@ -387,12 +399,11 @@ def tail_mass(dim: int, gamma: float) -> float:
 
     Uses the integral comparison (gamma/(1-gamma)) * dim^(1 - 1/gamma) for
     gamma < 1. For gamma = 1 the harmonic tail diverges and +inf is
-    returned: the truncated kernel itself is then the modeled object.
+    returned: the truncated kernel itself is then the modeled object. dim
+    and gamma follow the family's rules.
     """
-    if dim < 1:
-        raise InvalidParameterError("dim must be >= 1")
-    if not (0.0 < gamma <= 1.0):
-        raise InvalidParameterError("gamma must lie in (0, 1]")
+    _check_dim(dim)
+    _check_gamma(gamma)
     if gamma == 1.0:
         return math.inf
     return (gamma / (1.0 - gamma)) * dim ** (1.0 - 1.0 / gamma)

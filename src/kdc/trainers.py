@@ -1,8 +1,8 @@
 """Training algorithms: mini-batch SGM, batch gradient descent, and
 spectral-filter estimators, together with the parameter planner that maps
 a regime tag to concrete (eta, batch size, iterations) or lambda choices.
-A step schedule is a ``Constant``, a float, or a sequence of one step per
-iteration.
+A step schedule is a float, a sequence of one step per iteration, or a
+``Constant``; a spectral filter is a ``FilterSpec``.
 
 A model is a weight vector alpha over its training inputs, predicting
 x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
@@ -85,11 +85,14 @@ def resolve_schedule(schedule, iterations: int) -> np.ndarray:
     if iterations < 1:
         raise InvalidParameterError("iterations must be >= 1")
     if isinstance(schedule, Constant):
-        arr = np.full(iterations, float(schedule.eta))
-    elif np.isscalar(schedule):
-        arr = np.full(iterations, float(schedule))
-    else:
+        schedule = schedule.eta
+    try:
         arr = np.asarray(schedule, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            "a step schedule must be a number, a Constant or a sequence of numbers") from None
+    if arr.ndim == 0:
+        arr = np.full(iterations, arr)
     if arr.shape != (iterations,):
         raise InvalidParameterError(
             f"schedule length {arr.shape} does not match iterations={iterations}"
@@ -455,9 +458,8 @@ def gm_local(
     """Full-batch gradient descent on one partition.
 
     This is the batch limit of sgm_local. T steps of it are the Landweber
-    filter G_T of K/n, so it runs as :func:`sa_local` with that filter; the
-    schedule must hold nonnegative steps of at most 1/kappa_sq with a
-    positive sum.
+    filter G_T of K/n, so it runs as :func:`sa_local` with that filter,
+    whose spec checks the schedule.
     """
     spec = landweber(resolve_schedule(step_schedule, iterations), kernel.problem.kappa_sq)
     return sa_local(subset, spec, kernel, partition_index)
@@ -551,7 +553,7 @@ class TrainPlan:
             partitions=self.partitions,
             batch_size=self.batch_size,
             iterations=self.iterations,
-            step_schedule=Constant(self.eta),
+            step_schedule=self.eta,
             base_seed=base_seed,
         )
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from kdc import (
+    FilterSpec,
     SgmConfig,
     apply_filter,
     build_problem,
@@ -31,7 +32,6 @@ from kdc import (
     sample_dataset,
     sgm_local,
     spectral_kernel,
-    tikhonov,
     validate_filter,
 )
 from kdc.filters import FILTER_TAGS, filter_value
@@ -245,7 +245,7 @@ def test_a6_estimator_cross_checks():
         g = gram(kernel, data.inputs)
 
         lam = float(rng.uniform(1e-3, 1.0))
-        route_a = apply_filter(tikhonov(problem.kappa_sq, lam), g, data.labels)
+        route_a = apply_filter(FilterSpec("tikhonov", problem.kappa_sq, lam), g, data.labels)
         route_b = np.linalg.solve(g / n + lam * np.eye(n), data.labels / n)
         max_tik = max(max_tik, float(np.max(np.abs(route_a - route_b)) / max(1.0, np.max(np.abs(route_b)))))
 

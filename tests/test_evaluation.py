@@ -8,6 +8,7 @@ import pytest
 
 from kdc import (
     DegenerateInputError,
+    FilterSpec,
     InsufficientDataError,
     InvalidParameterError,
     KernelMismatchError,
@@ -29,7 +30,6 @@ from kdc import (
     sgm_local,
     spectral_kernel,
     theory_exponent,
-    tikhonov,
 )
 from kdc.seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 
@@ -221,7 +221,7 @@ def test_oversplitting_saturates_the_averaged_estimator():
     kernel = spectral_kernel(problem)
     n = 256
     lam = plan_parameters("cor5", n, 1, zeta=2.0, gamma=1.0).lam
-    spec = tikhonov(problem.kappa_sq, lam)
+    spec = FilterSpec("tikhonov", problem.kappa_sq, lam)
     data = sample_dataset(problem, n, seed=13)
     moderate = distributed_sa(data, spec, kernel, 32, partition_seed=13)
     extreme = distributed_sa(data, spec, kernel, 256, partition_seed=13)

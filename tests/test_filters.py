@@ -17,14 +17,11 @@ from kdc import (
     landweber,
     residual_product,
     sample_dataset,
-    spectral_cutoff,
     spectral_kernel,
-    tikhonov,
-    tikhonov_bias_corrected,
     validate_filter,
 )
 from kdc import filters
-from kdc.filters import FILTER_TAGS, MAX_LANDWEBER_STEPS, landweber_schedule_for
+from kdc.filters import FILTER_TAGS, MAX_LANDWEBER_STEPS
 
 KAPPA_SQ = 6.5736410355431385
 
@@ -43,12 +40,12 @@ def truncated_sum(etas, u):
 def test_tikhonov_closed_form():
     us = np.linspace(0.0, KAPPA_SQ, 13)
     for lam in (0.01, 0.5):
-        spec = tikhonov(KAPPA_SQ, lam)
+        spec = FilterSpec("tikhonov", KAPPA_SQ, lam)
         np.testing.assert_allclose(filter_value(spec, us), 1.0 / (us + lam), rtol=1e-14)
 
 
 def test_cutoff_keeps_high_modes_and_zeroes_low_ones():
-    spec = spectral_cutoff(KAPPA_SQ, 0.2)
+    spec = FilterSpec("cutoff", KAPPA_SQ, 0.2)
     assert filter_value(spec, 0.5) == pytest.approx(2.0, rel=1e-14)
     assert filter_value(spec, 0.2) == pytest.approx(5.0, rel=1e-14)
     assert filter_value(spec, 0.1999) == 0.0
@@ -58,7 +55,7 @@ def test_cutoff_keeps_high_modes_and_zeroes_low_ones():
 def test_bias_corrected_tikhonov_closed_form():
     us = np.linspace(0.0, KAPPA_SQ, 13)
     lam = 0.07
-    spec = tikhonov_bias_corrected(KAPPA_SQ, lam)
+    spec = FilterSpec("tikhonov_bc", KAPPA_SQ, lam)
     expected = lam / (lam + us) ** 2 + 1.0 / (lam + us)
     np.testing.assert_allclose(filter_value(spec, us), expected, rtol=1e-13)
 
@@ -99,7 +96,7 @@ def test_effective_lambda_and_step_sum():
     spec = landweber(etas, kappa_sq=4.0)
     assert np.sum(spec.step_sizes) == pytest.approx(0.5, rel=1e-15)
     assert spec.lam == pytest.approx(2.0, rel=1e-15)
-    assert tikhonov(KAPPA_SQ, 0.03).lam == 0.03
+    assert FilterSpec("tikhonov", KAPPA_SQ, 0.03).lam == 0.03
 
 
 def test_landweber_rejects_inadmissible_schedules():
@@ -125,32 +122,30 @@ def test_landweber_zero_steps_leave_the_filter_unchanged():
 @pytest.mark.parametrize("lam", [1e-300, math.nan, None, math.inf, 0.0])
 def test_landweber_schedule_rejects_unreachable_levels(lam):
     with pytest.raises(InvalidParameterError):
-        landweber_schedule_for(lam, KAPPA_SQ)
-    with pytest.raises(InvalidParameterError):
         filter_from_tag("landweber", KAPPA_SQ, lam)
 
 
 def test_landweber_schedule_is_capped_at_its_step_budget():
     eta = 1.0 / (2.0 * 1.01 * KAPPA_SQ)
-    assert len(landweber_schedule_for(1.0 / (0.5 * MAX_LANDWEBER_STEPS * eta), KAPPA_SQ)) \
-        <= MAX_LANDWEBER_STEPS // 2 + 1
+    spec = filter_from_tag("landweber", KAPPA_SQ, 1.0 / (0.5 * MAX_LANDWEBER_STEPS * eta))
+    assert len(spec.step_sizes) <= MAX_LANDWEBER_STEPS // 2 + 1
     with pytest.raises(InvalidParameterError, match="Landweber steps"):
-        landweber_schedule_for(1.0 / (2.0 * MAX_LANDWEBER_STEPS * eta), KAPPA_SQ)
+        filter_from_tag("landweber", KAPPA_SQ, 1.0 / (2.0 * MAX_LANDWEBER_STEPS * eta))
 
 
 def test_filter_value_domain_checks():
-    spec = tikhonov(KAPPA_SQ, 0.1)
+    spec = FilterSpec("tikhonov", KAPPA_SQ, 0.1)
     with pytest.raises(DomainError):
         filter_value(spec, KAPPA_SQ * 1.01)
     with pytest.raises(DomainError):
         filter_value(spec, -0.5)
 
 
-@pytest.mark.parametrize("build", [tikhonov, spectral_cutoff, tikhonov_bias_corrected])
+@pytest.mark.parametrize("kind", ["tikhonov", "cutoff", "tikhonov_bc"])
 @pytest.mark.parametrize("lam", [0.0, -0.2, math.nan, math.inf, None])
-def test_every_filter_is_built_at_a_positive_finite_level(build, lam):
+def test_every_filter_is_built_at_a_positive_finite_level(kind, lam):
     with pytest.raises(InvalidParameterError, match="lambda must be positive and finite"):
-        build(KAPPA_SQ, lam)
+        FilterSpec(kind, KAPPA_SQ, lam)
 
 
 def test_landweber_level_is_checked_like_every_other():
@@ -194,6 +189,42 @@ def test_an_unknown_kind_or_a_landweber_spec_without_steps_is_caught_when_built(
         FilterSpec("landweber", KAPPA_SQ, 0.1)
 
 
+@pytest.mark.parametrize("steps, lam, message", [
+    ((10.0,), 0.1, "step sizes must not exceed 1/kappa_sq"),
+    ((0.1, 0.05), 0.5, r"lambda must be 1/sum\(step_sizes\), got 0.5"),
+    ((), 1.0, "finite and nonnegative with a positive sum"),
+    (np.full((2, 3), 0.01), 1.0 / 0.06, r"step sizes must be 1-D, got shape \(2, 3\)"),
+    ((0.1, math.nan), 10.0, "finite and nonnegative with a positive sum"),
+], ids=["step_above_bound", "lam_not_level", "empty", "two_dimensional", "nan"])
+def test_a_landweber_spec_built_directly_keeps_the_step_contract(steps, lam, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        FilterSpec("landweber", KAPPA_SQ, lam, steps)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: landweber([0.1, 0.05, 0.0, 0.12], KAPPA_SQ),
+    lambda: landweber(np.full(7, 1.0 / KAPPA_SQ), KAPPA_SQ),
+    lambda: landweber(0.1, KAPPA_SQ),
+    lambda: landweber((1e-3, 2e-3), 4.0),
+    *(lambda lam=lam: filter_from_tag("landweber", KAPPA_SQ, lam) for lam in (1.0, 0.2, 1e-3)),
+])
+def test_every_built_landweber_spec_is_accepted_again(build):
+    # The same steps, as the array held or as a tuple of floats, at the level landweber() set.
+    spec = build()
+    assert type(spec.lam) is float and spec.lam == 1.0 / float(np.sum(spec.step_sizes))
+    for steps in (spec.step_sizes, tuple(float(s) for s in spec.step_sizes)):
+        again = FilterSpec("landweber", spec.kappa_sq, spec.lam, steps)
+        np.testing.assert_array_equal(again.step_sizes, spec.step_sizes)
+
+
+def test_landweber_steps_are_held_as_a_read_only_copy():
+    etas = np.array([0.1, 0.05])
+    spec = landweber(etas, KAPPA_SQ)
+    etas[0] = 1.0
+    assert spec.step_sizes.dtype == np.float64 and not spec.step_sizes.flags.writeable
+    np.testing.assert_array_equal(spec.step_sizes, [0.1, 0.05])
+
+
 def test_each_family_declares_its_constants_once():
     assert FILTER_TAGS == ("tikhonov", "landweber", "cutoff", "tikhonov_bc")
     assert filters.FILTER_FAMILIES["landweber"] == (3.0, 1.0, (3.0 / math.e) ** 3.0)
@@ -204,18 +235,19 @@ def test_each_family_declares_its_constants_once():
 
 
 @pytest.mark.parametrize("kappa_sq", [0.0, -1.0, math.inf, math.nan])
-@pytest.mark.parametrize("build", [tikhonov, spectral_cutoff, tikhonov_bias_corrected,
-                                   lambda ksq, lam: landweber([0.1], ksq)])
-def test_every_filter_needs_a_positive_finite_kernel_bound(build, kappa_sq):
+@pytest.mark.parametrize("kind", FILTER_TAGS)
+def test_every_filter_needs_a_positive_finite_kernel_bound(kind, kappa_sq):
+    # Landweber's one step of 0.1 sits at its level 1/0.1.
+    args = (10.0, (0.1,)) if kind == "landweber" else (0.1,)
     with pytest.raises(InvalidParameterError, match="kappa_sq must be positive and finite"):
-        build(kappa_sq, 0.1)
+        FilterSpec(kind, kappa_sq, *args)
 
 
 def test_apply_filter_needs_one_label_per_gram_row():
     problem = build_problem(dim=20, gamma=1.0, zeta=0.5)
     g = gram(spectral_kernel(problem), np.linspace(0.1, 0.9, 5))
     with pytest.raises(InvalidParameterError, match="rhs length must match the Gram matrix"):
-        apply_filter(tikhonov(problem.kappa_sq, 0.1), g, np.zeros(6))
+        apply_filter(FilterSpec("tikhonov", problem.kappa_sq, 0.1), g, np.zeros(6))
 
 
 def test_tikhonov_filter_solves_the_regularized_system():
@@ -224,7 +256,7 @@ def test_tikhonov_filter_solves_the_regularized_system():
     data = sample_dataset(problem, 40, seed=21)
     g = gram(kernel, data.inputs)
     lam = 0.05
-    coeffs = apply_filter(tikhonov(problem.kappa_sq, lam), g, data.labels)
+    coeffs = apply_filter(FilterSpec("tikhonov", problem.kappa_sq, lam), g, data.labels)
     n = len(data)
     direct = np.linalg.solve(g / n + lam * np.eye(n), data.labels / n)
     np.testing.assert_allclose(coeffs, direct, rtol=1e-9, atol=1e-12)

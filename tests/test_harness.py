@@ -19,7 +19,7 @@ from kdc import (
     write_records_csv,
 )
 from kdc import harness
-from kdc.filters import CLAMP_SAFETY, filter_from_tag, landweber_schedule_for
+from kdc.filters import CLAMP_SAFETY, filter_from_tag
 from kdc.harness import CSV_COLUMNS, ExperimentConfig, resolve_m, run_experiment
 from kdc.seeding import TAG_DATA
 from kdc.trainers import plan_parameters, theory_step_cap
@@ -61,6 +61,43 @@ def test_resolve_m_fixed_rule():
     assert resolve_m(30, 5) == (5, 5)
     assert resolve_m(30, 1) == (1, 1)
     assert resolve_m(30, "pow:0") == (1, 1)
+
+
+def divisor_walk(n_total, requested):
+    """The rule as first written: step down one at a time to a divisor of N."""
+    m = requested
+    while n_total % m:
+        m -= 1
+    return m
+
+
+@pytest.mark.parametrize("n_total", [2, 3, 12, 97, 360, 1024, 7919, 8191, 65521, 2**24])
+def test_resolve_m_finds_the_largest_divisor_the_walk_finds(n_total):
+    # Primes resolve to m = 1 whatever they ask; powers of two to the power at or below.
+    rules = [1, 2, 7, 64, 1000, "pow:0", "pow:0.3", "pow:0.4", "pow:0.5", "pow:0.7"]
+    if n_total < 2**20:
+        rules += [n_total - 1, n_total, "pow:0.99"]
+    for rule in rules:
+        requested, m = resolve_m(n_total, rule)
+        assert m == divisor_walk(n_total, requested), (n_total, rule)
+
+
+def test_resolve_m_rejects_a_sample_outside_its_range_at_once():
+    with pytest.raises(InvalidParameterError, match="n_total must be <= 16777216"):
+        resolve_m(2**61 - 1, "pow:0.5")
+    with pytest.raises(InvalidParameterError, match="n_total must be <= 16777216"):
+        resolve_m(2**24 + 1, 1)
+    with pytest.raises(InvalidParameterError, match="n_total must be >= 1"):
+        resolve_m(0, "pow:0.5")
+
+
+def test_a_sample_size_that_cannot_be_resolved_is_a_row_error():
+    rows = run_experiment(tiny_config(n_list=[1024, 2**61 - 1], replications=1))
+    alone = run_experiment(tiny_config(n_list=[1024], replications=1))
+    assert dataclasses.replace(rows[0], wall_ms=0.0) == dataclasses.replace(alone[0], wall_ms=0.0)
+    assert rows[1].error == "InvalidParameterError: n_total must be <= 16777216"
+    assert (rows[1].m_requested, rows[1].m, rows[1].n_local, rows[1].iterations) == (None,) * 4
+    assert math.isnan(rows[1].risk_mean)
 
 
 def test_resolve_m_rejects_nonsense():
@@ -196,8 +233,11 @@ def test_reading_a_missing_records_file_names_it(tmp_path):
 # running experiments
 
 
-def test_run_experiment_is_reproducible_and_parallel_consistent():
-    cfg = tiny_config()
+# A Landweber point sends its step array to the pool's workers.
+@pytest.mark.parametrize("overrides", [{}, {"algorithm": "sa", "regime": "cor5",
+                                            "filter": "landweber"}], ids=["sgm", "landweber"])
+def test_run_experiment_is_reproducible_and_parallel_consistent(overrides):
+    cfg = tiny_config(**overrides)
     serial = run_experiment(cfg, workers=1)
     again = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=2)
@@ -210,6 +250,7 @@ def test_run_experiment_is_reproducible_and_parallel_consistent():
         return rows
 
     assert strip(serial) == strip(again) == strip(parallel)
+    assert [rec.error for rec in serial] == ["", ""]
 
 
 @pytest.mark.parametrize("affinity", [True, False])
@@ -358,7 +399,7 @@ def test_landweber_rows_record_the_level_and_steps_the_filter_ran():
 
 def test_landweber_schedule_matches_its_target_level():
     ksq = 6.5736410355431385
-    sched = landweber_schedule_for(0.05, ksq)
+    sched = filter_from_tag("landweber", ksq, 0.05).step_sizes
     eta = 1.0 / (2.0 * 1.01 * ksq)
     assert np.all(sched == eta)
     assert len(sched) == math.ceil(1.0 / (0.05 * eta))

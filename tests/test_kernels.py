@@ -8,6 +8,7 @@ import pytest
 from kdc import (
     DomainError,
     EigendecompositionError,
+    FilterSpec,
     InvalidParameterError,
     apply_filter,
     build_problem,
@@ -19,7 +20,6 @@ from kdc import (
     sample_dataset,
     spectral_kernel,
     sym_eigendecompose,
-    tikhonov,
 )
 from kdc.filters import filter_from_tag
 from kdc.kernels import kernel_features
@@ -66,7 +66,7 @@ def test_spectral_kernel_rejects_points_off_the_interval(kernel):
 @pytest.mark.parametrize("xs", [math.nan, np.array([0.5, math.nan])])
 def test_nan_lies_outside_the_domain(small_problem, kernel, xs):
     model = sa_local(sample_dataset(small_problem, 8, seed=0),
-                     tikhonov(small_problem.kappa_sq, 0.1), kernel)
+                     FilterSpec("tikhonov", small_problem.kappa_sq, 0.1), kernel)
     for evaluate in (lambda: kernel_features(kernel, xs),
                      lambda: regression_value(small_problem, xs),
                      lambda: predict(model, xs)):
@@ -127,7 +127,7 @@ def test_sym_eigendecompose_rejects_malformed_arrays(mat, message):
 
 @pytest.mark.parametrize("mat, message", MALFORMED)
 def test_apply_filter_rejects_malformed_arrays(small_problem, mat, message):
-    spec = tikhonov(small_problem.kappa_sq, 0.1)
+    spec = FilterSpec("tikhonov", small_problem.kappa_sq, 0.1)
     with pytest.raises(InvalidParameterError, match=message):
         apply_filter(spec, mat, np.ones(len(mat)))
 

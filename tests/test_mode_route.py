@@ -20,6 +20,7 @@ import pytest
 
 from kdc import (
     DomainError,
+    FilterSpec,
     apply_filter,
     build_problem,
     distributed_sa,
@@ -31,10 +32,9 @@ from kdc import (
     sa_local,
     sample_dataset,
     spectral_kernel,
-    tikhonov,
 )
 from kdc import filters
-from kdc.filters import FILTER_TAGS, landweber_schedule_for
+from kdc.filters import FILTER_TAGS
 from kdc.kernels import kernel_features, sym_eigendecompose
 from kdc.trainers import _mode_filter
 
@@ -90,7 +90,7 @@ def test_mode_filter_matches_apply_filter_around_n_equals_dim(monkeypatch, dim, 
     cases.append(("cutoff", float(evals[min(10, n - 1)]) * (1.0 + 1e-6)))
 
     for tag, lam in cases:
-        steps = landweber_schedule_for(lam, ksq)
+        steps = filter_from_tag("landweber", ksq, lam).step_sizes
         if tag == "gm_local":
             model = gm_local(data, steps, steps.size, kernel)
             dual = apply_filter(landweber(steps, kappa_sq=ksq), g, data.labels)
@@ -116,7 +116,7 @@ def test_tikhonov_solve_matches_apply_filter_column_by_column(monkeypatch, gamma
     calls = _count_eigh(monkeypatch)
 
     for lam in (1e-4, 1e-3, 1e-2, 0.3):
-        spec = tikhonov(problem.kappa_sq, lam)
+        spec = FilterSpec("tikhonov", problem.kappa_sq, lam)
         before = len(calls)
         model = sa_local(data, spec, kernel)
         both = _mode_filter(kernel, feats, labels, spec)
@@ -153,11 +153,11 @@ def test_tikhonov_past_the_trace_bound_takes_eigh_and_keeps_its_domain_error(
     assert top < trace
     calls = _count_eigh(monkeypatch)
 
-    spec = tikhonov(0.5 * (top + trace), 1e-3)
+    spec = FilterSpec("tikhonov", 0.5 * (top + trace), 1e-3)
     model = sa_local(data, spec, kernel)
     assert len(calls) == 1
     assert _rel(model.coeffs, apply_filter(spec, g, data.labels)) <= 1e-10
 
     low = 0.5 * top
     with pytest.raises(DomainError, match=re.escape(f"filter argument must lie in [0, {low:.6g}]")):
-        sa_local(data, tikhonov(low, 1e-3), kernel)
+        sa_local(data, FilterSpec("tikhonov", low, 1e-3), kernel)

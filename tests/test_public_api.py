@@ -27,8 +27,8 @@ PUBLIC_NAMES = (
     "predict,problem_from_json,problem_to_json,"
     "read_records_csv,records_from_csv,records_to_csv,regression_value,residual_product,"
     "resolve_m,resolve_schedule,run_experiment,sa_local,sample_dataset,second_moment_bound,"
-    "sgm_local,spectral_cutoff,spectral_kernel,splitmix64,sup_norm_bound,"
-    "sym_eigendecompose,tail_mass,theory_exponent,tikhonov,tikhonov_bias_corrected,"
+    "sgm_local,spectral_kernel,splitmix64,sup_norm_bound,"
+    "sym_eigendecompose,tail_mass,theory_exponent,"
     "validate_filter,write_records_csv"
 )
 
@@ -57,8 +57,6 @@ def test_a_filter_spec_carries_its_own_level():
     # Lambda is bound when a filter is built; nothing that applies one takes it again.
     for fn in (kdc.filter_value, kdc.apply_filter, kdc.sa_local, kdc.distributed_sa):
         assert "lam" not in inspect.signature(fn).parameters, fn.__name__
-    for build in (kdc.tikhonov, kdc.spectral_cutoff, kdc.tikhonov_bias_corrected):
-        assert list(inspect.signature(build).parameters) == ["kappa_sq", "lam"]
 
 
 def test_a_filter_spec_takes_only_what_varies_within_its_family():

@@ -10,6 +10,7 @@ import pytest
 from kdc import (
     Dataset,
     DomainError,
+    FilterSpec,
     InvalidParameterError,
     basis_matrix,
     build_problem,
@@ -27,7 +28,6 @@ from kdc import (
     spectral_kernel,
     sup_norm_bound,
     tail_mass,
-    tikhonov,
 )
 from kdc.spectral_model import MAX_DIM, MAX_N_TOTAL
 
@@ -289,7 +289,7 @@ def test_problem_id_survives_the_json_round_trip_with_integer_parameters():
     assert clone.problem_id == problem.problem_id
     assert problem_to_json(clone) == problem_to_json(problem)
     data = sample_dataset(clone, 16, seed=0)
-    model = sa_local(data, tikhonov(clone.kappa_sq, 0.1), spectral_kernel(clone))
+    model = sa_local(data, FilterSpec("tikhonov", clone.kappa_sq, 0.1), spectral_kernel(clone))
     np.testing.assert_array_equal(mode_projection(problem, model), model.modes)
 
 
@@ -434,6 +434,26 @@ def test_malformed_dataset_csv_names_its_line(text, message):
 def test_an_oversized_dim_is_a_parameter_error(dim):
     with pytest.raises(InvalidParameterError, match=f"dim must be <= {MAX_DIM}"):
         build_problem(dim=dim)
+
+
+@pytest.mark.parametrize("dim", [2.5, 20.0, math.nan, True, None, "20"])
+def test_a_dim_that_is_not_an_integer_is_a_parameter_error(dim):
+    with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+        build_problem(dim=dim)
+    with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+        tail_mass(dim, 0.5)
+
+
+@pytest.mark.parametrize("dim, gamma, message", [
+    (MAX_DIM + 1, 0.5, f"dim must be <= {MAX_DIM}"),
+    (10, math.nan, r"gamma must lie in \(0, 1\]"),
+    (10, None, r"gamma must lie in \(0, 1\]"),
+])
+def test_tail_mass_applies_the_family_rules(dim, gamma, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        tail_mass(dim, gamma)
+    with pytest.raises(InvalidParameterError, match=message):
+        build_problem(dim=dim, gamma=gamma)
 
 
 @pytest.mark.parametrize("n_total", [MAX_N_TOTAL + 1, 2**63, 10**30])

@@ -14,6 +14,7 @@ from kdc import (
     Dataset,
     DivergenceError,
     DomainError,
+    FilterSpec,
     IndivisibleDataError,
     InvalidParameterError,
     InvalidRegimeError,
@@ -42,11 +43,10 @@ from kdc import (
     sample_dataset,
     sgm_local,
     spectral_kernel,
-    tikhonov,
 )
 from kdc import trainers
 from kdc.filters import (
-    check_step_bound, filter_from_tag, landweber_recurrence, landweber_schedule_for,
+    check_step_bound, filter_from_tag, landweber_recurrence,
 )
 from kdc.kernels import kernel_features
 from kdc.seeding import partition_stream_seed
@@ -85,6 +85,16 @@ def test_resolve_schedule_rejects_bad_input():
         resolve_schedule(math.nan, 2)
     with pytest.raises(InvalidParameterError):
         resolve_schedule(0.1, 0)
+
+
+@pytest.mark.parametrize("schedule", ["abc", [0.1, "abc"], [[0.1, 0.2], [0.1]], 10**400,
+                                      Constant("abc")])
+def test_a_schedule_that_is_not_numbers_is_a_parameter_error(schedule):
+    message = "a step schedule must be a number, a Constant or a sequence of numbers"
+    with pytest.raises(InvalidParameterError, match=message):
+        resolve_schedule(schedule, 2)
+    with pytest.raises(InvalidParameterError, match=message):
+        SgmConfig(partitions=1, batch_size=1, iterations=2, step_schedule=schedule, base_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +140,8 @@ def distributed_fits(kernel, partitions):
                     step_schedule=0.05, base_seed=12)
     return {
         "sgm": lambda d: distributed_sgm(d, cfg, kernel, partition_seed=7),
-        "tikhonov": lambda d: distributed_sa(d, tikhonov(ksq, 1e-2), kernel, partitions, 7),
+        "tikhonov": lambda d: distributed_sa(d, FilterSpec("tikhonov", ksq, 1e-2), kernel,
+                                             partitions, 7),
         "landweber": lambda d: distributed_sa(d, landweber(np.full(25, 0.05), ksq), kernel,
                                               partitions, 7),
     }
@@ -495,7 +506,7 @@ def test_trained_models_carry_the_modes_of_a_fresh_feature_matrix(request, probl
     data = sample_dataset(problem, n, seed=11)
     cfg = SgmConfig(partitions=3, batch_size=2, iterations=40, step_schedule=0.05, base_seed=6)
     models = [
-        sa_local(data, tikhonov(problem.kappa_sq, 1e-2), kernel),
+        sa_local(data, FilterSpec("tikhonov", problem.kappa_sq, 1e-2), kernel),
         gm_local(data, 0.05, 30, kernel),
         sgm_local(data, dataclasses.replace(cfg, partitions=1), kernel, 0),
         *distributed_sgm(data, cfg, kernel, partition_seed=4).locals,
@@ -519,7 +530,7 @@ def test_local_model_needs_one_coefficient_per_input(data, kernel):
 
 def test_distributed_sa_needs_a_partition(data, kernel, small_problem):
     with pytest.raises(InvalidParameterError, match="partitions must be >= 1"):
-        distributed_sa(data, tikhonov(small_problem.kappa_sq, 0.1), kernel, 0, 0)
+        distributed_sa(data, FilterSpec("tikhonov", small_problem.kappa_sq, 0.1), kernel, 0, 0)
 
 
 def test_local_model_rejects_nonfinite_coefficients(data, kernel):
@@ -650,7 +661,8 @@ def test_a_directly_built_average_rejects_mixed_kernels(data, kernel):
     # Same dim, different gamma: the mode vectors have one length, so only
     # the kernel check stands between this average and a silent risk.
     other = spectral_kernel(build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1))
-    models = tuple(sa_local(data, tikhonov(k.problem.kappa_sq, 1e-2), k) for k in (kernel, other))
+    models = tuple(sa_local(data, FilterSpec("tikhonov", k.problem.kappa_sq, 1e-2), k)
+                   for k in (kernel, other))
     with pytest.raises(KernelMismatchError):
         AveragedModel(locals=models)
     with pytest.raises(InvalidParameterError):
@@ -676,7 +688,7 @@ def test_distributed_runs_are_deterministic(small_problem, kernel):
     assert len(a.locals) == 4
     xs = np.linspace(0.1, 0.9, 5)
     np.testing.assert_array_equal(predict(a, xs), predict(b, xs))
-    spec = tikhonov(small_problem.kappa_sq, 0.05)
+    spec = FilterSpec("tikhonov", small_problem.kappa_sq, 0.05)
     sa1 = distributed_sa(data, spec, kernel, 4, partition_seed=77)
     sa2 = distributed_sa(data, spec, kernel, 4, partition_seed=77)
     np.testing.assert_array_equal(predict(sa1, xs), predict(sa2, xs))
@@ -987,13 +999,13 @@ def test_step_condition_rejects_a_nonpositive_bound_or_step(schedule, kappa_sq, 
 
 @pytest.mark.parametrize("kappa_sq", [0.0, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("call", [
-    lambda ksq: landweber_schedule_for(0.1, ksq),
+    lambda ksq: FilterSpec("landweber", ksq, 10.0, (0.1,)),
     lambda ksq: filter_from_tag("landweber", ksq, 0.1),
     lambda ksq: check_step_bound([0.1], ksq),
     lambda ksq: trainers.theory_step_cap(ksq, 10),
     lambda ksq: plan_parameters("cor1.1", 256, 2, 0.5, 1.0, kappa_sq=ksq),
     lambda ksq: check_step_condition(0.1, 5, ksq),
-], ids=["landweber_schedule_for", "filter_from_tag", "check_step_bound", "theory_step_cap",
+], ids=["FilterSpec", "filter_from_tag", "check_step_bound", "theory_step_cap",
         "plan_parameters", "check_step_condition"])
 def test_every_use_of_the_kernel_bound_needs_it_positive_and_finite(call, kappa_sq):
     with pytest.raises(InvalidParameterError, match="kappa_sq must be positive and finite"):
