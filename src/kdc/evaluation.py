@@ -172,9 +172,10 @@ def decompose_error(
         rows = _partition_rows(n_total, partitions, derive_seed(base, TAG_PARTITION, d))
         feats = _dataset_features(kernel, ds)
 
-        # Per partition, one factorization fits the noiseless and the noisy labels.
+        # Per partition, one factorization fits the noiseless and the noisy labels. A
+        # filter fit ignores row order, so one partition is the whole sample in place.
         pairs = []
-        for s, idx in enumerate(rows):
+        for s, idx in enumerate([slice(None)] if partitions == 1 else rows):
             block_feats = feats[idx]
             pairs.append(_filter_models(ds.inputs[idx], block_feats,
                                         (block_feats @ target, ds.labels[idx]),

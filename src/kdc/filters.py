@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameterError
 from .kernels import sym_eigendecompose
-from .spectral_model import check_positive
+from .spectral_model import check_positive, reduce_through_init
 
 #: Points in each of validate_filter's lambda and u grids.
 DEFAULT_GRID_POINTS = 200
@@ -80,7 +80,7 @@ class FilterSpec:
         if self.kind == "landweber":
             if self.step_sizes is None:
                 raise InvalidParameterError("a landweber filter needs its step_sizes")
-            steps = np.array(self.step_sizes, dtype=float)
+            steps = step_array(self.step_sizes).copy()
             if steps.ndim != 1:
                 raise InvalidParameterError(f"step sizes must be 1-D, got shape {steps.shape}")
             if not (np.all(np.isfinite(steps) & (steps >= 0)) and steps.sum() > 0):
@@ -99,6 +99,8 @@ class FilterSpec:
                                FILTER_FAMILIES[self.kind]):
             object.__setattr__(self, name, value)
 
+    __reduce__ = reduce_through_init
+
 
 def check_step_bound(steps, kappa_sq: float) -> None:
     """Raise unless every step is <= 1/kappa_sq: the Landweber, GD and SGM contract."""
@@ -107,6 +109,15 @@ def check_step_bound(steps, kappa_sq: float) -> None:
         raise InvalidParameterError(
             f"step sizes must not exceed 1/kappa_sq = {1.0 / kappa_sq:.6g}"
         )
+
+
+def step_array(steps) -> np.ndarray:
+    """The steps as a float array; steps that are not numbers raise InvalidParameterError."""
+    try:
+        return np.asarray(steps, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            "a step schedule must be a number, a Constant or a sequence of numbers") from None
 
 
 def _step_level(steps) -> float:
@@ -121,7 +132,8 @@ def landweber(step_sizes, kappa_sq: float) -> FilterSpec:
     G_t(u) = sum_k eta_k * prod_{i=k+1..t} (1 - eta_i u) at the effective
     level lambda = 1 / sum_k eta_k; :class:`FilterSpec` checks the schedule.
     """
-    return FilterSpec("landweber", kappa_sq, _step_level(step_sizes), np.atleast_1d(step_sizes))
+    steps = np.atleast_1d(step_array(step_sizes))
+    return FilterSpec("landweber", kappa_sq, _step_level(steps), steps)
 
 
 def filter_from_tag(tag: str, kappa_sq: float, lam: float) -> FilterSpec:

@@ -12,8 +12,10 @@ the point's TrainPlan (SGM) or FilterSpec (SA), and its record's plan
 columns come from the same object. A point that cannot be planned records
 the error and runs no task. Replications are independent tasks keyed by
 (N, rep); with ``workers`` > 1 (0 = one per CPU that the process may use)
-they execute in a process pool. Results are aggregated in task order, so
-parallel runs produce byte-identical records.
+they execute in a process pool, whose workers each parse the problem's JSON
+once, and serial tasks share the calling process's problem. Results are
+aggregated in task order, so parallel runs produce byte-identical records.
+At m = 1 an SA task fits the whole sample in place and uses no partition seed.
 """
 from __future__ import annotations
 
@@ -34,8 +36,8 @@ from .filters import FILTER_TAGS, FilterSpec, filter_from_tag
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
 from .spectral_model import (
-    MAX_N_TOTAL, PROBLEM_PARAMS, build_problem, check_json_types, check_positive,
-    problem_from_json, problem_to_json, sample_dataset,
+    MAX_N_TOTAL, PROBLEM_PARAMS, SpectralProblem, build_problem, check_json_types,
+    check_positive, problem_from_json, problem_to_json, sample_dataset,
 )
 from .trainers import (
     SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
@@ -256,15 +258,15 @@ def read_records_csv(path: str) -> list[RunRecord]:
     return records_from_csv(text)
 
 
-def _run_point(problem_json: str, fit: TrainPlan | FilterSpec, n_total: int, m: int, rep: int,
-               base_seed: int) -> dict:
+def _run_point(problem: SpectralProblem, fit: TrainPlan | FilterSpec, n_total: int, m: int,
+               rep: int, base_seed: int) -> dict:
     """Sample, fit and score one (N, rep) task; returns its risk or a recorded error.
 
-    ``fit`` is the point's TrainPlan for SGM or its FilterSpec for SA.
+    ``fit`` is the point's TrainPlan for SGM or its FilterSpec for SA. At
+    m = 1 an SA fit is the whole sample's, and its partition seed goes unused.
     """
     t0 = time.perf_counter()
     try:
-        problem = problem_from_json(problem_json)
         kernel = spectral_kernel(problem)
         ds = sample_dataset(problem, n_total, derive_seed(base_seed, TAG_DATA, n_total, rep))
         part_seed = derive_seed(base_seed, TAG_PARTITION, n_total, rep)
@@ -277,6 +279,20 @@ def _run_point(problem_json: str, fit: TrainPlan | FilterSpec, n_total: int, m: 
     except (KdcError, np.linalg.LinAlgError, FloatingPointError) as exc:  # recorded per row
         risk, error = math.nan, f"{type(exc).__name__}: {exc}"
     return {"risk": risk, "error": error, "wall_ms": 1e3 * (time.perf_counter() - t0)}
+
+
+#: The sweep's problem in a pool worker, parsed once by :func:`_init_worker`.
+_worker_problem: SpectralProblem | None = None
+
+
+def _init_worker(problem_json: str) -> None:
+    global _worker_problem
+    _worker_problem = problem_from_json(problem_json)
+
+
+def _run_pooled(*task) -> dict:
+    """:func:`_run_point` on the worker's problem."""
+    return _run_point(_worker_problem, *task)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
@@ -295,7 +311,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1 (or 0 for auto)")
     problem = build_problem(**{name: getattr(config, name) for name in PROBLEM_PARAMS})
-    problem_json = problem_to_json(problem)
     reps = config.replications
 
     points = []
@@ -320,13 +335,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             points.append((n_total, m_requested, m, (None,) * 4, f"{type(exc).__name__}: {exc}"))
         else:
             points.append((n_total, m_requested, m, columns, None))
-            tasks += [(problem_json, fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
+            tasks += [(fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
 
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_point, *zip(*tasks)))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(problem_to_json(problem),)) as pool:
+            results = list(pool.map(_run_pooled, *zip(*tasks)))
     else:
-        results = [_run_point(*task) for task in tasks]
+        results = [_run_point(problem, *task) for task in tasks]
 
     records = []
     remaining = iter(results)

@@ -18,7 +18,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -121,6 +121,12 @@ def check_problem_params(dim: int, gamma: float, zeta: float, source_norm: float
         raise InvalidParameterError(f"noise_sd must be >= 0 and finite, got {noise_sd!r}")
 
 
+def reduce_through_init(obj):
+    """Pickle a checked dataclass as a call of its class, so that a copy is checked and
+    read-only too: unpickling otherwise skips __post_init__, and numpy's read-only flag."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralProblem:
     """A synthetic learning problem defined by its kernel spectrum.
@@ -189,6 +195,8 @@ class SpectralProblem:
         tc.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "target_coeffs", tc)
+
+    __reduce__ = reduce_through_init
 
     @property
     def problem_id(self) -> str:

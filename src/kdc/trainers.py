@@ -28,7 +28,7 @@ Gradient descent on the noiseless labels f(x_j) is ``gm_local`` on them.
 Distributed training partitions one dataset uniformly at random, trains
 each block independently, and averages the block predictors uniformly; a
 block is a row of sample indices (``_partition_rows``), so no second
-N x dim matrix is copied.
+N x dim matrix is copied; one block is the whole sample, used in place.
 Steps have one runtime contract, eta <= 1/kappa_sq; every tighter cap (the
 1/(1.01 kappa_sq) clamp, the theory cap) is planned, only in ``plan_parameters``.
 """
@@ -50,6 +50,7 @@ from .errors import (
 )
 from .filters import (
     CLAMP_SAFETY, FilterSpec, check_step_bound, filter_value, landweber, landweber_recurrence,
+    step_array,
 )
 from .kernels import KernelSpec, kernel_features
 from .seeding import make_rng, partition_stream_seed
@@ -86,11 +87,7 @@ def resolve_schedule(schedule, iterations: int) -> np.ndarray:
         raise InvalidParameterError("iterations must be >= 1")
     if isinstance(schedule, Constant):
         schedule = schedule.eta
-    try:
-        arr = np.asarray(schedule, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(
-            "a step schedule must be a number, a Constant or a sequence of numbers") from None
+    arr = step_array(schedule)
     if arr.ndim == 0:
         arr = np.full(iterations, arr)
     if arr.shape != (iterations,):
@@ -497,11 +494,21 @@ def distributed_sgm(
     kernel: KernelSpec,
     partition_seed: int,
 ) -> AveragedModel:
-    """Partition, train SGM on every block in lockstep, and average the predictors."""
+    """Partition, train SGM on every block in lockstep, and average the predictors.
+
+    With one partition the block is still the sample permuted by
+    ``partition_seed``, whose index stream it trains on, but its model is
+    built over the sample itself: the coefficients go back to input order
+    and the sample's Phi serves as it is, so no rows are copied.
+    """
     rows = _partition_rows(len(dataset), config.partitions, partition_seed)
     feats = _dataset_features(kernel, dataset)
     alphas, _ = _sgm_runs(feats, dataset.labels, rows, config, kernel,
                           [(s, s, config.base_seed) for s in range(config.partitions)])
+    if config.partitions == 1:
+        coeffs = np.empty_like(alphas[0])
+        coeffs[rows[0]] = alphas[0]
+        return average_models([LocalModel(dataset.inputs, coeffs, 0, kernel, _features=feats)])
     return average_models([
         LocalModel(dataset.inputs[idx], a, s, kernel, _features=feats[idx])
         for s, (idx, a) in enumerate(zip(rows, alphas))
@@ -515,7 +522,14 @@ def distributed_sa(
     partitions: int,
     partition_seed: int,
 ) -> AveragedModel:
-    """Partition, run the spectral algorithm on each block, and average."""
+    """Partition, run the spectral algorithm on each block, and average.
+
+    A filter estimator does not depend on the order of its rows, so one
+    partition is :func:`sa_local` on the whole sample: no permutation is
+    drawn (``partition_seed`` is unused) and no rows are copied.
+    """
+    if partitions == 1:
+        return average_models([sa_local(dataset, filter_spec, kernel)])
     rows = _partition_rows(len(dataset), partitions, partition_seed)
     feats = _dataset_features(kernel, dataset)
     return average_models([

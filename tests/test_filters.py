@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -106,6 +108,29 @@ def test_landweber_rejects_inadmissible_schedules():
         landweber([-0.01, 0.01], kappa_sq=KAPPA_SQ)
     with pytest.raises(InvalidParameterError):
         landweber([], kappa_sq=KAPPA_SQ)
+
+
+def test_landweber_steps_that_are_not_numbers_are_a_parameter_error():
+    message = "a step schedule must be a number, a Constant or a sequence of numbers"
+    with pytest.raises(InvalidParameterError, match=message):
+        landweber("abc", 2.0)
+    with pytest.raises(InvalidParameterError, match=message):
+        FilterSpec("landweber", 2.0, 1.0, ["x"])
+
+
+@pytest.mark.parametrize("tag", FILTER_TAGS)
+def test_a_pickled_filter_spec_is_rebuilt_checked_and_read_only(tag):
+    # Specs cross the sweep's process pool by pickle.
+    spec = filter_from_tag(tag, 1.0, 1.5e-5 if tag == "landweber" else 0.05)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone is not spec
+    for f in dataclasses.fields(FilterSpec):
+        np.testing.assert_array_equal(getattr(clone, f.name), getattr(spec, f.name))
+    if tag == "landweber":
+        assert not clone.step_sizes.flags.writeable
+    object.__setattr__(clone, "lam", -clone.lam)
+    with pytest.raises(InvalidParameterError, match="lambda must be positive"):
+        pickle.loads(pickle.dumps(clone))
 
 
 def test_landweber_zero_steps_leave_the_filter_unchanged():

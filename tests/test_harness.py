@@ -18,7 +18,7 @@ from kdc import (
     records_to_csv,
     write_records_csv,
 )
-from kdc import harness
+from kdc import harness, spectral_model
 from kdc.filters import CLAMP_SAFETY, filter_from_tag
 from kdc.harness import CSV_COLUMNS, ExperimentConfig, resolve_m, run_experiment
 from kdc.seeding import TAG_DATA
@@ -233,9 +233,14 @@ def test_reading_a_missing_records_file_names_it(tmp_path):
 # running experiments
 
 
-# A Landweber point sends its step array to the pool's workers.
-@pytest.mark.parametrize("overrides", [{}, {"algorithm": "sa", "regime": "cor5",
-                                            "filter": "landweber"}], ids=["sgm", "landweber"])
+# A Landweber point sends its step array to the pool's workers; at m = 1 the
+# trainers fit the sample in place.
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"algorithm": "sa", "regime": "cor5", "filter": "landweber"},
+    {"algorithm": "sa", "regime": "cor6", "m_rule": 1},
+    {"regime": "cor3.4", "m_rule": 1},
+], ids=["sgm", "landweber", "sa_m1", "sgm_m1"])
 def test_run_experiment_is_reproducible_and_parallel_consistent(overrides):
     cfg = tiny_config(**overrides)
     serial = run_experiment(cfg, workers=1)
@@ -258,8 +263,9 @@ def test_auto_workers_count_the_cpus_this_process_may_use(monkeypatch, affinity)
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -279,6 +285,20 @@ def test_auto_workers_count_the_cpus_this_process_may_use(monkeypatch, affinity)
     auto = run_experiment(tiny_config(), workers=0)
     assert [r.risk_mean for r in auto] == [r.risk_mean for r in run_experiment(tiny_config())]
     assert sizes == [3 if affinity else 64]
+
+
+def test_a_serial_sweep_serializes_its_problem_only_for_its_id(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a serial sweep has no process boundary to cross")
+
+    monkeypatch.setattr(harness, "problem_to_json", forbidden)
+    monkeypatch.setattr(harness, "problem_from_json", forbidden)
+    calls = []
+    real = spectral_model.problem_to_json
+    monkeypatch.setattr(spectral_model, "problem_to_json", lambda p: calls.append(p) or real(p))
+    records = run_experiment(tiny_config(), workers=1)
+    assert [r.error for r in records] == ["", ""]
+    assert len(calls) == 1
 
 
 def test_run_experiment_records_are_well_formed():

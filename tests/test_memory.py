@@ -80,8 +80,14 @@ def test_sa_local_scales_no_copy_of_the_features(default_problem, sample, tag):
 
 
 @pytest.mark.parametrize("tag", FILTER_TAGS)
-def test_one_partition_copies_the_features_once(default_problem, sample, tag):
+def test_one_partition_sa_copies_no_feature_matrix(default_problem, sample, tag):
     spec = filter_from_tag(tag, default_problem.kappa_sq, 0.05)
     kernel = spectral_kernel(default_problem)
-    peak = traced_peak(lambda: distributed_sa(sample, spec, kernel, 1, 4))
-    assert peak < sample.features.nbytes + PEAK_LIMIT_BYTES, peak
+    assert traced_peak(lambda: distributed_sa(sample, spec, kernel, 1, 4)) < PEAK_LIMIT_BYTES
+
+
+def test_one_partition_sgm_copies_no_feature_matrix(default_problem, sample):
+    cfg = SgmConfig(partitions=1, batch_size=16, iterations=INDEX_CHUNK + 3,
+                    step_schedule=0.5 / default_problem.kappa_sq, base_seed=3)
+    kernel = spectral_kernel(default_problem)
+    assert traced_peak(lambda: distributed_sgm(sample, cfg, kernel, 4)) < PEAK_LIMIT_BYTES

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -280,6 +281,17 @@ def test_problem_json_round_trip(default_problem):
     np.testing.assert_array_equal(clone.eigenvalues, default_problem.eigenvalues)
     np.testing.assert_array_equal(clone.target_coeffs, default_problem.target_coeffs)
     assert clone.problem_id == default_problem.problem_id
+
+
+def test_a_pickled_problem_is_rebuilt_checked_and_read_only(default_problem):
+    clone = pickle.loads(pickle.dumps(default_problem))
+    assert problem_to_json(clone) == problem_to_json(default_problem)
+    assert clone.problem_id == default_problem.problem_id
+    assert not clone.eigenvalues.flags.writeable
+    assert not clone.target_coeffs.flags.writeable
+    object.__setattr__(clone, "kappa_sq", -1.0)
+    with pytest.raises(InvalidParameterError, match="kappa_sq must be positive"):
+        pickle.loads(pickle.dumps(clone))
 
 
 def test_problem_id_survives_the_json_round_trip_with_integer_parameters():

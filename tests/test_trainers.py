@@ -46,7 +46,7 @@ from kdc import (
 )
 from kdc import trainers
 from kdc.filters import (
-    check_step_bound, filter_from_tag, landweber_recurrence,
+    FILTER_TAGS, check_step_bound, filter_from_tag, landweber_recurrence,
 )
 from kdc.kernels import kernel_features
 from kdc.seeding import partition_stream_seed
@@ -155,7 +155,8 @@ def assert_same_bits(a, b):
         np.testing.assert_array_equal(x.modes, y.modes)
 
 
-@pytest.mark.parametrize("n_total, partitions", [(48, 4), (96, 2)])  # n_local 12 and 48, dim 20
+# n_local 12, 48 and 48, dim 20; one partition fits the sample in place.
+@pytest.mark.parametrize("n_total, partitions", [(48, 4), (96, 2), (48, 1)])
 def test_sampled_features_give_the_bits_of_features_evaluated_afresh(
         small_problem, kernel, n_total, partitions):
     data = sample_dataset(small_problem, n_total, seed=3)
@@ -510,10 +511,39 @@ def test_trained_models_carry_the_modes_of_a_fresh_feature_matrix(request, probl
         gm_local(data, 0.05, 30, kernel),
         sgm_local(data, dataclasses.replace(cfg, partitions=1), kernel, 0),
         *distributed_sgm(data, cfg, kernel, partition_seed=4).locals,
+        *distributed_sgm(data, dataclasses.replace(cfg, partitions=1), kernel, 4).locals,
     ]
     for model in models:
         expected = problem.eigenvalues * (kernel_features(kernel, model.inputs).T @ model.coeffs)
         np.testing.assert_array_equal(model.modes, expected)
+
+
+@pytest.mark.parametrize("tag", FILTER_TAGS)
+def test_one_partition_sa_is_sa_local_on_the_sample(data, kernel, small_problem, tag):
+    # A filter fit does not depend on row order, so one block is the sample as it is.
+    spec = filter_from_tag(tag, small_problem.kappa_sq, 0.05)
+    model = distributed_sa(data, spec, kernel, 1, partition_seed=4)
+    expected = sa_local(data, spec, kernel)
+    (local,) = model.locals
+    np.testing.assert_array_equal(local.inputs, data.inputs)
+    np.testing.assert_array_equal(local.coeffs, expected.coeffs)
+    np.testing.assert_array_equal(model.modes, expected.modes)
+
+
+@pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
+def test_one_partition_sgm_is_its_permuted_block_in_input_order(small_problem, kernel, n):
+    # The one block keeps its permuted index stream, so training is the
+    # permuted block's; only the model is built over the sample's own order.
+    data = sample_dataset(small_problem, n, seed=5)
+    cfg = SgmConfig(partitions=1, batch_size=3, iterations=INDEX_CHUNK + 9,
+                    step_schedule=0.05, base_seed=21)
+    (local,) = distributed_sgm(data, cfg, kernel, partition_seed=8).locals
+    (block,) = partition_data(data, 1, 8)
+    permuted = sgm_local(block, cfg, kernel, 0)
+    perm = trainers._partition_rows(n, 1, 8)[0]
+    np.testing.assert_array_equal(local.inputs, data.inputs)
+    np.testing.assert_array_equal(local.coeffs[perm], permuted.coeffs)
+    np.testing.assert_allclose(local.modes, permuted.modes, rtol=1e-12, atol=0.0)
 
 
 def test_local_model_checks_the_shape_of_handed_features(data, kernel):
