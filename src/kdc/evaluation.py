@@ -26,14 +26,7 @@ from .spectral_model import (
     SpectralProblem, check_exponents, is_finite, regression_value, sample_dataset,
 )
 from .trainers import (
-    AveragedModel,
-    LocalModel,
-    SgmConfig,
-    _dataset_features,
-    _filter_models,
-    _partition_rows,
-    _sgm_runs,
-    predict,
+    AveragedModel, LocalModel, SgmConfig, _blocks, _filter_fits, _sgm_runs, predict,
     resolve_schedule,
 )
 
@@ -169,18 +162,10 @@ def decompose_error(
 
     for d in range(n_data):
         ds = sample_dataset(problem, n_total, derive_seed(base, TAG_DATA, d))
-        rows = _partition_rows(n_total, partitions, derive_seed(base, TAG_PARTITION, d))
-        feats = _dataset_features(kernel, ds)
-
-        # Per partition, one factorization fits the noiseless and the noisy labels. A
-        # filter fit ignores row order, so one partition is the whole sample in place.
-        pairs = []
-        for s, idx in enumerate([slice(None)] if partitions == 1 else rows):
-            block_feats = feats[idx]
-            pairs.append(_filter_models(ds.inputs[idx], block_feats,
-                                        (block_feats @ target, ds.labels[idx]),
-                                        spec, kernel, s))
-        pseudo, batch = (AveragedModel(models).modes for models in zip(*pairs))
+        feats, rows, blocks = _blocks(ds, kernel, partitions, derive_seed(base, TAG_PARTITION, d))
+        # Per block, one factorization fits the noiseless and the noisy labels.
+        pseudo, batch = (model.modes for model in _filter_fits(
+            ds, feats, blocks, np.column_stack((feats @ target, ds.labels)), spec, kernel))
 
         bias_d[d] = float(np.sum((pseudo - target) ** 2))
         sv_d[d] = float(np.sum((batch - pseudo) ** 2))
@@ -189,6 +174,7 @@ def decompose_error(
         runs = [(s, s, derive_seed(base, TAG_INDEX, d, r))
                 for r in range(n_index) for s in range(partitions)]
         _, modes = _sgm_runs(feats, ds.labels, rows, config, kernel, runs)
+        del ds, feats  # one sample at a time: the next is drawn without this one
         sgm = modes.reshape(n_index, partitions, -1).mean(axis=1)
         cv_d[d] = float(np.mean(np.sum((sgm - batch) ** 2, axis=1)))
         tot_d[d] = float(np.mean(np.sum((sgm - target) ** 2, axis=1)))

@@ -196,7 +196,7 @@ def _filter_values(spec: FilterSpec, u: np.ndarray) -> np.ndarray:
 def filter_value(spec: FilterSpec, u):
     """Evaluate G_lambda(u) at the spec's level for u in [0, kappa_sq]."""
     ua = np.asarray(u, dtype=float)
-    if np.any(ua < 0.0) or np.any(ua > spec.kappa_sq * (1.0 + 1e-9)):
+    if not np.all((ua >= 0.0) & (ua <= spec.kappa_sq * (1.0 + 1e-9))):  # NaN fails too
         raise DomainError(f"filter argument must lie in [0, {spec.kappa_sq:.6g}]")
     vals = _filter_values(spec, np.atleast_1d(ua))
     if np.isscalar(u) or np.ndim(u) == 0:

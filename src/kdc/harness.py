@@ -15,7 +15,8 @@ the error and runs no task. Replications are independent tasks keyed by
 they execute in a process pool, whose workers each parse the problem's JSON
 once, and serial tasks share the calling process's problem. Results are
 aggregated in task order, so parallel runs produce byte-identical records.
-At m = 1 an SA task fits the whole sample in place and uses no partition seed.
+Every task partitions its sample with its partition seed; at m = 1 the fit
+uses the whole sample in place, and an SA fit does not depend on the seed.
 """
 from __future__ import annotations
 
@@ -263,7 +264,8 @@ def _run_point(problem: SpectralProblem, fit: TrainPlan | FilterSpec, n_total: i
     """Sample, fit and score one (N, rep) task; returns its risk or a recorded error.
 
     ``fit`` is the point's TrainPlan for SGM or its FilterSpec for SA. At
-    m = 1 an SA fit is the whole sample's, and its partition seed goes unused.
+    m = 1 the model is built over the whole sample; an SA fit is then the
+    same whatever the partition seed.
     """
     t0 = time.perf_counter()
     try:

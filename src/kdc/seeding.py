@@ -5,13 +5,14 @@ through the splitmix64 mixing function, so that independent components
 (data sampling, partition shuffling, per-partition index streams) get
 decorrelated streams that are reproducible across process and worker-count
 changes; :func:`make_rng` builds every generator, and Monte Carlo
-evaluation seeds it with its caller's seed directly.
+evaluation seeds it with its caller's seed directly. Seeds and counts follow
+one integer rule, :func:`check_integer`.
 """
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from .errors import InvalidParameterError
 
 _MASK = (1 << 64) - 1
 
@@ -52,9 +53,22 @@ def partition_stream_seed(base_seed: int, partition_index: int) -> int:
     return (base_seed & _MASK) ^ splitmix64(partition_index)
 
 
+def is_integer(value) -> bool:
+    """The rule for every count and seed: a Python int. true/false is not one, nor is a
+    numpy integer, since counts and seeds are folded, hashed and written as Python ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value) -> None:
+    """Raise InvalidParameterError unless ``value`` is an integer (:func:`is_integer`)."""
+    if not is_integer(value):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """numpy Generator for ``seed`` folded into 64 bits, as derive_seed folds a base seed.
 
     Seeds in [0, 2^64) keep numpy's default_rng(seed) stream.
     """
-    return np.random.default_rng(operator.index(seed) & _MASK)
+    check_integer("seed", seed)
+    return np.random.default_rng(seed & _MASK)

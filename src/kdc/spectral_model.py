@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
-from .seeding import make_rng
+from .seeding import check_integer, is_integer, make_rng
 
 #: Number of equispaced grid points used to maximize K(x, x) over [0, 1].
 KAPPA_GRID_POINTS = 10_001
@@ -63,13 +63,13 @@ def check_positive(name: str, value) -> None:
 
 #: Each JSON kind a field may be declared as, with its test; true/false is never a number.
 JSON_KINDS = {
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an integer": is_integer,
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and is_finite(v),
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
-    "an integer or a string": lambda v: isinstance(v, (int, str)) and not isinstance(v, bool),
-    "a list of integers": lambda v: isinstance(v, (list, tuple)) and set(map(type, v)) <= {int},
+    "an integer or a string": lambda v: is_integer(v) or isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, (list, tuple)) and all(map(is_integer, v)),
     "a list of numbers": lambda v: (isinstance(v, (list, tuple))
                                     and set(map(type, v)) <= {int, float}
                                     and all(map(is_finite, v))),
@@ -90,9 +90,8 @@ _JSON_FIELDS = {"dim": "an integer", **dict.fromkeys(PROBLEM_PARAMS[1:], "a numb
 
 
 def _check_dim(dim: int) -> None:
-    """The truncation rule: dim is an integer (true/false is not one) in [1, MAX_DIM]."""
-    if not JSON_KINDS["an integer"](dim):
-        raise InvalidParameterError(f"dim must be an integer, got {dim!r}")
+    """The truncation rule: dim is an integer in [1, MAX_DIM]."""
+    check_integer("dim", dim)
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
     if dim > MAX_DIM:
@@ -349,6 +348,7 @@ def sample_dataset(problem: SpectralProblem, n_total: int, seed: int) -> Dataset
 
     Deterministic given (problem, n_total, seed).
     """
+    check_integer("n_total", n_total)
     if n_total < 1:
         raise InvalidParameterError("n_total must be >= 1")
     if n_total > MAX_N_TOTAL:

@@ -14,7 +14,7 @@ Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
 steps all its runs together and settles their alpha once per block of
 SETTLE steps, replaying a block step by step only once a coefficient may
 have passed DIVERGENCE_LIMIT.
-Every spectral filter runs through one path, ``_filter_models``; gradient
+Every spectral filter runs through one path, ``_mode_filter``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
 K/n at lambda = 1/sum(eta). A ``FilterSpec`` carries its own lambda, so no
 estimator takes one beside it. The path works on the smaller Gram side of
@@ -26,9 +26,9 @@ filters take one ``eigh`` of it. The Gram route (:func:`kdc.kernels.gram`,
 :func:`kdc.filters.apply_filter`) is the reference they are tested against.
 Gradient descent on the noiseless labels f(x_j) is ``gm_local`` on them.
 Distributed training partitions one dataset uniformly at random, trains
-each block independently, and averages the block predictors uniformly; a
-block is a row of sample indices (``_partition_rows``), so no second
-N x dim matrix is copied; one block is the whole sample, used in place.
+each block independently, and averages the block predictors uniformly; the
+layout is ``_blocks``: a block is a row of sample indices, so no second
+N x dim matrix is copied, and one partition's model uses the sample in place.
 Steps have one runtime contract, eta <= 1/kappa_sq; every tighter cap (the
 1/(1.01 kappa_sq) clamp, the theory cap) is planned, only in ``plan_parameters``.
 """
@@ -53,7 +53,7 @@ from .filters import (
     step_array,
 )
 from .kernels import KernelSpec, kernel_features
-from .seeding import make_rng, partition_stream_seed
+from .seeding import check_integer, make_rng, partition_stream_seed
 from .spectral_model import Dataset, SpectralProblem, check_exponents, check_positive
 
 #: Coefficient magnitude beyond which an iterate is declared divergent.
@@ -64,6 +64,10 @@ INDEX_CHUNK = 256
 
 #: SGM steps whose coefficient updates are settled at once (blocks never span two chunks).
 SETTLE = 64
+
+#: Most iterations a schedule may have: 2**27 steps are a 1 GiB schedule and minutes of
+#: stepping, so a count numpy could not allocate is a parameter error, planned or given.
+MAX_ITERATIONS = 2**27
 
 #: Regime tags accepted by the planner.
 SGM_REGIMES = (
@@ -83,8 +87,11 @@ class Constant:
 
 def resolve_schedule(schedule, iterations: int) -> np.ndarray:
     """Materialize a schedule: a Constant, a float, or a sequence of one step per iteration."""
+    check_integer("iterations", iterations)
     if iterations < 1:
         raise InvalidParameterError("iterations must be >= 1")
+    if iterations > MAX_ITERATIONS:
+        raise InvalidParameterError(f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
     if isinstance(schedule, Constant):
         schedule = schedule.eta
     arr = step_array(schedule)
@@ -113,10 +120,11 @@ class SgmConfig:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if self.partitions < 1:
-            raise InvalidParameterError("partitions must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidParameterError("batch_size must be >= 1")
+        for name in ("partitions", "batch_size"):
+            check_integer(name, getattr(self, name))
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be >= 1")
+        check_integer("base_seed", self.base_seed)
         resolve_schedule(self.step_schedule, self.iterations)
 
 
@@ -200,6 +208,7 @@ def _partition_rows(n_total: int, partitions: int, seed: int) -> np.ndarray:
 
     Raises IndivisibleDataError unless partitions divides n_total.
     """
+    check_integer("partitions", partitions)
     if partitions < 1:
         raise InvalidParameterError("partitions must be >= 1")
     if n_total % partitions != 0:
@@ -433,18 +442,6 @@ def sgm_local(
     return LocalModel(subset.inputs, alpha[0], partition_index, kernel, _features=feats)
 
 
-def _filter_models(inputs: np.ndarray, feats: np.ndarray, label_columns,
-                   filter_spec: FilterSpec, kernel: KernelSpec,
-                   partition_index: int) -> list[LocalModel]:
-    """The filter estimator on one partition, one model per label column.
-
-    ``feats`` is Phi at the partition's ``inputs``; every column shares the
-    one factorization of :func:`_mode_filter`.
-    """
-    alphas = _mode_filter(kernel, feats, np.column_stack(label_columns), filter_spec)
-    return [LocalModel(inputs, a, partition_index, kernel, _features=feats) for a in alphas.T]
-
-
 def gm_local(
     subset: Dataset,
     step_schedule,
@@ -484,8 +481,30 @@ def sa_local(
     K/n and the label vector, which gives the same coefficients as
     :func:`kdc.filters.apply_filter`.
     """
-    return _filter_models(subset.inputs, _dataset_features(kernel, subset), [subset.labels],
-                          filter_spec, kernel, partition_index)[0]
+    feats = _dataset_features(kernel, subset)
+    alpha = _mode_filter(kernel, feats, subset.labels, filter_spec)
+    return LocalModel(subset.inputs, alpha, partition_index, kernel, _features=feats)
+
+
+def _blocks(dataset: Dataset, kernel: KernelSpec, partitions: int, seed: int):
+    """(Phi, rows, blocks): the sample's Phi, its ``_partition_rows`` (m, n), and what each
+    block's model is built over: its rows, or for one partition the uncopied sample itself."""
+    rows = _partition_rows(len(dataset), partitions, seed)
+    return _dataset_features(kernel, dataset), rows, [slice(None)] if partitions == 1 else rows
+
+
+def _filter_fits(dataset: Dataset, feats: np.ndarray, blocks, labels: np.ndarray,
+                 filter_spec: FilterSpec, kernel: KernelSpec) -> list[AveragedModel]:
+    """The filter fit of every block, averaged: one model per column of ``labels`` (N, c),
+    all columns of a block from one factorization of :func:`_mode_filter`."""
+    fits = []
+    for s, idx in enumerate(blocks):
+        block_feats = feats[idx]
+        alphas = _mode_filter(kernel, block_feats, labels[idx], filter_spec)
+        fits.append([LocalModel(dataset.inputs[idx], a, s, kernel, _features=block_feats)
+                     for a in alphas.T])
+        del block_feats  # one block's copy of Phi at a time
+    return [average_models(models) for models in zip(*fits)]
 
 
 def distributed_sgm(
@@ -496,22 +515,17 @@ def distributed_sgm(
 ) -> AveragedModel:
     """Partition, train SGM on every block in lockstep, and average the predictors.
 
-    With one partition the block is still the sample permuted by
-    ``partition_seed``, whose index stream it trains on, but its model is
-    built over the sample itself: the coefficients go back to input order
-    and the sample's Phi serves as it is, so no rows are copied.
+    Every block, one partition's too, trains on its rows of the sample permuted
+    by ``partition_seed``; its model is built over its block of :func:`_blocks`.
     """
-    rows = _partition_rows(len(dataset), config.partitions, partition_seed)
-    feats = _dataset_features(kernel, dataset)
+    feats, rows, blocks = _blocks(dataset, kernel, config.partitions, partition_seed)
     alphas, _ = _sgm_runs(feats, dataset.labels, rows, config, kernel,
                           [(s, s, config.base_seed) for s in range(config.partitions)])
-    if config.partitions == 1:
-        coeffs = np.empty_like(alphas[0])
-        coeffs[rows[0]] = alphas[0]
-        return average_models([LocalModel(dataset.inputs, coeffs, 0, kernel, _features=feats)])
+    coeffs = np.empty(len(dataset))
+    coeffs[rows] = alphas  # every sample row belongs to one block
     return average_models([
-        LocalModel(dataset.inputs[idx], a, s, kernel, _features=feats[idx])
-        for s, (idx, a) in enumerate(zip(rows, alphas))
+        LocalModel(dataset.inputs[idx], coeffs[idx], s, kernel, _features=feats[idx])
+        for s, idx in enumerate(blocks)
     ])
 
 
@@ -525,18 +539,11 @@ def distributed_sa(
     """Partition, run the spectral algorithm on each block, and average.
 
     A filter estimator does not depend on the order of its rows, so one
-    partition is :func:`sa_local` on the whole sample: no permutation is
-    drawn (``partition_seed`` is unused) and no rows are copied.
+    partition's fit is the whole sample's: the permutation drawn from
+    ``partition_seed`` leaves it unchanged, and no rows are copied.
     """
-    if partitions == 1:
-        return average_models([sa_local(dataset, filter_spec, kernel)])
-    rows = _partition_rows(len(dataset), partitions, partition_seed)
-    feats = _dataset_features(kernel, dataset)
-    return average_models([
-        _filter_models(dataset.inputs[idx], feats[idx], [dataset.labels[idx]], filter_spec,
-                       kernel, s)[0]
-        for s, idx in enumerate(rows)
-    ])
+    feats, _, blocks = _blocks(dataset, kernel, partitions, partition_seed)
+    return _filter_fits(dataset, feats, blocks, dataset.labels[:, None], filter_spec, kernel)[0]
 
 
 @dataclass(frozen=True)
@@ -598,10 +605,13 @@ def plan_parameters(
     1/(1.01 kappa_sq) so the SGM step-size contract always holds; with
     ``theory_compliant`` the tighter cap 1/(4 * 1.01 * kappa_sq * max(1, ln T))
     applies as well, here and nowhere else: a plan's SgmConfig holds only eta.
-    Iteration counts round up; batch sizes round to the nearest integer in
+    Iteration counts round up, and more than MAX_ITERATIONS raise
+    InvalidParameterError; batch sizes round to the nearest integer in
     [1, n]. Raises InvalidRegimeError for unknown tags and
     ConstraintViolationError when a regime's side condition fails.
     """
+    check_integer("n_total", n_total)
+    check_integer("partitions", partitions)
     if n_total < 2:
         raise InvalidParameterError("n_total must be >= 2")
     if partitions < 1 or partitions > n_total:
@@ -669,7 +679,11 @@ def plan_parameters(
             b = big_n ** (2.0 * z / s) / m
             t = root * log_n
         batch = min(max(1, round(b)), n_local)
-        iters = max(1, math.ceil(t * (1.0 - 1e-12)))
+        t *= 1.0 - 1e-12
+        if t > MAX_ITERATIONS:
+            raise InvalidParameterError(
+                f"regime {regime} plans {t:.4g} iterations, more than {MAX_ITERATIONS}")
+        iters = max(1, math.ceil(t))
     eta = eta_raw
     if shape is not None and kappa_sq is not None:
         cap = 1.0 / (CLAMP_SAFETY * kappa_sq)

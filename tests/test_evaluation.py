@@ -178,13 +178,13 @@ def test_decomposition_fits_both_label_columns_as_separate_calls_would(
     # decompose_error fits the noiseless and the noisy labels of a partition
     # from one factorization; fitting them one column at a time (n_local
     # 16 < dim = 20 < 32) must give the same report to 1e-12.
-    from kdc import evaluation
+    from kdc import trainers
 
     cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=5)
     joint = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
-    fit = evaluation._filter_models
-    monkeypatch.setattr(evaluation, "_filter_models", lambda sub, feats, columns, *rest: [
-        fit(sub, feats, [column], *rest)[0] for column in columns])
+    fit = trainers._mode_filter
+    monkeypatch.setattr(trainers, "_mode_filter", lambda kernel, feats, y, spec: np.column_stack(
+        [fit(kernel, feats, column, spec) for column in y.T]))
     separate = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
     for name in ("total", "bias", "sample_var", "comp_var",
                  "se_total", "se_bias", "se_sample_var", "se_comp_var"):

@@ -166,6 +166,13 @@ def test_filter_value_domain_checks():
         filter_value(spec, -0.5)
 
 
+@pytest.mark.parametrize("tag", FILTER_TAGS)
+@pytest.mark.parametrize("u", [math.nan, np.array([0.5, math.nan, 1.0])], ids=["scalar", "array"])
+def test_filter_value_rejects_nan(tag, u):
+    with pytest.raises(DomainError):
+        filter_value(filter_from_tag(tag, KAPPA_SQ, 0.1), u)
+
+
 @pytest.mark.parametrize("kind", ["tikhonov", "cutoff", "tikhonov_bc"])
 @pytest.mark.parametrize("lam", [0.0, -0.2, math.nan, math.inf, None])
 def test_every_filter_is_built_at_a_positive_finite_level(kind, lam):

@@ -344,6 +344,21 @@ def test_a_point_whose_plan_fails_records_it_once_and_runs_no_task(monkeypatch):
     assert (rec.batch_size, rec.iterations, rec.eta, rec.lam) == (None, None, None, None)
 
 
+def test_a_point_planned_past_the_iteration_bound_is_a_row_error(monkeypatch):
+    # At 2 zeta + gamma = 1, cor3.1 plans N^2 steps: 4,096 at N = 64, 2.7e8 at N = 2^14.
+    calls = []
+    run_point = harness._run_point
+    monkeypatch.setattr(harness, "_run_point", lambda *task: calls.append(task) or run_point(*task))
+    base = {"regime": "cor3.1", "dim": 20, "zeta": 0.25, "gamma": 0.5, "noise_sd": 0.1}
+    first, over = run_experiment(ExperimentConfig.from_dict({**base, "n_list": [64, 2**14]}))
+    assert [task[2] for task in calls] == [64]  # (problem, plan, N, m, rep, seed)
+    assert over.error.startswith("InvalidParameterError: regime cor3.1 plans 2.684e+08")
+    assert over.iterations is None and math.isnan(over.risk_mean)
+    (alone,) = run_experiment(ExperimentConfig.from_dict({**base, "n_list": [64]}))
+    assert dataclasses.replace(first, wall_ms=0.0) == dataclasses.replace(alone, wall_ms=0.0)
+    assert first.error == "" and first.iterations == 4096
+
+
 def test_a_row_whose_every_fit_fails_keeps_its_plan(monkeypatch):
     def diverge(*args, **kwargs):
         raise DivergenceError("diverged")

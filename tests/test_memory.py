@@ -16,6 +16,7 @@ from kdc import (
     SgmConfig,
     basis_matrix,
     build_problem,
+    decompose_error,
     distributed_sa,
     distributed_sgm,
     filter_from_tag,
@@ -91,3 +92,12 @@ def test_one_partition_sgm_copies_no_feature_matrix(default_problem, sample):
                     step_schedule=0.5 / default_problem.kappa_sq, base_seed=3)
     kernel = spectral_kernel(default_problem)
     assert traced_peak(lambda: distributed_sgm(sample, cfg, kernel, 4)) < PEAK_LIMIT_BYTES
+
+
+def test_decompose_error_holds_one_sample_at_a_time(default_problem):
+    # Phi of one sample (6.55 MB here) is all that is held while the next is drawn.
+    cfg = SgmConfig(partitions=1, batch_size=1, iterations=8,
+                    step_schedule=0.5 / default_problem.kappa_sq, base_seed=3)
+    phi_bytes = 4096 * default_problem.dim * 8
+    peak = traced_peak(lambda: decompose_error(default_problem, 4096, cfg, (50, 20)))
+    assert peak < phi_bytes + PEAK_LIMIT_BYTES, peak

@@ -448,7 +448,7 @@ def test_an_oversized_dim_is_a_parameter_error(dim):
         build_problem(dim=dim)
 
 
-@pytest.mark.parametrize("dim", [2.5, 20.0, math.nan, True, None, "20"])
+@pytest.mark.parametrize("dim", [2.5, 20.0, math.nan, True, None, "20", np.int64(20)])
 def test_a_dim_that_is_not_an_integer_is_a_parameter_error(dim):
     with pytest.raises(InvalidParameterError, match="dim must be an integer"):
         build_problem(dim=dim)

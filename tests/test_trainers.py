@@ -49,8 +49,8 @@ from kdc.filters import (
     FILTER_TAGS, check_step_bound, filter_from_tag, landweber_recurrence,
 )
 from kdc.kernels import kernel_features
-from kdc.seeding import partition_stream_seed
-from kdc.trainers import INDEX_CHUNK, SETTLE
+from kdc.seeding import make_rng, partition_stream_seed
+from kdc.trainers import INDEX_CHUNK, MAX_ITERATIONS, SETTLE
 
 KAPPA_SQ_200 = 6.5736410355431385
 
@@ -249,6 +249,22 @@ def test_distributed_sgm_matches_a_gram_replay_per_partition(
         np.testing.assert_array_equal(local.inputs, sub.inputs)
         np.testing.assert_allclose(local.coeffs, alpha, rtol=1e-12, atol=1e-15)
     assert duplicates
+
+
+@pytest.mark.parametrize("tag", FILTER_TAGS)
+@pytest.mark.parametrize("n_total, partitions", [(48, 4), (96, 2), (48, 1)])
+def test_distributed_sa_is_sa_local_per_partition_bit_for_bit(
+        small_problem, kernel, tag, n_total, partitions):
+    data = sample_dataset(small_problem, n_total, seed=3)
+    spec = filter_from_tag(tag, small_problem.kappa_sq, 0.05)
+    model = distributed_sa(data, spec, kernel, partitions, partition_seed=8)
+    # One partition's block is the sample itself, in input order.
+    blocks = [data] if partitions == 1 else partition_data(data, partitions, 8)
+    for s, (block, local) in enumerate(zip(blocks, model.locals, strict=True)):
+        expected = sa_local(block, spec, kernel, s)
+        assert local.partition_index == expected.partition_index == s
+        for name in ("inputs", "coeffs", "modes"):
+            np.testing.assert_array_equal(getattr(local, name), getattr(expected, name), name)
 
 
 @pytest.mark.parametrize("n", [12, 2**33 + 5])
@@ -496,6 +512,52 @@ def test_sgm_config_counts_must_be_positive(name):
     counts[name] = 0
     with pytest.raises(InvalidParameterError, match=f"{name} must be >= 1"):
         SgmConfig(**counts, step_schedule=0.1, base_seed=0)
+
+
+def sgm_config(**counts):
+    return SgmConfig(**{"partitions": 1, "batch_size": 1, "iterations": 1, "base_seed": 0,
+                        **counts}, step_schedule=0.1)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("partitions", lambda p, ds: sgm_config(partitions=1.5)),
+    ("batch_size", lambda p, ds: sgm_config(batch_size=True)),
+    ("iterations", lambda p, ds: sgm_config(iterations=2.5)),
+    ("base_seed", lambda p, ds: sgm_config(base_seed=0.0)),
+    ("iterations", lambda p, ds: resolve_schedule(0.1, np.int64(3))),
+    ("n_total", lambda p, ds: plan_parameters("cor5", 1000.5, 1, 0.5, 1.0)),
+    ("partitions", lambda p, ds: plan_parameters("cor5", 1000, 2.0, 0.5, 1.0)),
+    ("n_total", lambda p, ds: sample_dataset(p, 10.5, 0)),
+    ("seed", lambda p, ds: sample_dataset(p, 10, 1.5)),
+    ("partitions", lambda p, ds: partition_data(ds, 2.0, 0)),
+    ("partitions", lambda p, ds: distributed_sa(
+        ds, FilterSpec("tikhonov", p.kappa_sq, 0.1), spectral_kernel(p), 2.0, 0)),
+    ("seed", lambda p, ds: make_rng(np.int64(3))),
+], ids=["SgmConfig.partitions", "SgmConfig.batch_size", "SgmConfig.iterations",
+        "SgmConfig.base_seed", "resolve_schedule", "plan_parameters.n_total",
+        "plan_parameters.partitions", "sample_dataset.n_total", "sample_dataset.seed",
+        "partition_data", "distributed_sa", "make_rng"])
+def test_counts_and_seeds_follow_one_integer_rule(small_problem, data, name, call):
+    # A Python int; true/false and numpy integers are not one (nor is dim's np.int64).
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer, got "):
+        call(small_problem, data)
+
+
+def test_an_iteration_count_past_the_bound_is_a_parameter_error(default_problem):
+    message = f"iterations must be <= {MAX_ITERATIONS}"
+    with pytest.raises(InvalidParameterError, match=message):
+        resolve_schedule(0.1, 10**15)
+    with pytest.raises(InvalidParameterError, match=message):
+        sgm_config(iterations=MAX_ITERATIONS + 1)
+    assert resolve_schedule(0.1, 3).shape == (3,)
+
+
+def test_the_planner_refuses_more_iterations_than_the_bound(default_problem):
+    # At 2 zeta + gamma = 1, cor3.1 plans N^2 steps: 2.8e14 at N = 2^24, 6.7e7 at 2^13.
+    ksq = default_problem.kappa_sq
+    with pytest.raises(InvalidParameterError, match=f"iterations, more than {MAX_ITERATIONS}"):
+        plan_parameters("cor3.1", 2**24, 1, 0.25, 0.5, kappa_sq=ksq)
+    assert plan_parameters("cor3.1", 2**13, 1, 0.25, 0.5, kappa_sq=ksq).iterations == 2**26
 
 
 @pytest.mark.parametrize("problem_name, n", [("small_problem", 48), ("default_problem", 240)])
@@ -851,14 +913,21 @@ def test_distributed_sgm_costs_least_at_the_partition_budget(zeta, gamma):
         m = 2 ** math.floor(math.log2(budget) - 1e-9)
         sgm = plan_parameters("cor2.3", n_total, m, zeta=zeta, gamma=gamma)
         krr = plan_parameters("cor5", n_total, m, zeta=zeta, gamma=gamma)
-        single = plan_parameters("cor3.3", n_total, 1, zeta=zeta, gamma=gamma)
+        plans = [(sgm, 1, 1 + (2 - gamma) / s), (krr, 2, 1 + 2 / s)]
+        if n_total ** ((2 * zeta + 1) / s) > MAX_ITERATIONS:
+            # Single-machine SGM would take more steps than any run may (N = 2^20 at
+            # (0.75, 0.25)), so the planner refuses it.
+            with pytest.raises(InvalidParameterError, match="iterations, more than"):
+                plan_parameters("cor3.3", n_total, 1, zeta=zeta, gamma=gamma)
+        else:
+            plans.append((plan_parameters("cor3.3", n_total, 1, zeta=zeta, gamma=gamma), 0,
+                          1 + (2 * zeta + 1) / s))
         assert not sgm.partition_warning
         rounding = math.log(budget / m)
-        for plan, power, exponent in [(sgm, 1, 1 + (2 - gamma) / s), (krr, 2, 1 + 2 / s),
-                                      (single, 0, 1 + (2 * zeta + 1) / s)]:
+        for plan, power, exponent in plans:
             fitted = (math.log(dual_cost(plan)) - power * rounding) / math.log(n_total)
             assert fitted == pytest.approx(exponent, abs=1e-3)
-        assert dual_cost(sgm) < min(dual_cost(krr), dual_cost(single))
+        assert dual_cost(sgm) < min(dual_cost(plan) for plan, _, _ in plans[1:])
 
 
 def test_plan_enforces_side_conditions():
