@@ -40,7 +40,7 @@ def main() -> None:
 
     batch = gm_local(data, Constant(ETA), ITERATIONS, kernel)
     batch_proj = mode_projection(problem, batch)
-    print(f"batch GD excess risk      : {excess_risk_exact(batch, problem).excess_risk:.6f}")
+    print(f"batch GD excess risk      : {excess_risk_exact(batch, problem):.6f}")
 
     # The same T steps as a loop: alpha <- alpha - (eta/n) (K alpha - y).
     k = gram(kernel, data.inputs)
@@ -68,7 +68,7 @@ def main() -> None:
             )
             model = sgm_local(data, config, kernel, 0)
             running += mode_projection(problem, model)
-            risks.append(excess_risk_exact(model, problem).excess_risk)
+            risks.append(excess_risk_exact(model, problem))
             count += 1
         drift = float(np.linalg.norm(running / count - batch_proj))
         print(f"{count:>6} {drift:>22.6f} {np.mean(risks):>14.6f}")

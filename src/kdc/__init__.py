@@ -17,10 +17,8 @@ from .errors import (
 from .evaluation import (
     DecompositionReport,
     RateFit,
-    RiskReport,
     decompose_error,
     excess_risk_exact,
-    excess_risk_mc,
     fit_rate,
     mode_projection,
     theory_exponent,
@@ -32,7 +30,6 @@ from .filters import (
     filter_from_tag,
     filter_value,
     landweber,
-    residual_product,
     validate_filter,
 )
 from .harness import (
@@ -60,16 +57,13 @@ from .spectral_model import (
     basis_matrix,
     build_problem,
     capacity_certificate,
-    dataset_from_csv,
     dataset_to_csv,
     effective_dimension,
     problem_from_json,
     problem_to_json,
     regression_value,
     sample_dataset,
-    second_moment_bound,
     sup_norm_bound,
-    tail_mass,
 )
 from .trainers import (
     AveragedModel,
@@ -85,7 +79,6 @@ from .trainers import (
     gm_local,
     partition_data,
     plan_parameters,
-    population_bias,
     predict,
     resolve_schedule,
     sa_local,

@@ -2,9 +2,9 @@
 
 Every model carries its mode vector ``modes``, the coefficients of its
 predictor in the problem's eigenbasis. For synthetic spectral problems the
-excess risk is therefore exact: ||modes - target_coeffs||^2. A Monte Carlo
-estimate from pointwise predictions is kept alongside as a cross-check of
-the exact one.
+excess risk is therefore exact: ||modes - target_coeffs||^2, a plain float.
+The Monte Carlo estimate from pointwise predictions that cross-checks it is
+a test oracle and lives with the tests.
 """
 from __future__ import annotations
 
@@ -21,26 +21,14 @@ from .errors import (
 )
 from .filters import landweber
 from .kernels import spectral_kernel
-from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed, make_rng
-from .spectral_model import (
-    SpectralProblem, check_exponents, is_finite, regression_value, sample_dataset,
-)
+from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
+from .spectral_model import SpectralProblem, check_exponents, is_finite, sample_dataset
 from .trainers import (
-    AveragedModel, LocalModel, SgmConfig, _blocks, _filter_fits, _sgm_runs, predict,
-    resolve_schedule,
+    AveragedModel, LocalModel, SgmConfig, _blocks, _filter_fits, _sgm_runs, resolve_schedule,
 )
 
 #: Minimum replication counts (datasets, index draws) for decompose_error.
 MIN_DECOMPOSE_REPS = (50, 20)
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Excess risk of a model, with the method that produced it."""
-
-    excess_risk: float
-    method: str
-    std_error: float = 0.0
 
 
 def mode_projection(problem: SpectralProblem, model) -> np.ndarray:
@@ -58,24 +46,10 @@ def mode_projection(problem: SpectralProblem, model) -> np.ndarray:
     return model.modes
 
 
-def excess_risk_exact(model, problem: SpectralProblem) -> RiskReport:
-    """Exact excess risk via the eigenbasis: ||f_hat - f||^2 in L2(rho)."""
+def excess_risk_exact(model, problem: SpectralProblem) -> float:
+    """Exact excess risk via the eigenbasis: ||f_hat - f||^2 in L2(rho), as a float."""
     proj = mode_projection(problem, model)
-    risk = float(np.sum((proj - problem.target_coeffs) ** 2))
-    return RiskReport(excess_risk=risk, method="spectral_exact", std_error=0.0)
-
-
-def excess_risk_mc(model, problem: SpectralProblem, n_test: int, seed: int) -> RiskReport:
-    """Monte Carlo excess risk from fresh uniform test points.
-
-    Works for any kernel (predictions are evaluated pointwise) and reports
-    the standard error of the mean squared error.
-    """
-    if n_test < 100:
-        raise InsufficientDataError("need at least 100 test points")
-    xs = make_rng(seed).random(n_test)
-    errs = (np.asarray(predict(model, xs)) - regression_value(problem, xs)) ** 2
-    return RiskReport(excess_risk=float(np.mean(errs)), method="monte_carlo", std_error=_se(errs))
+    return float(np.sum((proj - problem.target_coeffs) ** 2))
 
 
 @dataclass(frozen=True)

@@ -154,23 +154,11 @@ def filter_from_tag(tag: str, kappa_sq: float, lam: float) -> FilterSpec:
     return landweber(np.full(math.ceil(steps), eta), kappa_sq)
 
 
-def residual_product(step_sizes, u) -> np.ndarray | float:
-    """prod_{i=1..t} (1 - eta_i u) for a step schedule; an empty one gives 1."""
-    steps = np.atleast_1d(np.asarray(step_sizes, dtype=float))
-    ua = np.asarray(u, dtype=float)
-    out = np.ones_like(ua, dtype=float)
-    for eta in steps:
-        out = out * (1.0 - eta * ua)
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
-
-
 def landweber_recurrence(step_sizes, u: np.ndarray) -> np.ndarray:
     """Gradient-descent filter G_t(u) by the recurrence g <- g (1 - eta u) + eta.
 
-    Takes any schedule, zero steps included; the Landweber filter, the
-    gradient-descent trainers and the population iterates all use it.
+    Takes any schedule, zero steps included; the Landweber filter, and so the
+    gradient-descent trainers, use it.
     """
     g = np.zeros_like(u, dtype=float)
     for eta in step_sizes:

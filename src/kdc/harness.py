@@ -35,10 +35,10 @@ from .errors import InvalidParameterError, InvalidRegimeError, KdcError
 from .evaluation import _se, excess_risk_exact, fit_rate, theory_exponent
 from .filters import FILTER_TAGS, FilterSpec, filter_from_tag
 from .kernels import spectral_kernel
-from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
+from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, check_integer, derive_seed
 from .spectral_model import (
-    MAX_N_TOTAL, PROBLEM_PARAMS, SpectralProblem, build_problem, check_json_types,
-    check_positive, problem_from_json, problem_to_json, sample_dataset,
+    PROBLEM_PARAMS, SpectralProblem, build_problem, check_json_types, check_positive,
+    check_sample_size, problem_from_json, problem_to_json, sample_dataset,
 )
 from .trainers import (
     SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
@@ -141,14 +141,12 @@ def resolve_m(n_total: int, m_rule) -> tuple[int, int]:
     'pow:beta' asks for floor(N^beta); a fixed integer asks for itself.
     Either way the request is lowered to the largest divisor of N not above
     it (so partitions always split the data evenly), found by trial division
-    up to sqrt(N). Returns (requested, resolved); N outside [1, MAX_N_TOTAL]
-    raises InvalidParameterError.
+    up to sqrt(N). Returns (requested, resolved); an N that breaks the
+    sample-size rule (:func:`~kdc.spectral_model.check_sample_size`) raises
+    InvalidParameterError.
     """
     kind, value = _parse_m_rule(m_rule)
-    if n_total < 1:
-        raise InvalidParameterError("n_total must be >= 1")
-    if n_total > MAX_N_TOTAL:
-        raise InvalidParameterError(f"n_total must be <= {MAX_N_TOTAL}")
+    check_sample_size(n_total)
     if kind == "pow":
         requested = max(1, math.floor(n_total ** value))
     else:
@@ -277,7 +275,7 @@ def _run_point(problem: SpectralProblem, fit: TrainPlan | FilterSpec, n_total: i
             model = distributed_sgm(ds, config, kernel, part_seed)
         else:
             model = distributed_sa(ds, fit, kernel, m, part_seed)
-        risk, error = excess_risk_exact(model, problem).excess_risk, ""
+        risk, error = excess_risk_exact(model, problem), ""
     except (KdcError, np.linalg.LinAlgError, FloatingPointError) as exc:  # recorded per row
         risk, error = math.nan, f"{type(exc).__name__}: {exc}"
     return {"risk": risk, "error": error, "wall_ms": 1e3 * (time.perf_counter() - t0)}
@@ -303,10 +301,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     Each point is planned once. A point whose partition count, plan or
     filter cannot be resolved records that error and runs no task;
     otherwise ``workers`` processes run its replications (0 = one per CPU
-    that this process may run on). Per-replication failures are folded into
+    that this process may run on); ``workers`` is an integer by the rule of
+    :func:`~kdc.seeding.check_integer`. Per-replication failures are folded into
     the row's ``error`` column; the risk statistics then cover the surviving
     replications (NaN if none survive). Rows come back in ``n_list`` order.
     """
+    check_integer("workers", workers)
     if workers == 0:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)

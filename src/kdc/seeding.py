@@ -4,9 +4,8 @@ All randomness in the package flows from user-supplied 64-bit base seeds
 through the splitmix64 mixing function, so that independent components
 (data sampling, partition shuffling, per-partition index streams) get
 decorrelated streams that are reproducible across process and worker-count
-changes; :func:`make_rng` builds every generator, and Monte Carlo
-evaluation seeds it with its caller's seed directly. Seeds and counts follow
-one integer rule, :func:`check_integer`.
+changes; :func:`make_rng` builds every generator. Seeds, seed parts and
+counts follow one integer rule, :func:`check_integer`.
 """
 from __future__ import annotations
 
@@ -34,11 +33,14 @@ def splitmix64(value: int) -> int:
 def derive_seed(base_seed: int, *parts: int) -> int:
     """Fold integer parts into ``base_seed``, one splitmix64 round each.
 
-    Deterministic, order-sensitive, and stable across platforms. Negative
-    parts are folded through their two's-complement 64-bit image.
+    Deterministic, order-sensitive, and stable across platforms. The base
+    seed and every part follow the integer rule (:func:`check_integer`);
+    negative ones are folded through their two's-complement 64-bit image.
     """
+    check_integer("base_seed", base_seed)
     h = base_seed & _MASK
     for p in parts:
+        check_integer("seed part", p)
         h = splitmix64(h ^ (p & _MASK))
     return h
 
@@ -48,8 +50,10 @@ def partition_stream_seed(base_seed: int, partition_index: int) -> int:
 
     Plain XOR of the base seed with the mixed partition index keeps
     partition streams decorrelated while leaving the derivation trivially
-    auditable.
+    auditable. Both arguments follow the integer rule (:func:`check_integer`).
     """
+    check_integer("base_seed", base_seed)
+    check_integer("partition_index", partition_index)
     return (base_seed & _MASK) ^ splitmix64(partition_index)
 
 

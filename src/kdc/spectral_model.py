@@ -61,6 +61,15 @@ def check_positive(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
+def check_sample_size(n_total: int) -> None:
+    """The sample-size rule: n_total is an integer in [1, MAX_N_TOTAL]."""
+    check_integer("n_total", n_total)
+    if n_total < 1:
+        raise InvalidParameterError("n_total must be >= 1")
+    if n_total > MAX_N_TOTAL:
+        raise InvalidParameterError(f"n_total must be <= {MAX_N_TOTAL}")
+
+
 #: Each JSON kind a field may be declared as, with its test; true/false is never a number.
 JSON_KINDS = {
     "an integer": is_integer,
@@ -214,7 +223,7 @@ class Dataset:
     ``seed`` is the 64-bit seed that makes the draw reproducible.
     ``features``, when set, is Phi = basis_matrix(dim, inputs) of that
     problem, read-only; :func:`sample_dataset` sets it, and a dataset built
-    by hand or read from CSV has None.
+    by hand has None.
     """
 
     inputs: np.ndarray
@@ -348,11 +357,7 @@ def sample_dataset(problem: SpectralProblem, n_total: int, seed: int) -> Dataset
 
     Deterministic given (problem, n_total, seed).
     """
-    check_integer("n_total", n_total)
-    if n_total < 1:
-        raise InvalidParameterError("n_total must be >= 1")
-    if n_total > MAX_N_TOTAL:
-        raise InvalidParameterError(f"n_total must be <= {MAX_N_TOTAL}")
+    check_sample_size(n_total)
     rng = make_rng(seed)
     inputs = rng.random(n_total)
     features = basis_matrix(problem.dim, inputs)
@@ -401,30 +406,9 @@ def capacity_certificate(problem: SpectralProblem) -> dict:
     }
 
 
-def tail_mass(dim: int, gamma: float) -> float:
-    """Upper bound on the spectral mass sum_{i > dim} i^(-1/gamma) dropped
-    by truncation.
-
-    Uses the integral comparison (gamma/(1-gamma)) * dim^(1 - 1/gamma) for
-    gamma < 1. For gamma = 1 the harmonic tail diverges and +inf is
-    returned: the truncated kernel itself is then the modeled object. dim
-    and gamma follow the family's rules.
-    """
-    _check_dim(dim)
-    _check_gamma(gamma)
-    if gamma == 1.0:
-        return math.inf
-    return (gamma / (1.0 - gamma)) * dim ** (1.0 - 1.0 / gamma)
-
-
 def sup_norm_bound(problem: SpectralProblem) -> float:
     """Grid-free bound |f(x)| <= sqrt(2) * sum |a_i| on the target."""
     return math.sqrt(2.0) * float(np.sum(np.abs(problem.target_coeffs)))
-
-
-def second_moment_bound(problem: SpectralProblem) -> float:
-    """Operative bound on E[y^2 | x]: ||f||_inf^2 + noise variance."""
-    return sup_norm_bound(problem) ** 2 + problem.noise_sd**2
 
 
 # ---------------------------------------------------------------------------
@@ -468,24 +452,3 @@ def dataset_to_csv(ds: Dataset) -> str:
         buf.write(f"{x:.17g},{y:.17g}\n")
     return buf.getvalue()
 
-
-def dataset_from_csv(text: str, problem_id: str = "", seed: int = 0) -> Dataset:
-    """Parse the ``x,y`` CSV format produced by :func:`dataset_to_csv`.
-
-    A row that is not two numbers raises InvalidParameterError naming its line.
-    """
-    lines = [(num, ln) for num, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1].strip() != "x,y":
-        raise InvalidParameterError("dataset CSV must start with the header 'x,y'")
-    xs, ys = [], []
-    for num, ln in lines[1:]:
-        try:
-            a, b = ln.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-        except ValueError:
-            raise InvalidParameterError(
-                f"dataset CSV line {num}: expected two numbers 'x,y', got {ln!r}") from None
-    return Dataset(
-        inputs=np.asarray(xs), labels=np.asarray(ys), problem_id=problem_id, seed=seed
-    )

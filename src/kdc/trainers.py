@@ -49,12 +49,13 @@ from .errors import (
     KernelMismatchError,
 )
 from .filters import (
-    CLAMP_SAFETY, FilterSpec, check_step_bound, filter_value, landweber, landweber_recurrence,
-    step_array,
+    CLAMP_SAFETY, FilterSpec, check_step_bound, filter_value, landweber, step_array,
 )
 from .kernels import KernelSpec, kernel_features
 from .seeding import check_integer, make_rng, partition_stream_seed
-from .spectral_model import Dataset, SpectralProblem, check_exponents, check_positive
+from .spectral_model import (
+    Dataset, SpectralProblem, check_exponents, check_positive, check_sample_size,
+)
 
 #: Coefficient magnitude beyond which an iterate is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -459,16 +460,6 @@ def gm_local(
     return sa_local(subset, spec, kernel, partition_index)
 
 
-def population_bias(problem: SpectralProblem, step_schedule, iterations: int) -> float:
-    """Squared norm of the population gradient-descent bias after T steps.
-
-    The population iterate is a_i sigma_i G_T(sigma_i), G_T the schedule's Landweber filter.
-    """
-    g = landweber_recurrence(resolve_schedule(step_schedule, iterations), problem.eigenvalues)
-    resid = problem.eigenvalues * g - 1.0
-    return float(np.sum((problem.target_coeffs * resid) ** 2))
-
-
 def sa_local(
     subset: Dataset,
     filter_spec: FilterSpec,
@@ -605,12 +596,13 @@ def plan_parameters(
     1/(1.01 kappa_sq) so the SGM step-size contract always holds; with
     ``theory_compliant`` the tighter cap 1/(4 * 1.01 * kappa_sq * max(1, ln T))
     applies as well, here and nowhere else: a plan's SgmConfig holds only eta.
-    Iteration counts round up, and more than MAX_ITERATIONS raise
-    InvalidParameterError; batch sizes round to the nearest integer in
-    [1, n]. Raises InvalidRegimeError for unknown tags and
-    ConstraintViolationError when a regime's side condition fails.
+    n_total follows the sample-size rule and is at least 2. Iteration counts
+    round up, and more than MAX_ITERATIONS raise InvalidParameterError;
+    batch sizes round to the nearest integer in [1, n]. Raises
+    InvalidRegimeError for unknown tags and ConstraintViolationError when a
+    regime's side condition fails.
     """
-    check_integer("n_total", n_total)
+    check_sample_size(n_total)
     check_integer("partitions", partitions)
     if n_total < 2:
         raise InvalidParameterError("n_total must be >= 2")

@@ -27,7 +27,6 @@ from kdc import (
     gram,
     landweber,
     regression_value,
-    residual_product,
     sa_local,
     sample_dataset,
     sgm_local,
@@ -37,6 +36,7 @@ from kdc import (
 from kdc.filters import FILTER_TAGS, filter_value
 from kdc.harness import ExperimentConfig, run_experiment
 from kdc.seeding import TAG_INDEX
+from oracles import residual_product
 
 BASE_SEED = 20260822
 N_GRID = [256, 512, 1024, 2048, 4096, 8192]

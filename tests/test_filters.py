@@ -17,13 +17,13 @@ from kdc import (
     filter_value,
     gram,
     landweber,
-    residual_product,
     sample_dataset,
     spectral_kernel,
     validate_filter,
 )
 from kdc import filters
 from kdc.filters import FILTER_TAGS, MAX_LANDWEBER_STEPS
+from oracles import residual_product
 
 KAPPA_SQ = 6.5736410355431385
 

@@ -159,6 +159,12 @@ def test_config_needs_a_sample_size_and_runs_need_a_worker():
         run_experiment(tiny_config(), workers=-1)
 
 
+@pytest.mark.parametrize("workers", [2.5, "2", np.int64(2), True, None])
+def test_workers_follow_the_integer_rule(workers):
+    with pytest.raises(InvalidParameterError, match="workers must be an integer"):
+        run_experiment(tiny_config(), workers=workers)
+
+
 @pytest.mark.parametrize("key, value", [
     ("replications", "two"), ("gamma", "1"), ("base_seed", "7"), ("theory_compliant", "yes"),
     ("n_list", ["16"]), ("dim", 20.0), ("scale", True), ("m_rule", 1.5), ("out_path", 3),

@@ -4,12 +4,14 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kdc import (
-    SgmConfig, build_problem, derive_seed, distributed_sgm, excess_risk_mc, partition_data,
+    InvalidParameterError, SgmConfig, build_problem, derive_seed, distributed_sgm, partition_data,
     partition_stream_seed, sample_dataset, spectral_kernel, splitmix64,
 )
 from kdc.seeding import make_rng
+from oracles import excess_risk_mc
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kdc"
 
@@ -39,6 +41,33 @@ def test_derive_seed_is_deterministic_and_order_sensitive():
 def test_derive_seed_distinguishes_tag_positions():
     # (0x1D, 5) and (5, 0x1D) must land on different streams.
     assert derive_seed(9, 0x1D, 5) != derive_seed(9, 5, 0x1D)
+
+
+def test_derived_seeds_of_python_ints_are_pinned():
+    assert derive_seed(42, 1, 2, 3) == 0x64A0C8A842E4F6B4
+    assert derive_seed(2**64 + 42, 1, 2, 3) == 0x64A0C8A842E4F6B4
+    assert derive_seed(-1, 0xD1, -5) == 0xB158ACF7C3B166FA
+    assert partition_stream_seed(5, 1) == 0x910A2DEC89025CC4
+    assert partition_stream_seed(-3, 2**64 + 7) == 0x9C341E1BA6CDF22A
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: derive_seed(np.int64(5), 3), "base_seed"),
+    (lambda: derive_seed(1.5, 3), "base_seed"),
+    (lambda: derive_seed(True, 3), "base_seed"),
+    (lambda: derive_seed(5, 3, np.int64(1)), "seed part"),
+    (lambda: derive_seed(5, 2.0), "seed part"),
+    (lambda: derive_seed(5, False), "seed part"),
+    (lambda: partition_stream_seed(5, np.int64(1)), "partition_index"),
+    (lambda: partition_stream_seed(2.0, 1), "base_seed"),
+    (lambda: partition_stream_seed(True, 1), "base_seed"),
+    (lambda: partition_stream_seed(5, True), "partition_index"),
+], ids=["derive-numpy-base", "derive-float-base", "derive-bool-base", "derive-numpy-part",
+        "derive-float-part", "derive-bool-part", "partition-numpy-index",
+        "partition-float-base", "partition-bool-base", "partition-bool-index"])
+def test_seed_derivation_follows_the_integer_rule(call, name):
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+        call()
 
 
 def test_partition_stream_seeds_are_distinct_across_partitions():

@@ -35,7 +35,6 @@ from kdc import (
     landweber,
     partition_data,
     plan_parameters,
-    population_bias,
     predict,
     regression_value,
     resolve_schedule,
@@ -51,6 +50,7 @@ from kdc.filters import (
 from kdc.kernels import kernel_features
 from kdc.seeding import make_rng, partition_stream_seed
 from kdc.trainers import INDEX_CHUNK, MAX_ITERATIONS, SETTLE
+from oracles import population_bias
 
 KAPPA_SQ_200 = 6.5736410355431385
 
