@@ -6,7 +6,7 @@ therefore reproduce the batch gradient-descent predictor on the same data.
 ``gm_local`` computes that predictor as the Landweber spectral filter, which
 is what T steps of gradient descent are; the script first checks it against
 the gradient-descent loop written out in coefficient space, then averages
-SGM over index seeds, all on one fixed sample.
+SGM over index seeds with ``average_models``, all on one fixed sample.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from kdc import (
     Constant,
     SgmConfig,
+    average_models,
     build_problem,
     excess_risk_exact,
     gm_local,
@@ -54,24 +55,22 @@ def main() -> None:
 
     print("\naveraging SGM over index seeds (same data throughout):")
     print(f"{'seeds':>6} {'|mean proj - GD proj|':>22} {'mean SGM risk':>14}")
-    running = np.zeros(problem.dim)
+    models = []
     risks = []
-    count = 0
     for n_seeds in (1, 10, 100, 1000):
-        while count < n_seeds:
+        while len(models) < n_seeds:
             config = SgmConfig(
                 partitions=1,
                 batch_size=BATCH,
                 iterations=ITERATIONS,
                 step_schedule=Constant(ETA),
-                base_seed=count,
+                base_seed=len(models),
             )
-            model = sgm_local(data, config, kernel, 0)
-            running += mode_projection(problem, model)
-            risks.append(excess_risk_exact(model, problem))
-            count += 1
-        drift = float(np.linalg.norm(running / count - batch_proj))
-        print(f"{count:>6} {drift:>22.6f} {np.mean(risks):>14.6f}")
+            models.append(sgm_local(data, config, kernel, 0))
+            risks.append(excess_risk_exact(models[-1], problem))
+        mean_proj = mode_projection(problem, average_models(models))
+        drift = float(np.linalg.norm(mean_proj - batch_proj))
+        print(f"{len(models):>6} {drift:>22.6f} {np.mean(risks):>14.6f}")
 
     print(
         "\nThe projection of the seed-averaged SGM predictor drifts toward the\n"

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .filters import landweber
 from .kernels import spectral_kernel
-from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, derive_seed
+from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, check_integer, derive_seed
 from .spectral_model import SpectralProblem, check_exponents, is_finite, sample_dataset
 from .trainers import (
     AveragedModel, LocalModel, SgmConfig, _blocks, _filter_fits, _sgm_runs, resolve_schedule,
@@ -36,8 +36,8 @@ def mode_projection(problem: SpectralProblem, model) -> np.ndarray:
 
     Returns the model's read-only ``modes``: for a local model with
     coefficients alpha at inputs x, mode i carries
-    sigma_i * sum_j alpha_j phi_i(x_j); an averaged model carries the mean
-    of its locals'. The model must use the problem's own spectral kernel.
+    sigma_i * sum_j alpha_j phi_i(x_j); an averaged model is its modes, the
+    mean of its blocks'. The model must use the problem's own spectral kernel.
     """
     if not isinstance(model, (LocalModel, AveragedModel)):
         raise InvalidParameterError("expected a LocalModel or AveragedModel")
@@ -136,10 +136,10 @@ def decompose_error(
 
     for d in range(n_data):
         ds = sample_dataset(problem, n_total, derive_seed(base, TAG_DATA, d))
-        feats, rows, blocks = _blocks(ds, kernel, partitions, derive_seed(base, TAG_PARTITION, d))
+        feats, rows = _blocks(ds, kernel, partitions, derive_seed(base, TAG_PARTITION, d))
         # Per block, one factorization fits the noiseless and the noisy labels.
-        pseudo, batch = (model.modes for model in _filter_fits(
-            ds, feats, blocks, np.column_stack((feats @ target, ds.labels)), spec, kernel))
+        pseudo, batch = _filter_fits(
+            feats, rows, np.column_stack((feats @ target, ds.labels)), spec, kernel)
 
         bias_d[d] = float(np.sum((pseudo - target) ** 2))
         sv_d[d] = float(np.sum((batch - pseudo) ** 2))
@@ -183,14 +183,17 @@ class RateFit:
 def fit_rate(points, burn_in: int = 0) -> RateFit:
     """Fit risk ~ C * N^slope through (N, risk) pairs on log-log axes.
 
-    ``burn_in`` drops that many leading points (smallest N first). Needs at
-    least three surviving points with positive finite risks, and every N
-    finite and at least 1.
+    ``burn_in``, an integer (:func:`~kdc.seeding.check_integer`), drops that
+    many leading points (smallest N first). Needs at least three surviving
+    points with positive finite risks, and every N a whole number, at least
+    1 and not a bool; a numpy integer or a whole float is one.
     """
     points = list(points)
-    if not all(is_finite(n) and n >= 1 for n, _ in points):
-        raise InvalidParameterError("sample sizes must be finite and >= 1")
+    if not all(is_finite(n) and n >= 1 and float(n).is_integer()
+               and not isinstance(n, (bool, np.bool_)) for n, _ in points):
+        raise InvalidParameterError("sample sizes must be finite and >= 1 and whole, not bools")
     pts = sorted((int(n), float(r)) for n, r in points)
+    check_integer("burn_in", burn_in)
     if burn_in < 0:
         raise InvalidParameterError("burn_in must be nonnegative")
     pts = pts[burn_in:]

@@ -15,8 +15,8 @@ the error and runs no task. Replications are independent tasks keyed by
 they execute in a process pool, whose workers each parse the problem's JSON
 once, and serial tasks share the calling process's problem. Results are
 aggregated in task order, so parallel runs produce byte-identical records.
-Every task partitions its sample with its partition seed; at m = 1 the fit
-uses the whole sample in place, and an SA fit does not depend on the seed.
+Every task partitions its sample with its partition seed; at m = 1 an SA fit
+uses the whole sample in place and does not depend on the seed.
 """
 from __future__ import annotations
 
@@ -44,6 +44,9 @@ from .trainers import (
     SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
 )
 
+#: Most replications a sweep point may ask for: run_experiment lists every (N, rep) task
+#: before one runs, so a count whose task list would not fit in memory is a parameter error.
+MAX_REPLICATIONS = 2**16
 
 #: JSON kind (a key of spectral_model.JSON_KINDS) of each config key that sweeps and
 #: the CLI read; other keys are ignored.
@@ -103,8 +106,8 @@ class ExperimentConfig:
             raise InvalidParameterError("n_list must be strictly increasing, all >= 2")
         object.__setattr__(self, "n_list", ns)
         _parse_m_rule(self.m_rule)  # validates
-        if self.replications < 1:
-            raise InvalidParameterError("replications must be >= 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise InvalidParameterError(f"replications must lie in [1, {MAX_REPLICATIONS}]")
         check_positive("scale", self.scale)
 
     @staticmethod
@@ -262,8 +265,8 @@ def _run_point(problem: SpectralProblem, fit: TrainPlan | FilterSpec, n_total: i
     """Sample, fit and score one (N, rep) task; returns its risk or a recorded error.
 
     ``fit`` is the point's TrainPlan for SGM or its FilterSpec for SA. At
-    m = 1 the model is built over the whole sample; an SA fit is then the
-    same whatever the partition seed.
+    m = 1 an SA fit runs on the whole sample in place, so it is the same
+    whatever the partition seed.
     """
     t0 = time.perf_counter()
     try:

@@ -23,7 +23,8 @@ TAG_INDEX = 0x1D
 
 
 def splitmix64(value: int) -> int:
-    """The splitmix64 finalizer: a fixed 64-bit mixing hash."""
+    """The splitmix64 finalizer: a fixed 64-bit hash of an integer (:func:`check_integer`)."""
+    check_integer("value", value)
     z = (value + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK

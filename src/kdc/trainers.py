@@ -4,12 +4,14 @@ a regime tag to concrete (eta, batch size, iterations) or lambda choices.
 A step schedule is a float, a sequence of one step per iteration, or a
 ``Constant``; a spectral filter is a ``FilterSpec``.
 
-A model is a weight vector alpha over its training inputs, predicting
+A local model is a weight vector alpha over its training inputs, predicting
 x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
 coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
 alpha from the n x dim feature matrix Phi of the spectral kernel
 (K = Phi diag(sigma) Phi^T): a sampled dataset's ``features``, or else
 evaluated once per call, and hand that Phi to the LocalModel constructor.
+An averaged model is its mode vector alone: every distributed fit averages
+its blocks' modes and builds no per-block model.
 Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
 steps all its runs together and settles their alpha once per block of
 SETTLE steps, replaying a block step by step only once a coefficient may
@@ -28,7 +30,7 @@ Gradient descent on the noiseless labels f(x_j) is ``gm_local`` on them.
 Distributed training partitions one dataset uniformly at random, trains
 each block independently, and averages the block predictors uniformly; the
 layout is ``_blocks``: a block is a row of sample indices, so no second
-N x dim matrix is copied, and one partition's model uses the sample in place.
+N x dim matrix is copied, and one partition's filter fit uses the sample in place.
 Steps have one runtime contract, eta <= 1/kappa_sq; every tighter cap (the
 1/(1.01 kappa_sq) clamp, the theory cap) is planned, only in ``plan_parameters``.
 """
@@ -53,9 +55,7 @@ from .filters import (
 )
 from .kernels import KernelSpec, kernel_features
 from .seeding import check_integer, make_rng, partition_stream_seed
-from .spectral_model import (
-    Dataset, SpectralProblem, check_exponents, check_positive, check_sample_size,
-)
+from .spectral_model import Dataset, check_exponents, check_positive, check_sample_size
 
 #: Coefficient magnitude beyond which an iterate is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -142,7 +142,6 @@ class LocalModel:
 
     inputs: np.ndarray
     coeffs: np.ndarray
-    partition_index: int
     kernel: KernelSpec
     _features: InitVar[np.ndarray | None] = None
     modes: np.ndarray = field(init=False)
@@ -168,32 +167,35 @@ class LocalModel:
 
 @dataclass(frozen=True, eq=False)
 class AveragedModel:
-    """Uniform average of per-partition predictors; ``modes`` is their mean.
+    """Uniform average of per-partition predictors, given by its mode vector.
 
-    Raises KernelMismatchError unless every local model has the same kernel.
+    ``modes``, of shape (dim,), are the eigenbasis coefficients of the
+    averaged prediction function, kept as a read-only float copy. Modes of
+    another shape raise InvalidParameterError, non-finite ones DivergenceError.
     """
 
-    locals: tuple[LocalModel, ...]
-    modes: np.ndarray = field(init=False)
+    modes: np.ndarray
+    kernel: KernelSpec
 
     def __post_init__(self) -> None:
-        if len(self.locals) == 0:
-            raise InvalidParameterError("averaged model needs at least one local model")
-        key = self.locals[0].kernel.key()
-        if any(m.kernel.key() != key for m in self.locals[1:]):
-            raise KernelMismatchError("local models were trained with different kernels")
-        v = sum(m.modes for m in self.locals) / len(self.locals)
+        v = np.array(self.modes, dtype=float)
+        if v.shape != (self.kernel.problem.dim,):
+            raise InvalidParameterError(
+                f"modes of shape {v.shape} do not match dim {self.kernel.problem.dim}")
+        if not np.all(np.isfinite(v)):
+            raise DivergenceError("model modes are not finite")
         v.setflags(write=False)
         object.__setattr__(self, "modes", v)
 
-    @property
-    def kernel(self) -> KernelSpec:
-        return self.locals[0].kernel
-
 
 def average_models(models: Sequence[LocalModel]) -> AveragedModel:
-    """Average local predictors uniformly; all must share one kernel."""
-    return AveragedModel(locals=tuple(models))
+    """Average local predictors uniformly, the modes in list order; all must share one kernel."""
+    if len(models) == 0:
+        raise InvalidParameterError("averaged model needs at least one local model")
+    key = models[0].kernel.key()
+    if any(m.kernel.key() != key for m in models[1:]):
+        raise KernelMismatchError("local models were trained with different kernels")
+    return AveragedModel(sum(m.modes for m in models) / len(models), models[0].kernel)
 
 
 def predict(model, xs):
@@ -440,16 +442,10 @@ def sgm_local(
     feats = _dataset_features(kernel, subset)
     alpha, _ = _sgm_runs(feats, subset.labels, np.arange(len(subset))[None], config, kernel,
                          [(0, partition_index, config.base_seed)])
-    return LocalModel(subset.inputs, alpha[0], partition_index, kernel, _features=feats)
+    return LocalModel(subset.inputs, alpha[0], kernel, _features=feats)
 
 
-def gm_local(
-    subset: Dataset,
-    step_schedule,
-    iterations: int,
-    kernel: KernelSpec,
-    partition_index: int = 0,
-) -> LocalModel:
+def gm_local(subset: Dataset, step_schedule, iterations: int, kernel: KernelSpec) -> LocalModel:
     """Full-batch gradient descent on one partition.
 
     This is the batch limit of sgm_local. T steps of it are the Landweber
@@ -457,15 +453,10 @@ def gm_local(
     whose spec checks the schedule.
     """
     spec = landweber(resolve_schedule(step_schedule, iterations), kernel.problem.kappa_sq)
-    return sa_local(subset, spec, kernel, partition_index)
+    return sa_local(subset, spec, kernel)
 
 
-def sa_local(
-    subset: Dataset,
-    filter_spec: FilterSpec,
-    kernel: KernelSpec,
-    partition_index: int = 0,
-) -> LocalModel:
+def sa_local(subset: Dataset, filter_spec: FilterSpec, kernel: KernelSpec) -> LocalModel:
     """Spectral-algorithm estimator on one partition.
 
     Applies the filter, at its own level lambda, to the scaled kernel matrix
@@ -474,28 +465,29 @@ def sa_local(
     """
     feats = _dataset_features(kernel, subset)
     alpha = _mode_filter(kernel, feats, subset.labels, filter_spec)
-    return LocalModel(subset.inputs, alpha, partition_index, kernel, _features=feats)
+    return LocalModel(subset.inputs, alpha, kernel, _features=feats)
 
 
 def _blocks(dataset: Dataset, kernel: KernelSpec, partitions: int, seed: int):
-    """(Phi, rows, blocks): the sample's Phi, its ``_partition_rows`` (m, n), and what each
-    block's model is built over: its rows, or for one partition the uncopied sample itself."""
-    rows = _partition_rows(len(dataset), partitions, seed)
-    return _dataset_features(kernel, dataset), rows, [slice(None)] if partitions == 1 else rows
+    """(Phi, rows): the sample's Phi and its ``_partition_rows`` (m, n)."""
+    return _dataset_features(kernel, dataset), _partition_rows(len(dataset), partitions, seed)
 
 
-def _filter_fits(dataset: Dataset, feats: np.ndarray, blocks, labels: np.ndarray,
-                 filter_spec: FilterSpec, kernel: KernelSpec) -> list[AveragedModel]:
-    """The filter fit of every block, averaged: one model per column of ``labels`` (N, c),
-    all columns of a block from one factorization of :func:`_mode_filter`."""
-    fits = []
-    for s, idx in enumerate(blocks):
+def _filter_fits(feats: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+                 filter_spec: FilterSpec, kernel: KernelSpec) -> np.ndarray:
+    """The mean over blocks of the filter fit's modes, (c, dim), one row per column of
+    ``labels`` (N, c). A block fits all columns with one :func:`_mode_filter`; a column's
+    modes are sigma * (Phi_p^T a), summed in block order. One partition fits the sample
+    in place: a filter fit does not depend on the order of its rows."""
+    sigma = kernel.problem.eigenvalues
+    total = np.zeros((labels.shape[1], sigma.size))
+    for idx in [slice(None)] if len(rows) == 1 else rows:
         block_feats = feats[idx]
         alphas = _mode_filter(kernel, block_feats, labels[idx], filter_spec)
-        fits.append([LocalModel(dataset.inputs[idx], a, s, kernel, _features=block_feats)
-                     for a in alphas.T])
+        for acc, a in zip(total, alphas.T):
+            acc += sigma * (block_feats.T @ a)
         del block_feats  # one block's copy of Phi at a time
-    return [average_models(models) for models in zip(*fits)]
+    return total / len(rows)
 
 
 def distributed_sgm(
@@ -507,17 +499,12 @@ def distributed_sgm(
     """Partition, train SGM on every block in lockstep, and average the predictors.
 
     Every block, one partition's too, trains on its rows of the sample permuted
-    by ``partition_seed``; its model is built over its block of :func:`_blocks`.
+    by ``partition_seed``; the average is the mean of the runs' mode vectors.
     """
-    feats, rows, blocks = _blocks(dataset, kernel, config.partitions, partition_seed)
-    alphas, _ = _sgm_runs(feats, dataset.labels, rows, config, kernel,
-                          [(s, s, config.base_seed) for s in range(config.partitions)])
-    coeffs = np.empty(len(dataset))
-    coeffs[rows] = alphas  # every sample row belongs to one block
-    return average_models([
-        LocalModel(dataset.inputs[idx], coeffs[idx], s, kernel, _features=feats[idx])
-        for s, idx in enumerate(blocks)
-    ])
+    feats, rows = _blocks(dataset, kernel, config.partitions, partition_seed)
+    _, modes = _sgm_runs(feats, dataset.labels, rows, config, kernel,
+                         [(s, s, config.base_seed) for s in range(config.partitions)])
+    return AveragedModel(modes.mean(axis=0), kernel)
 
 
 def distributed_sa(
@@ -533,8 +520,9 @@ def distributed_sa(
     partition's fit is the whole sample's: the permutation drawn from
     ``partition_seed`` leaves it unchanged, and no rows are copied.
     """
-    feats, _, blocks = _blocks(dataset, kernel, partitions, partition_seed)
-    return _filter_fits(dataset, feats, blocks, dataset.labels[:, None], filter_spec, kernel)[0]
+    feats, rows = _blocks(dataset, kernel, partitions, partition_seed)
+    return AveragedModel(
+        _filter_fits(feats, rows, dataset.labels[:, None], filter_spec, kernel)[0], kernel)
 
 
 @dataclass(frozen=True)

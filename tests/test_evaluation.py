@@ -50,9 +50,7 @@ def test_mode_projection_of_a_single_section(small_problem, kernel):
     # A model with one unit coefficient at x0 is the kernel section
     # K(x0, .), whose i-th mode coefficient is sigma_i * phi_i(x0).
     x0 = 0.3
-    model = LocalModel(
-        inputs=np.array([x0]), coeffs=np.array([1.0]), partition_index=0, kernel=kernel
-    )
+    model = LocalModel(inputs=np.array([x0]), coeffs=np.array([1.0]), kernel=kernel)
     proj = mode_projection(small_problem, model)
     expected = small_problem.eigenvalues * basis_matrix(small_problem.dim, np.array([x0]))[0]
     np.testing.assert_allclose(proj, expected, rtol=1e-12)
@@ -73,9 +71,7 @@ def test_mode_projection_rejects_a_model_of_another_problem(trained):
 
 
 def test_exact_risk_of_the_zero_model(small_problem, kernel):
-    zero = LocalModel(
-        inputs=np.array([0.5]), coeffs=np.array([0.0]), partition_index=0, kernel=kernel
-    )
+    zero = LocalModel(inputs=np.array([0.5]), coeffs=np.array([0.0]), kernel=kernel)
     risk = excess_risk_exact(zero, small_problem)
     assert type(risk) is float
     expected = float(np.sum(small_problem.target_coeffs**2))
@@ -94,7 +90,6 @@ def test_exact_risk_is_invariant_under_sample_reordering(small_problem, kernel, 
     shuffled = LocalModel(
         inputs=trained.inputs[perm],
         coeffs=trained.coeffs[perm],
-        partition_index=0,
         kernel=kernel,
     )
     a = excess_risk_exact(trained, small_problem)
@@ -279,6 +274,26 @@ def test_fit_rate_rejects_degenerate_input():
 def test_fit_rate_rejects_a_sample_size_that_is_not_finite_and_at_least_one(n):
     with pytest.raises(InvalidParameterError, match="sample sizes must be finite and >= 1"):
         fit_rate([(n, 2.0), (32, 0.5), (64, 0.25), (128, 0.125)])
+
+
+@pytest.mark.parametrize("n", [1000.9, True, np.True_])
+def test_fit_rate_rejects_a_sample_size_that_is_not_a_whole_number(n):
+    with pytest.raises(InvalidParameterError, match="sample sizes must be finite and >= 1 and whole"):
+        fit_rate([(n, 1.0), (2000, 0.5), (4000, 0.25), (8000, 0.125)])
+
+
+def test_fit_rate_reads_numpy_integers_and_whole_floats_as_sample_sizes():
+    risks = (1.0, 0.5, 0.25)
+    expected = fit_rate(list(zip((1000, 2000, 4000), risks)))
+    for ns in (np.array([1000, 2000, 4000]), (1000.0, 2000.0, 4000.0)):
+        assert fit_rate(list(zip(ns, risks))) == expected
+
+
+@pytest.mark.parametrize("burn_in", [1.5, 1.0, True, np.int64(1)])
+def test_fit_rate_burn_in_follows_the_integer_rule(burn_in):
+    points = [(16, 1.0), (32, 0.5), (64, 0.25), (128, 0.125)]
+    with pytest.raises(InvalidParameterError, match="burn_in must be an integer"):
+        fit_rate(points, burn_in=burn_in)
 
 
 def test_theory_exponent_table():

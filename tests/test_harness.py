@@ -152,6 +152,14 @@ def test_config_validation():
         tiny_config(scale=-1.0)
 
 
+def test_config_bounds_its_replication_count():
+    # Only the configs are built: a sweep lists every task before it runs one.
+    assert tiny_config(replications=harness.MAX_REPLICATIONS).replications == 2**16
+    for reps in (harness.MAX_REPLICATIONS + 1, 10**12):
+        with pytest.raises(InvalidParameterError, match=r"replications must lie in \[1, 65536\]"):
+            tiny_config(replications=reps)
+
+
 def test_config_needs_a_sample_size_and_runs_need_a_worker():
     with pytest.raises(InvalidParameterError, match="n_list must be nonempty"):
         tiny_config(n_list=[])

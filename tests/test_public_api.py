@@ -1,5 +1,5 @@
-"""The public names of ``kdc`` and its settable knobs are pinned, so an API change
-or a new setting is a deliberate edit here.
+"""The public names of ``kdc``, its settable knobs and its model fields are pinned, so
+an API change, a new setting or a new model field is a deliberate edit here.
 
 Submodules are left out: which of them are attributes of the package
 depends on what has been imported before.
@@ -10,6 +10,9 @@ import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import kdc
 from kdc.harness import CONFIG_TYPES
@@ -43,6 +46,11 @@ KNOBS = {
     kdc.SgmConfig: "partitions,batch_size,iterations,step_schedule,base_seed",
     kdc.TrainPlan: "regime,algorithm,n_total,partitions,n_local,batch_size,iterations,eta,"
                    "eta_raw,lam,scale,zeta,gamma,clamped,partition_warning",
+}
+#: Init fields of each model: a local model is its coefficients, an average its modes.
+MODEL_FIELDS = {
+    kdc.LocalModel: "inputs,coeffs,kernel",
+    kdc.AveragedModel: "modes,kernel",
 }
 CONFIG_KEYS = (
     "regime,algorithm,filter,n_total,dim,m,replications,base_seed,iterations,batch_size,"
@@ -91,3 +99,25 @@ def test_settable_fields_and_config_keys_are_pinned():
     for cls, names in KNOBS.items():
         assert ",".join(f.name for f in fields(cls)) == names, cls.__name__
     assert ",".join(CONFIG_TYPES) == CONFIG_KEYS
+
+
+def test_model_fields_are_pinned():
+    for cls, names in MODEL_FIELDS.items():
+        assert ",".join(f.name for f in fields(cls) if f.init) == names, cls.__name__
+
+
+def test_an_averaged_model_checks_and_copies_its_modes():
+    kernel = kdc.spectral_kernel(kdc.build_problem(dim=10, noise_sd=0.1))
+    given = np.arange(10.0)
+    model = kdc.AveragedModel(given, kernel)
+    given[0] = 5.0
+    assert model.modes[0] == 0.0 and model.modes.dtype == np.float64
+    with pytest.raises(ValueError):
+        model.modes[0] = 1.0
+    assert kdc.AveragedModel(list(range(10)), kernel).modes.dtype == np.float64
+    for shape in ((9,), (11,), (1, 10), ()):
+        with pytest.raises(kdc.InvalidParameterError, match="do not match dim 10"):
+            kdc.AveragedModel(np.zeros(shape), kernel)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(kdc.DivergenceError, match="modes are not finite"):
+            kdc.AveragedModel(np.full(10, bad), kernel)

@@ -62,9 +62,13 @@ def test_derived_seeds_of_python_ints_are_pinned():
     (lambda: partition_stream_seed(2.0, 1), "base_seed"),
     (lambda: partition_stream_seed(True, 1), "base_seed"),
     (lambda: partition_stream_seed(5, True), "partition_index"),
+    (lambda: splitmix64(np.int64(5)), "value"),
+    (lambda: splitmix64(1.5), "value"),
+    (lambda: splitmix64(True), "value"),
 ], ids=["derive-numpy-base", "derive-float-base", "derive-bool-base", "derive-numpy-part",
         "derive-float-part", "derive-bool-part", "partition-numpy-index",
-        "partition-float-base", "partition-bool-base", "partition-bool-index"])
+        "partition-float-base", "partition-bool-base", "partition-bool-index",
+        "splitmix-numpy-value", "splitmix-float-value", "splitmix-bool-value"])
 def test_seed_derivation_follows_the_integer_rule(call, name):
     with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
         call()

@@ -149,10 +149,6 @@ def distributed_fits(kernel, partitions):
 
 def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.modes, b.modes)
-    for x, y in zip(a.locals, b.locals, strict=True):
-        np.testing.assert_array_equal(x.inputs, y.inputs)
-        np.testing.assert_array_equal(x.coeffs, y.coeffs)
-        np.testing.assert_array_equal(x.modes, y.modes)
 
 
 # n_local 12, 48 and 48, dim 20; one partition fits the sample in place.
@@ -242,12 +238,12 @@ def test_distributed_sgm_matches_a_gram_replay_per_partition(
     )
     model = distributed_sgm(data, cfg, kernel, partition_seed=8)
     duplicates = False
-    for s, (sub, local) in enumerate(zip(partition_data(data, partitions, 8), model.locals)):
+    modes = []
+    for s, sub in enumerate(partition_data(data, partitions, 8)):
         alpha, idx = gram_replay(kernel, sub, 21, s, batch, iterations, 0.05)
         duplicates |= any(np.unique(rows).size < batch for rows in idx)
-        assert local.partition_index == s
-        np.testing.assert_array_equal(local.inputs, sub.inputs)
-        np.testing.assert_allclose(local.coeffs, alpha, rtol=1e-12, atol=1e-15)
+        modes.append(small_problem.eigenvalues * (kernel_features(kernel, sub.inputs).T @ alpha))
+    np.testing.assert_allclose(model.modes, np.mean(modes, axis=0), rtol=1e-12, atol=1e-15)
     assert duplicates
 
 
@@ -260,11 +256,8 @@ def test_distributed_sa_is_sa_local_per_partition_bit_for_bit(
     model = distributed_sa(data, spec, kernel, partitions, partition_seed=8)
     # One partition's block is the sample itself, in input order.
     blocks = [data] if partitions == 1 else partition_data(data, partitions, 8)
-    for s, (block, local) in enumerate(zip(blocks, model.locals, strict=True)):
-        expected = sa_local(block, spec, kernel, s)
-        assert local.partition_index == expected.partition_index == s
-        for name in ("inputs", "coeffs", "modes"):
-            np.testing.assert_array_equal(getattr(local, name), getattr(expected, name), name)
+    expected = average_models([sa_local(block, spec, kernel) for block in blocks])
+    np.testing.assert_array_equal(model.modes, expected.modes)
 
 
 @pytest.mark.parametrize("n", [12, 2**33 + 5])
@@ -572,12 +565,21 @@ def test_trained_models_carry_the_modes_of_a_fresh_feature_matrix(request, probl
         sa_local(data, FilterSpec("tikhonov", problem.kappa_sq, 1e-2), kernel),
         gm_local(data, 0.05, 30, kernel),
         sgm_local(data, dataclasses.replace(cfg, partitions=1), kernel, 0),
-        *distributed_sgm(data, cfg, kernel, partition_seed=4).locals,
-        *distributed_sgm(data, dataclasses.replace(cfg, partitions=1), kernel, 4).locals,
     ]
     for model in models:
         expected = problem.eigenvalues * (kernel_features(kernel, model.inputs).T @ model.coeffs)
         np.testing.assert_array_equal(model.modes, expected)
+    # A distributed SGM fit averages the modes its step loop carried; they are the
+    # block mean of the formula on the loop's coefficients, to rounding.
+    for m in (3, 1):
+        config = dataclasses.replace(cfg, partitions=m)
+        rows = trainers._partition_rows(n, m, 4)
+        alphas, _ = trainers._sgm_runs(data.features, data.labels, rows, config, kernel,
+                                       [(s, s, config.base_seed) for s in range(m)])
+        expected = np.mean([problem.eigenvalues * (kernel_features(kernel, data.inputs[r]).T @ a)
+                            for r, a in zip(rows, alphas, strict=True)], axis=0)
+        np.testing.assert_allclose(distributed_sgm(data, config, kernel, 4).modes, expected,
+                                   rtol=1e-12)
 
 
 @pytest.mark.parametrize("tag", FILTER_TAGS)
@@ -586,38 +588,30 @@ def test_one_partition_sa_is_sa_local_on_the_sample(data, kernel, small_problem,
     spec = filter_from_tag(tag, small_problem.kappa_sq, 0.05)
     model = distributed_sa(data, spec, kernel, 1, partition_seed=4)
     expected = sa_local(data, spec, kernel)
-    (local,) = model.locals
-    np.testing.assert_array_equal(local.inputs, data.inputs)
-    np.testing.assert_array_equal(local.coeffs, expected.coeffs)
     np.testing.assert_array_equal(model.modes, expected.modes)
 
 
 @pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
-def test_one_partition_sgm_is_its_permuted_block_in_input_order(small_problem, kernel, n):
-    # The one block keeps its permuted index stream, so training is the
-    # permuted block's; only the model is built over the sample's own order.
+def test_one_partition_sgm_is_its_permuted_block(small_problem, kernel, n):
+    # The one block keeps its permuted index stream, so training is the permuted block's.
     data = sample_dataset(small_problem, n, seed=5)
     cfg = SgmConfig(partitions=1, batch_size=3, iterations=INDEX_CHUNK + 9,
                     step_schedule=0.05, base_seed=21)
-    (local,) = distributed_sgm(data, cfg, kernel, partition_seed=8).locals
+    model = distributed_sgm(data, cfg, kernel, partition_seed=8)
     (block,) = partition_data(data, 1, 8)
     permuted = sgm_local(block, cfg, kernel, 0)
-    perm = trainers._partition_rows(n, 1, 8)[0]
-    np.testing.assert_array_equal(local.inputs, data.inputs)
-    np.testing.assert_array_equal(local.coeffs[perm], permuted.coeffs)
-    np.testing.assert_allclose(local.modes, permuted.modes, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(model.modes, permuted.modes, rtol=1e-12, atol=0.0)
 
 
 def test_local_model_checks_the_shape_of_handed_features(data, kernel):
     with pytest.raises(InvalidParameterError):
-        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)), partition_index=0,
-                   kernel=kernel, _features=np.zeros((len(data), kernel.problem.dim + 1)))
+        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)), kernel=kernel,
+                   _features=np.zeros((len(data), kernel.problem.dim + 1)))
 
 
 def test_local_model_needs_one_coefficient_per_input(data, kernel):
     with pytest.raises(InvalidParameterError, match="inputs and coeffs must be matching 1-D"):
-        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data) - 1), partition_index=0,
-                   kernel=kernel)
+        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data) - 1), kernel=kernel)
 
 
 def test_distributed_sa_needs_a_partition(data, kernel, small_problem):
@@ -628,13 +622,13 @@ def test_distributed_sa_needs_a_partition(data, kernel, small_problem):
 def test_local_model_rejects_nonfinite_coefficients(data, kernel):
     bad = np.full(len(data), np.inf)
     with pytest.raises(DivergenceError):
-        LocalModel(inputs=data.inputs, coeffs=bad, partition_index=0, kernel=kernel)
+        LocalModel(inputs=data.inputs, coeffs=bad, kernel=kernel)
 
 
 @pytest.mark.parametrize("x", [1.5, -0.25])
 def test_local_model_rejects_inputs_outside_the_unit_interval(kernel, x):
     with pytest.raises(DomainError):
-        LocalModel(inputs=np.array([x]), coeffs=np.array([1.0]), partition_index=0, kernel=kernel)
+        LocalModel(inputs=np.array([x]), coeffs=np.array([1.0]), kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -743,22 +737,19 @@ def test_average_models_takes_the_plain_mean(data, kernel):
 def test_average_models_rejects_mixed_kernels(data, kernel):
     cfg = SgmConfig(partitions=1, batch_size=2, iterations=5, step_schedule=0.1, base_seed=3)
     a = sgm_local(data, cfg, kernel, 0)
-    other = spectral_kernel(build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1))
-    b = LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)), partition_index=1, kernel=other)
-    with pytest.raises(KernelMismatchError):
-        average_models([a, b])
+    # Another dim, then the same dim at another gamma: there the mode vectors have
+    # one length, so only the kernel check stands between the average and a silent risk.
+    for problem in (build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1),
+                    build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1)):
+        b = LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)),
+                       kernel=spectral_kernel(problem))
+        with pytest.raises(KernelMismatchError):
+            average_models([a, b])
 
 
-def test_a_directly_built_average_rejects_mixed_kernels(data, kernel):
-    # Same dim, different gamma: the mode vectors have one length, so only
-    # the kernel check stands between this average and a silent risk.
-    other = spectral_kernel(build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1))
-    models = tuple(sa_local(data, FilterSpec("tikhonov", k.problem.kappa_sq, 1e-2), k)
-                   for k in (kernel, other))
-    with pytest.raises(KernelMismatchError):
-        AveragedModel(locals=models)
-    with pytest.raises(InvalidParameterError):
-        AveragedModel(locals=())
+def test_average_models_needs_a_model():
+    with pytest.raises(InvalidParameterError, match="at least one local model"):
+        average_models([])
 
 
 @pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
@@ -777,7 +768,6 @@ def test_distributed_runs_are_deterministic(small_problem, kernel):
     cfg = SgmConfig(partitions=4, batch_size=1, iterations=16, step_schedule=0.1, base_seed=12)
     a = distributed_sgm(data, cfg, kernel, partition_seed=77)
     b = distributed_sgm(data, cfg, kernel, partition_seed=77)
-    assert len(a.locals) == 4
     xs = np.linspace(0.1, 0.9, 5)
     np.testing.assert_array_equal(predict(a, xs), predict(b, xs))
     spec = FilterSpec("tikhonov", small_problem.kappa_sq, 0.05)
