@@ -22,7 +22,8 @@ class IndivisibleDataError(KdcError, ValueError):
 
 
 class DivergenceError(KdcError, ArithmeticError):
-    """An iterate left the trust region (non-finite or |coeff| > 1e12)."""
+    """An iterate left the trust region: an SGM step that is non-finite or has
+    |step| > 1e12, or model coefficients or modes that are non-finite."""
 
 
 class EigendecompositionError(KdcError, ArithmeticError):

@@ -132,10 +132,10 @@ def _parse_m_rule(rule) -> tuple[str, float | int]:
         if not 0.0 <= beta < 1.0:
             raise InvalidParameterError("m rule exponent must lie in [0, 1)")
         return ("pow", beta)
-    m = int(rule)
-    if m < 1:
+    check_integer("m_rule", rule)
+    if rule < 1:
         raise InvalidParameterError("fixed m rule must be >= 1")
-    return ("fixed", m)
+    return ("fixed", rule)
 
 
 def resolve_m(n_total: int, m_rule) -> tuple[int, int]:
@@ -153,7 +153,7 @@ def resolve_m(n_total: int, m_rule) -> tuple[int, int]:
     if kind == "pow":
         requested = max(1, math.floor(n_total ** value))
     else:
-        requested = min(int(value), n_total)
+        requested = min(value, n_total)
     divisors = (d for i in range(1, math.isqrt(n_total) + 1) if n_total % i == 0
                 for d in (i, n_total // i))
     return requested, max(d for d in divisors if d <= requested)

@@ -56,8 +56,8 @@ def is_finite(value) -> bool:
 
 
 def check_positive(name: str, value) -> None:
-    """Raise InvalidParameterError unless ``value`` is positive and finite."""
-    if not (is_finite(value) and value > 0):
+    """Raise InvalidParameterError unless ``value`` is positive and finite (true/false is not)."""
+    if isinstance(value, (bool, np.bool_)) or not (is_finite(value) and value > 0):
         raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 

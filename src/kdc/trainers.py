@@ -13,9 +13,9 @@ evaluated once per call, and hand that Phi to the LocalModel constructor.
 An averaged model is its mode vector alone: every distributed fit averages
 its blocks' modes and builds no per-block model.
 Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
-steps all its runs together and settles their alpha once per block of
-SETTLE steps, replaying a block step by step only once a coefficient may
-have passed DIVERGENCE_LIMIT.
+steps all its runs together in one loop and settles their alpha once per
+block of SETTLE steps; a run diverges at its first step past DIVERGENCE_LIMIT,
+read from the block's record of steps.
 Every spectral filter runs through one path, ``_mode_filter``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
 K/n at lambda = 1/sum(eta). A ``FilterSpec`` carries its own lambda, so no
@@ -57,7 +57,7 @@ from .kernels import KernelSpec, kernel_features
 from .seeding import check_integer, make_rng, partition_stream_seed
 from .spectral_model import Dataset, check_exponents, check_positive, check_sample_size
 
-#: Coefficient magnitude beyond which an iterate is declared divergent.
+#: SGM step magnitude (eta_t / b)|prediction - y| beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
 #: Iterations of indices an SGM run draws at a time (chunks leave its stream unchanged).
@@ -246,6 +246,9 @@ def _dataset_features(kernel: KernelSpec, dataset: Dataset) -> np.ndarray:
 def theory_step_cap(kappa_sq: float, iterations: int) -> float:
     """Step cap 1/(4 kappa_sq max(1, ln T)) of the SGM rates (Lin & Cevher, 1801.07226)."""
     check_positive("kappa_sq", kappa_sq)
+    check_integer("iterations", iterations)
+    if iterations < 1:
+        raise InvalidParameterError("iterations must be >= 1")
     return 1.0 / (4.0 * kappa_sq * max(1.0, math.log(iterations)))
 
 
@@ -314,27 +317,22 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     of Phi ``feats`` and ``labels`` (``rows`` has shape (m, n)) using the
     index stream partition_stream_seed(seed, partition_index), drawn
     INDEX_CHUNK iterations at a time. Returns the coefficients (R, n) and
-    the mode vectors (R, dim). A diverged run stops moving; the error raised
-    is the first run's, in run order. Rows outside ``feats`` or labels of
-    another length raise InvalidParameterError.
+    the mode vectors (R, dim). A run diverges at the first iteration at
+    which one of its steps (eta_t / b)(prediction - y) has magnitude above
+    DIVERGENCE_LIMIT or is not finite; a diverged run stops moving, and the
+    error raised is the first run's, in run order. Rows outside ``feats`` or
+    labels of another length raise InvalidParameterError.
 
-    Until a run diverges, no step reads alpha, so the loop settles it once
-    per block of SETTLE steps. Each block looks up its sample rows and
-    labels at once; a step gathers its batch rows from ``feats`` into a
-    buffer made before the loop, forms its predictions, overwrites its
-    labels with its step in the block's record, and updates the modes. At
-    the block's end the record's count times its largest |step| is added
-    to a running bound on every |alpha|. While the bound stays within
-    DIVERGENCE_LIMIT / 2, no coefficient can have passed the limit, and one
-    ``np.subtract.at`` of the whole record settles alpha in the order of the
-    per-step calls. Otherwise, or if the bound is not finite, the modes go
-    back to the block's start and the block is replayed in exact mode,
-    which settles and checks alpha after every step and zeroes diverged
-    runs; the rest of the call stays in exact mode. Both modes keep every
-    result bit-identical to a step-by-step loop. The speculative pass
-    ignores overflow and invalid operations, which arise only in a block
-    that is then replayed; the replay runs under the caller's error state,
-    so it raises or warns as a step-by-step loop would.
+    No step reads alpha, so the loop settles it once per block of SETTLE
+    steps. A step gathers its batch rows from ``feats`` into a buffer made
+    before the loop, forms its predictions, overwrites its labels with its
+    step in the block's record, and updates the modes. In a block whose
+    largest |step| fails the limit, each bad run's first bad iteration is
+    read from the record, and its modes, record entries and labels in later
+    records are set to 0. One ``np.subtract.at`` of the record settles alpha
+    in the order of per-step calls, bit-identical to a step-by-step loop.
+    Overflow and invalid operations, which arise only in a diverging run,
+    are ignored under any caller error state.
     """
     n = rows.shape[1]
     if config.batch_size > n:
@@ -342,76 +340,53 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     if np.shape(labels) != (len(feats),) or rows.min() < 0 or rows.max() >= len(feats):
         raise InvalidParameterError(f"rows and labels must index the {len(feats)} feature rows")
     etas = resolve_schedule(config.step_schedule, config.iterations)
-    ksq = kernel.problem.kappa_sq
-    check_step_bound(etas, ksq)
+    check_step_bound(etas, kernel.problem.kappa_sq)
 
     rngs = [make_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
     # Sample row of each run's local index, laid out like alpha.
     run_rows = rows[[i for i, _, _ in runs]].ravel()
     own = n * np.arange(len(runs))[:, None]
     sigma = kernel.problem.eigenvalues
-    steps = etas / float(config.batch_size)
+    rates = etas / float(config.batch_size)
 
     alpha = np.zeros(len(runs) * n)
     v = np.zeros((len(runs), sigma.size))
-    v_start = np.empty_like(v)
     batch = np.empty((len(runs), config.batch_size, sigma.size))
     pred = np.empty((len(runs), config.batch_size))
     update = np.empty_like(v)
-    touched = np.empty_like(pred)
     draws = np.empty((min(INDEX_CHUNK, config.iterations),) + pred.shape, dtype=np.int64)
     block_rows = np.empty((min(SETTLE, config.iterations),) + pred.shape, dtype=np.int64)
     # A block's labels, each overwritten by its step.
     record = np.empty(block_rows.shape)
     diverged: dict[int, int] = {}
-
-    def run_block(t0, own_block, sample_block, step_block, exact):
-        for t, own_rows, sample_rows, step in zip(range(t0, t0 + len(step_block)), own_block,
-                                                  sample_block, step_block):
-            # mode="clip" writes straight into the buffer; every index is in range.
-            np.take(feats, sample_rows, axis=0, out=batch, mode="clip")
-            np.matmul(batch, v[:, :, None], out=pred[:, :, None])
-            np.subtract(pred, step, out=step)  # the label becomes the step
-            step *= steps[t]
-            if exact:
-                if diverged:
-                    step[list(diverged)] = 0.0
-                np.subtract.at(alpha, own_rows, step)
-            np.matmul(step[:, None, :], batch, out=update[:, None, :])
-            np.subtract(v, np.multiply(sigma, update, out=update), out=v)
-            if not exact:
-                continue
-            # Written so that a NaN or an infinity fails the comparison too.
-            np.abs(np.take(alpha, own_rows, out=touched, mode="clip"), out=touched)
-            if not touched.max() <= DIVERGENCE_LIMIT:
-                for r in np.flatnonzero(~(touched.max(axis=1) <= DIVERGENCE_LIMIT)):
-                    diverged[r] = t + 1
-                    v[r] = alpha[r * n:(r + 1) * n] = 0.0
-
-    # Bounds every |alpha| up to the first exact block; it only grows, so exact
-    # mode lasts for the rest of the call.
-    bound = 0.0
-    for t0 in range(0, config.iterations, INDEX_CHUNK):
-        k = min(INDEX_CHUNK, config.iterations - t0)
-        for r, rng in enumerate(rngs):
-            draws[:k, r] = rng.integers(0, n, (k, config.batch_size))
-        draws[:k] += own
-        for b0 in range(0, k, SETTLE):
-            own_block = draws[b0:min(b0 + SETTLE, k)]
-            size = len(own_block)
-            sample_block = np.take(run_rows, own_block, out=block_rows[:size], mode="clip")
-            step_block = np.take(labels, sample_block, out=record[:size], mode="clip")
-            if bound <= DIVERGENCE_LIMIT / 2:
-                np.copyto(v_start, v)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    run_block(t0 + b0, own_block, sample_block, step_block, False)
-                    bound += step_block.size * np.maximum(step_block.max(), -step_block.min())
-                if bound <= DIVERGENCE_LIMIT / 2:
-                    np.subtract.at(alpha, own_block.ravel(), step_block.ravel())
-                    continue
-                np.copyto(v, v_start)
-                np.take(labels, sample_block, out=step_block, mode="clip")
-            run_block(t0 + b0, own_block, sample_block, step_block, True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, config.iterations, INDEX_CHUNK):
+            k = min(INDEX_CHUNK, config.iterations - t0)
+            for r, rng in enumerate(rngs):
+                draws[:k, r] = rng.integers(0, n, (k, config.batch_size))
+            draws[:k] += own
+            for b0 in range(0, k, SETTLE):
+                own_block = draws[b0:min(b0 + SETTLE, k)]
+                size = len(own_block)
+                sample_block = np.take(run_rows, own_block, out=block_rows[:size], mode="clip")
+                step_block = np.take(labels, sample_block, out=record[:size], mode="clip")
+                # A diverged run's modes are 0, so zero labels keep its steps at 0.
+                step_block[:, list(diverged)] = 0.0
+                for rate, sample_rows, step in zip(rates[t0 + b0:], sample_block, step_block):
+                    # mode="clip" writes straight into the buffer; every index is in range.
+                    np.take(feats, sample_rows, axis=0, out=batch, mode="clip")
+                    np.matmul(batch, v[:, :, None], out=pred[:, :, None])
+                    np.subtract(pred, step, out=step)  # the label becomes the step
+                    step *= rate
+                    np.matmul(step[:, None, :], batch, out=update[:, None, :])
+                    np.subtract(v, np.multiply(sigma, update, out=update), out=v)
+                # Written so that a NaN or an infinity fails the comparison too.
+                if not np.maximum(step_block.max(), -step_block.min()) <= DIVERGENCE_LIMIT:
+                    bad = ~(np.abs(step_block) <= DIVERGENCE_LIMIT).all(axis=2)
+                    for r in np.flatnonzero(bad.any(axis=0)):
+                        diverged[r] = t0 + b0 + int(np.argmax(bad[:, r])) + 1
+                        v[r] = step_block[:, r] = 0.0
+                np.subtract.at(alpha, own_block.ravel(), step_block.ravel())
     if diverged:
         r = min(diverged)
         raise DivergenceError(f"SGM diverged at iteration {diverged[r]} on partition {runs[r][1]}")
@@ -437,7 +412,7 @@ def sgm_local(
     alongside alpha, so a step costs O(batch_size * dim). Index draws come
     from a dedicated stream seeded by (base_seed, partition_index) so
     partitions and replications are independent and reproducible. Raises
-    DivergenceError if coefficients blow past DIVERGENCE_LIMIT or go non-finite.
+    DivergenceError if a step blows past DIVERGENCE_LIMIT or goes non-finite.
     """
     feats = _dataset_features(kernel, subset)
     alpha, _ = _sgm_runs(feats, subset.labels, np.arange(len(subset))[None], config, kernel,

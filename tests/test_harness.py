@@ -107,6 +107,10 @@ def test_resolve_m_rejects_nonsense():
         resolve_m(30, "pow:-0.5")
     with pytest.raises(InvalidParameterError):
         resolve_m(30, "half")
+    # A fixed rule follows the integer rule.
+    for rule in (2.7, True, None):
+        with pytest.raises(InvalidParameterError, match="m_rule must be an integer"):
+            resolve_m(16, rule)
     with pytest.raises(InvalidParameterError):
         ExperimentConfig(regime="cor1.1", n_list=(16,), m_rule="pow:x")
 

@@ -135,8 +135,9 @@ def test_build_problem_rejects_bad_parameters():
     ("source_norm", 10**400, "source_norm must be positive and finite"),
     ("zeta", math.nan, "zeta must be positive and finite"),
     ("zeta", 10**400, "zeta must be positive and finite"),
+    ("zeta", True, "zeta must be positive and finite"),
 ], ids=["noise-nan", "noise-inf", "norm-inf", "norm-nan", "norm-400-digits", "zeta-nan",
-        "zeta-400-digits"])
+        "zeta-400-digits", "zeta-true"])
 def test_problem_parameters_must_be_finite(two_mode, name, value, message):
     # NaN fails every comparison, so a check of the form `x <= 0` alone lets it through.
     with pytest.raises(InvalidParameterError, match=message):

@@ -309,7 +309,10 @@ def test_distributed_sgm_raises_the_divergence_met_first_in_partition_order(
 
 
 def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
-    """The lockstep loop step by step with fresh arrays: (alpha, modes, divergence message)."""
+    """The lockstep loop step by step with fresh arrays: (alpha, modes, divergence message).
+
+    A run diverges at its first step past the limit or not finite; overflow and invalid
+    operations are ignored, as in the loop."""
     n = rows.shape[1]
     rngs = [np.random.default_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
     run_rows = rows[[i for i, _, _ in runs]].ravel()
@@ -326,13 +329,13 @@ def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
         for t, own_rows in zip(range(t0, t0 + k), draws):
             sample_rows = run_rows[own_rows]
             batch = feats[sample_rows]
-            step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - labels[sample_rows])
-            if diverged:
-                step[list(diverged)] = 0.0
-            np.subtract.at(alpha, own_rows, step)
-            v -= sigma * np.matmul(step[:, None, :], batch)[:, 0]
-            touched = np.abs(alpha[own_rows])
-            for r in np.flatnonzero(~(touched.max(axis=1) <= trainers.DIVERGENCE_LIMIT)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - labels[sample_rows])
+                if diverged:
+                    step[list(diverged)] = 0.0
+                np.subtract.at(alpha, own_rows, step)
+                v -= sigma * np.matmul(step[:, None, :], batch)[:, 0]
+            for r in np.flatnonzero(~(np.abs(step).max(axis=1) <= trainers.DIVERGENCE_LIMIT)):
                 diverged[r] = t + 1
                 v[r] = alpha[r * n:(r + 1) * n] = 0.0
     message = None
@@ -407,21 +410,20 @@ def test_settled_blocks_equal_the_literal_loop_across_chunks_with_duplicate_draw
         data.features, data.labels, rows, cfg, kernel, runs) is None
 
 
-def test_a_bound_past_half_the_limit_replays_exactly_without_divergence(
-    small_problem, kernel, monkeypatch
-):
+def test_a_coefficient_past_the_limit_is_no_divergence(small_problem, kernel, monkeypatch):
     data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 3, 2 * INDEX_CHUNK + 9)
-    alpha, _, _ = literal_sgm_runs(data.features, data.labels, rows, cfg, kernel, runs)
-    # The steps' absolute sum is at least sum |alpha|, so it passes half of this
-    # limit and the loop goes to exact mode; the literal loop confirms that no
-    # coefficient passes the limit itself.
-    monkeypatch.setattr(trainers, "DIVERGENCE_LIMIT", 1.9 * np.abs(alpha).sum())
+    # Every |step| of this case is about 0.0225 at most and some |alpha| about 0.154;
+    # the rule reads the steps, so a limit between the two is not passed.
+    monkeypatch.setattr(trainers, "DIVERGENCE_LIMIT", 0.05)
+    alpha, _, message = literal_sgm_runs(data.features, data.labels, rows, cfg, kernel, runs)
+    assert message is None
+    assert np.abs(alpha).max() > 0.05
     assert assert_sgm_runs_match_the_literal_loop(
         data.features, data.labels, rows, cfg, kernel, runs) is None
 
 
 @pytest.mark.parametrize("where", ["inside the first block", "on a block's last step"])
-def test_a_divergence_replays_its_block_exactly(small_problem, kernel, where):
+def test_a_divergence_is_read_at_its_step_within_a_block(small_problem, kernel, where):
     iterations = INDEX_CHUNK + 40
     data, rows, cfg, runs = lockstep_case(small_problem, 1024, 4, 1, iterations)
     draws = np.random.default_rng(partition_stream_seed(17, 1)).integers(0, 256, iterations)
@@ -438,31 +440,33 @@ def test_a_divergence_replays_its_block_exactly(small_problem, kernel, where):
     assert message == f"SGM diverged at iteration {first[j]} on partition 1"
 
 
-def test_speculative_blocks_leave_the_callers_error_state(small_problem, kernel):
+def test_an_infinite_label_diverges_under_any_error_state_and_restores_it(
+    small_problem, kernel
+):
     data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 3, 2 * SETTLE + 5)
     before = np.geterr()
     assert_sgm_runs_match_the_literal_loop(data.features, data.labels, rows, cfg, kernel, runs)
     assert np.geterr() == before
-    # Past an infinite label the speculative pass carries infinities and NaNs,
-    # and warns about none of them; the replay raises the literal loop's error.
-    labels = data.labels.copy()
-    labels[rows[1, 7]] = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg, kernel,
-                                                      runs) is not None
-    assert np.geterr() == before
-    # With every label of partition 1 infinite, a batch sums infinities of both
-    # signs, which the literal loop reports under "raise".
-    labels[rows[1]] = np.inf
-    with np.errstate(all="raise"):
-        with pytest.raises(FloatingPointError) as want:
-            literal_sgm_runs(data.features, labels, rows, cfg, kernel, runs)
-        with pytest.raises(FloatingPointError) as got:
-            trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
-        assert set(np.geterr().values()) == {"raise"}
-    assert str(got.value) == str(want.value)
-    assert np.geterr() == before
+    # One infinite label gives an infinite step. With every label of partition 1
+    # infinite, a batch also sums infinities of both signs into NaNs. Neither
+    # warns nor raises a floating-point error: each is the same divergence.
+    one = data.labels.copy()
+    one[rows[1, 7]] = np.inf
+    every = data.labels.copy()
+    every[rows[1]] = np.inf
+    for labels in (one, every):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg,
+                                                             kernel, runs)
+        assert message is not None
+        assert np.geterr() == before
+        with np.errstate(all="raise"):
+            with pytest.raises(DivergenceError) as got:
+                trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+            assert set(np.geterr().values()) == {"raise"}
+        assert str(got.value) == message
+        assert np.geterr() == before
 
 
 @pytest.mark.parametrize("fault", ["row past the end", "negative row", "short labels",
@@ -946,7 +950,8 @@ def test_plan_rejects_unknown_regimes_and_bad_parameters():
         plan_parameters("cor1.1", 256, 2, zeta=0.5, gamma=1.0, theory_compliant=True)
 
 
-@pytest.mark.parametrize("scale", [math.nan, math.inf, 10**400, 0.0, -1.0])
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 10**400, 0.0, -1.0, True,
+                                   pytest.param(np.True_, id="np.True_")])
 def test_plan_needs_a_positive_finite_scale(scale):
     # NaN would plan eta = NaN unclamped, and inf would run silently at the clamp.
     with pytest.raises(InvalidParameterError, match="scale must be positive and finite"):
@@ -1086,7 +1091,7 @@ def test_step_condition_rejects_a_nonpositive_bound_or_step(schedule, kappa_sq, 
         check_step_condition(schedule, 3, kappa_sq)
 
 
-@pytest.mark.parametrize("kappa_sq", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("kappa_sq", [0.0, -1.0, math.inf, math.nan, True])
 @pytest.mark.parametrize("call", [
     lambda ksq: FilterSpec("landweber", ksq, 10.0, (0.1,)),
     lambda ksq: filter_from_tag("landweber", ksq, 0.1),
@@ -1099,6 +1104,17 @@ def test_step_condition_rejects_a_nonpositive_bound_or_step(schedule, kappa_sq, 
 def test_every_use_of_the_kernel_bound_needs_it_positive_and_finite(call, kappa_sq):
     with pytest.raises(InvalidParameterError, match="kappa_sq must be positive and finite"):
         call(kappa_sq)
+
+
+@pytest.mark.parametrize("iterations, message", [
+    (0, "iterations must be >= 1"),
+    (-3, "iterations must be >= 1"),
+    (2.5, "iterations must be an integer"),
+    (True, "iterations must be an integer"),
+])
+def test_theory_step_cap_needs_a_whole_iteration_count(iterations, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        trainers.theory_step_cap(1.0, iterations)
 
 
 def test_step_condition_for_one_iteration_reports_the_empty_window_loop():
