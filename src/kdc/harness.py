@@ -173,6 +173,8 @@ class RunRecord:
     batch_size: int | None
     iterations: int | None
     eta: float | None
+    #: The planned step before its clamps, so a clamped step reads eta < eta_raw.
+    eta_raw: float | None
     lam: float | None
     scale: float
     filter: str
@@ -330,14 +332,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             )
             if plan.algorithm == "sgm":
                 fit = plan
-                columns = (plan.batch_size, plan.iterations, plan.eta, None)
+                columns = (plan.batch_size, plan.iterations, plan.eta, plan.eta_raw, None)
             else:
                 # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
                 fit = filter_from_tag(config.filter, problem.kappa_sq, plan.lam)
                 columns = (None, None if fit.step_sizes is None else fit.step_sizes.size,
-                           None, fit.lam)
+                           None, None, fit.lam)
         except KdcError as exc:  # recorded once; the point runs no task
-            points.append((n_total, m_requested, m, (None,) * 4, f"{type(exc).__name__}: {exc}"))
+            points.append((n_total, m_requested, m, (None,) * 5, f"{type(exc).__name__}: {exc}"))
         else:
             points.append((n_total, m_requested, m, columns, None))
             tasks += [(fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
@@ -351,7 +353,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
 
     records = []
     remaining = iter(results)
-    for n_total, m_requested, m, (batch_size, iterations, eta, lam), plan_error in points:
+    for n_total, m_requested, m, (batch_size, iterations, eta, eta_raw, lam), plan_error in points:
         chunk = [] if plan_error else [next(remaining) for _ in range(reps)]
         risks = np.array([c["risk"] for c in chunk])
         good = risks[np.isfinite(risks)]
@@ -376,6 +378,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             batch_size=batch_size,
             iterations=iterations,
             eta=eta,
+            eta_raw=eta_raw,
             lam=lam,
             scale=config.scale,
             filter=config.filter if config.algorithm == "sa" else "",

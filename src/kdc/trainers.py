@@ -13,9 +13,9 @@ evaluated once per call, and hand that Phi to the LocalModel constructor.
 An averaged model is its mode vector alone: every distributed fit averages
 its blocks' modes and builds no per-block model.
 Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
-steps all its runs together in one loop and settles their alpha once per
-block of SETTLE steps; a run diverges at its first step past DIVERGENCE_LIMIT,
-read from the block's record of steps.
+steps all its runs together in one loop over blocks of SETTLE steps: a block
+draws its indices, steps, checks its record of steps for a divergence (a
+step past DIVERGENCE_LIMIT) and settles alpha once.
 Every spectral filter runs through one path, ``_mode_filter``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
 K/n at lambda = 1/sum(eta). A ``FilterSpec`` carries its own lambda, so no
@@ -60,10 +60,8 @@ from .spectral_model import Dataset, check_exponents, check_positive, check_samp
 #: SGM step magnitude (eta_t / b)|prediction - y| beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
-#: Iterations of indices an SGM run draws at a time (chunks leave its stream unchanged).
-INDEX_CHUNK = 256
-
-#: SGM steps whose coefficient updates are settled at once (blocks never span two chunks).
+#: SGM steps per block: a block draws its indices (in blocks, a run's stream is unchanged),
+#: steps, checks its record for divergence and settles the coefficient updates at once.
 SETTLE = 64
 
 #: Most iterations a schedule may have: 2**27 steps are a 1 GiB schedule and minutes of
@@ -315,24 +313,24 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
 
     Run (block, partition_index, seed) trains on the samples ``rows[block]``
     of Phi ``feats`` and ``labels`` (``rows`` has shape (m, n)) using the
-    index stream partition_stream_seed(seed, partition_index), drawn
-    INDEX_CHUNK iterations at a time. Returns the coefficients (R, n) and
-    the mode vectors (R, dim). A run diverges at the first iteration at
-    which one of its steps (eta_t / b)(prediction - y) has magnitude above
-    DIVERGENCE_LIMIT or is not finite; a diverged run stops moving, and the
-    error raised is the first run's, in run order. Rows outside ``feats`` or
-    labels of another length raise InvalidParameterError.
+    index stream partition_stream_seed(seed, partition_index). Returns the
+    coefficients (R, n) and the mode vectors (R, dim). A run diverges at the
+    first iteration at which one of its steps (eta_t / b)(prediction - y) has
+    magnitude above DIVERGENCE_LIMIT or is not finite; the error raised is
+    the first diverged run's, in run order. Rows outside ``feats`` or labels
+    of another length raise InvalidParameterError.
 
-    No step reads alpha, so the loop settles it once per block of SETTLE
-    steps. A step gathers its batch rows from ``feats`` into a buffer made
-    before the loop, forms its predictions, overwrites its labels with its
-    step in the block's record, and updates the modes. In a block whose
-    largest |step| fails the limit, each bad run's first bad iteration is
-    read from the record, and its modes, record entries and labels in later
-    records are set to 0. One ``np.subtract.at`` of the record settles alpha
-    in the order of per-step calls, bit-identical to a step-by-step loop.
-    Overflow and invalid operations, which arise only in a diverging run,
-    are ignored under any caller error state.
+    The loop runs in blocks of SETTLE steps. A block draws each run's
+    indices, looks up their sample rows and labels, and steps: a step
+    gathers its batch rows from ``feats`` into a buffer made before the
+    loop, forms its predictions, overwrites its labels with its step in the
+    block's record, and updates the modes. If the block's largest |step|
+    fails the limit, each bad run's first bad iteration is read from the
+    record. One ``np.subtract.at`` of the record settles alpha in the order
+    of per-step calls, bit-identical to a step-by-step loop. A diverged run
+    steps on, as the raise leaves its state unread. Overflow and invalid
+    operations, which arise only in a diverging run, are ignored under any
+    caller error state.
     """
     n = rows.shape[1]
     if config.batch_size > n:
@@ -354,39 +352,34 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     batch = np.empty((len(runs), config.batch_size, sigma.size))
     pred = np.empty((len(runs), config.batch_size))
     update = np.empty_like(v)
-    draws = np.empty((min(INDEX_CHUNK, config.iterations),) + pred.shape, dtype=np.int64)
-    block_rows = np.empty((min(SETTLE, config.iterations),) + pred.shape, dtype=np.int64)
+    draws = np.empty((min(SETTLE, config.iterations),) + pred.shape, dtype=np.int64)
+    block_rows = np.empty_like(draws)
     # A block's labels, each overwritten by its step.
-    record = np.empty(block_rows.shape)
+    record = np.empty(draws.shape)
     diverged: dict[int, int] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0 in range(0, config.iterations, INDEX_CHUNK):
-            k = min(INDEX_CHUNK, config.iterations - t0)
+        for t0 in range(0, config.iterations, SETTLE):
+            k = min(SETTLE, config.iterations - t0)
+            own_block = draws[:k]
             for r, rng in enumerate(rngs):
-                draws[:k, r] = rng.integers(0, n, (k, config.batch_size))
-            draws[:k] += own
-            for b0 in range(0, k, SETTLE):
-                own_block = draws[b0:min(b0 + SETTLE, k)]
-                size = len(own_block)
-                sample_block = np.take(run_rows, own_block, out=block_rows[:size], mode="clip")
-                step_block = np.take(labels, sample_block, out=record[:size], mode="clip")
-                # A diverged run's modes are 0, so zero labels keep its steps at 0.
-                step_block[:, list(diverged)] = 0.0
-                for rate, sample_rows, step in zip(rates[t0 + b0:], sample_block, step_block):
-                    # mode="clip" writes straight into the buffer; every index is in range.
-                    np.take(feats, sample_rows, axis=0, out=batch, mode="clip")
-                    np.matmul(batch, v[:, :, None], out=pred[:, :, None])
-                    np.subtract(pred, step, out=step)  # the label becomes the step
-                    step *= rate
-                    np.matmul(step[:, None, :], batch, out=update[:, None, :])
-                    np.subtract(v, np.multiply(sigma, update, out=update), out=v)
-                # Written so that a NaN or an infinity fails the comparison too.
-                if not np.maximum(step_block.max(), -step_block.min()) <= DIVERGENCE_LIMIT:
-                    bad = ~(np.abs(step_block) <= DIVERGENCE_LIMIT).all(axis=2)
-                    for r in np.flatnonzero(bad.any(axis=0)):
-                        diverged[r] = t0 + b0 + int(np.argmax(bad[:, r])) + 1
-                        v[r] = step_block[:, r] = 0.0
-                np.subtract.at(alpha, own_block.ravel(), step_block.ravel())
+                own_block[:, r] = rng.integers(0, n, (k, config.batch_size))
+            own_block += own
+            sample_block = np.take(run_rows, own_block, out=block_rows[:k], mode="clip")
+            step_block = np.take(labels, sample_block, out=record[:k], mode="clip")
+            for rate, sample_rows, step in zip(rates[t0:], sample_block, step_block):
+                # mode="clip" writes straight into the buffer; every index is in range.
+                np.take(feats, sample_rows, axis=0, out=batch, mode="clip")
+                np.matmul(batch, v[:, :, None], out=pred[:, :, None])
+                np.subtract(pred, step, out=step)  # the label becomes the step
+                step *= rate
+                np.matmul(step[:, None, :], batch, out=update[:, None, :])
+                np.subtract(v, np.multiply(sigma, update, out=update), out=v)
+            # Written so that a NaN or an infinity fails the comparison too.
+            if not np.maximum(step_block.max(), -step_block.min()) <= DIVERGENCE_LIMIT:
+                bad = ~(np.abs(step_block) <= DIVERGENCE_LIMIT).all(axis=2)
+                for r in np.flatnonzero(bad.any(axis=0)):
+                    diverged.setdefault(r, t0 + int(np.argmax(bad[:, r])) + 1)
+            np.subtract.at(alpha, own_block.ravel(), step_block.ravel())
     if diverged:
         r = min(diverged)
         raise DivergenceError(f"SGM diverged at iteration {diverged[r]} on partition {runs[r][1]}")
@@ -451,16 +444,15 @@ def _blocks(dataset: Dataset, kernel: KernelSpec, partitions: int, seed: int):
 def _filter_fits(feats: np.ndarray, rows: np.ndarray, labels: np.ndarray,
                  filter_spec: FilterSpec, kernel: KernelSpec) -> np.ndarray:
     """The mean over blocks of the filter fit's modes, (c, dim), one row per column of
-    ``labels`` (N, c). A block fits all columns with one :func:`_mode_filter`; a column's
-    modes are sigma * (Phi_p^T a), summed in block order. One partition fits the sample
-    in place: a filter fit does not depend on the order of its rows."""
+    ``labels`` (N, c). A block fits all columns with one :func:`_mode_filter` and adds its
+    modes sigma * (A^T Phi_p), A its (n, c) coefficients, in block order. One partition
+    fits the sample in place: a filter fit does not depend on the order of its rows."""
     sigma = kernel.problem.eigenvalues
     total = np.zeros((labels.shape[1], sigma.size))
     for idx in [slice(None)] if len(rows) == 1 else rows:
         block_feats = feats[idx]
         alphas = _mode_filter(kernel, block_feats, labels[idx], filter_spec)
-        for acc, a in zip(total, alphas.T):
-            acc += sigma * (block_feats.T @ a)
+        total += sigma * (alphas.T @ block_feats)
         del block_feats  # one block's copy of Phi at a time
     return total / len(rows)
 

@@ -20,7 +20,7 @@ import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name, seed", [
-    ("rate_sweep", 0), ("single_machine", 0), ("single_machine", 1)])
+    ("rate_sweep", 0), ("rate_sweep", 1), ("single_machine", 0), ("single_machine", 1)])
 def test_a_workload_pass_matches_the_benchmark_reference(name, seed):
     reference = bench.load_reference(seed, name)
     one_pass = workloads.make(name, seed, nproc=1).run(workers=1)

@@ -26,7 +26,7 @@ from kdc.trainers import plan_parameters, theory_step_cap
 
 GOLDEN_HEADER = (
     "version,algorithm,regime,n_total,m_requested,m,n_local,batch_size,iterations,"
-    "eta,lam,scale,filter,replications,base_seed,data_seed_first,risk_mean,risk_se,"
+    "eta,eta_raw,lam,scale,filter,replications,base_seed,data_seed_first,risk_mean,risk_se,"
     "wall_ms,error"
 )
 
@@ -199,6 +199,7 @@ def test_theory_compliant_sweeps_run_at_the_log_cap():
     for rec in records:
         assert rec.error == ""
         assert rec.eta == theory_step_cap(CLAMP_SAFETY * ksq, rec.iterations)
+        assert rec.eta < rec.eta_raw  # a clamped step shows in its record
     assert [rec.eta for rec in records] == pytest.approx([0.016561418094, 0.013801181745], rel=1e-10)
 
 
@@ -359,7 +360,7 @@ def test_a_point_whose_plan_fails_records_it_once_and_runs_no_task(monkeypatch):
     assert calls == []
     assert rec.error == "ConstraintViolationError: regime cor3.1 requires partitions == 1"
     assert rec.wall_ms == 0.0 and math.isnan(rec.risk_mean)
-    assert (rec.batch_size, rec.iterations, rec.eta, rec.lam) == (None, None, None, None)
+    assert (rec.batch_size, rec.iterations, rec.eta, rec.eta_raw, rec.lam) == (None,) * 5
 
 
 def test_a_point_planned_past_the_iteration_bound_is_a_row_error(monkeypatch):
@@ -386,8 +387,8 @@ def test_a_row_whose_every_fit_fails_keeps_its_plan(monkeypatch):
     ksq = build_problem(dim=20, noise_sd=0.1).kappa_sq
     for rec in records:
         plan = plan_parameters("cor1.1", rec.n_total, rec.m, 0.5, 1.0, kappa_sq=ksq)
-        assert (rec.batch_size, rec.iterations, rec.eta, rec.lam) == (
-            plan.batch_size, plan.iterations, plan.eta, None)
+        assert (rec.batch_size, rec.iterations, rec.eta, rec.eta_raw, rec.lam) == (
+            plan.batch_size, plan.iterations, plan.eta, plan.eta_raw, None)
         assert rec.error == "DivergenceError: diverged (+1 more)"
         assert math.isnan(rec.risk_mean)
 
@@ -431,7 +432,7 @@ def test_run_experiment_spectral_path():
     records = run_experiment(cfg)
     assert records[0].algorithm == "sa"
     assert records[0].lam == pytest.approx(32 ** -0.5, rel=1e-12)
-    assert records[0].eta is None
+    assert records[0].eta is None and records[0].eta_raw is None
     assert records[0].error == ""
 
 

@@ -26,7 +26,7 @@ from kdc import (
 )
 from kdc import spectral_model
 from kdc.filters import FILTER_TAGS
-from kdc.trainers import INDEX_CHUNK
+from kdc.trainers import SETTLE
 
 PEAK_LIMIT_BYTES = 4_000_000
 
@@ -59,7 +59,8 @@ def test_basis_matrix_needs_little_beyond_its_output(sample):
 
 
 def test_distributed_sgm_copies_no_feature_matrix(default_problem, sample):
-    cfg = SgmConfig(partitions=32, batch_size=16, iterations=INDEX_CHUNK + 3,
+    # Several blocks of SETTLE steps and a partial one.
+    cfg = SgmConfig(partitions=32, batch_size=16, iterations=4 * SETTLE + 3,
                     step_schedule=0.5 / default_problem.kappa_sq, base_seed=3)
     kernel = spectral_kernel(default_problem)
     assert traced_peak(lambda: distributed_sgm(sample, cfg, kernel, 4)) < PEAK_LIMIT_BYTES
@@ -88,7 +89,7 @@ def test_one_partition_sa_copies_no_feature_matrix(default_problem, sample, tag)
 
 
 def test_one_partition_sgm_copies_no_feature_matrix(default_problem, sample):
-    cfg = SgmConfig(partitions=1, batch_size=16, iterations=INDEX_CHUNK + 3,
+    cfg = SgmConfig(partitions=1, batch_size=16, iterations=4 * SETTLE + 3,
                     step_schedule=0.5 / default_problem.kappa_sq, base_seed=3)
     kernel = spectral_kernel(default_problem)
     assert traced_peak(lambda: distributed_sgm(sample, cfg, kernel, 4)) < PEAK_LIMIT_BYTES

@@ -49,7 +49,7 @@ from kdc.filters import (
 )
 from kdc.kernels import kernel_features
 from kdc.seeding import make_rng, partition_stream_seed
-from kdc.trainers import INDEX_CHUNK, MAX_ITERATIONS, SETTLE
+from kdc.trainers import MAX_ITERATIONS, SETTLE
 from oracles import population_bias
 
 KAPPA_SQ_200 = 6.5736410355431385
@@ -136,7 +136,7 @@ def test_partition_blocks_carry_their_rows_of_the_features(data, small_problem):
 def distributed_fits(kernel, partitions):
     """distributed_sgm and distributed_sa (Tikhonov, Landweber) as functions of a dataset."""
     ksq = kernel.problem.kappa_sq
-    cfg = SgmConfig(partitions=partitions, batch_size=3, iterations=INDEX_CHUNK + 9,
+    cfg = SgmConfig(partitions=partitions, batch_size=3, iterations=4 * SETTLE + 9,
                     step_schedule=0.05, base_seed=12)
     return {
         "sgm": lambda d: distributed_sgm(d, cfg, kernel, partition_seed=7),
@@ -225,8 +225,8 @@ def test_sgm_single_full_batch_step_matches_gradient_descent(small_problem, kern
 
 @pytest.mark.parametrize(
     "n_total, partitions, batch, iterations",
-    # n_local = 12 < dim = 20 and 48 > dim; both runs cross an index chunk.
-    [(48, 4, 8, INDEX_CHUNK + 7), (96, 2, 3, 2 * INDEX_CHUNK + 1)],
+    # n_local = 12 < dim = 20 and 48 > dim; both runs end in a partial block.
+    [(48, 4, 8, 4 * SETTLE + 7), (96, 2, 3, 8 * SETTLE + 1)],
 )
 def test_distributed_sgm_matches_a_gram_replay_per_partition(
     small_problem, kernel, n_total, partitions, batch, iterations
@@ -260,15 +260,17 @@ def test_distributed_sa_is_sa_local_per_partition_bit_for_bit(
     np.testing.assert_array_equal(model.modes, expected.modes)
 
 
-@pytest.mark.parametrize("n", [12, 2**33 + 5])
+# 3 * 2**22 takes numpy's 32-bit bounded path, which rejects about one word in 1024: this
+# stream rejects one word at batch 1 and three at batch 3, each redrawn.
+@pytest.mark.parametrize("n", [12, 3 * 2**22, 2**33 + 5])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_chunked_index_draws_equal_the_one_shot_stream(n, batch):
-    t = 2 * INDEX_CHUNK + 5
+    t = 8 * SETTLE + 5
     one_shot = np.random.default_rng(77).integers(0, n, size=(t, batch))
     rng = np.random.default_rng(77)
     chunks = [
-        rng.integers(0, n, size=(min(INDEX_CHUNK, t - t0), batch))
-        for t0 in range(0, t, INDEX_CHUNK)
+        rng.integers(0, n, size=(min(SETTLE, t - t0), batch))
+        for t0 in range(0, t, SETTLE)
     ]
     np.testing.assert_array_equal(np.concatenate(chunks), one_shot)
 
@@ -311,8 +313,9 @@ def test_distributed_sgm_raises_the_divergence_met_first_in_partition_order(
 def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
     """The lockstep loop step by step with fresh arrays: (alpha, modes, divergence message).
 
-    A run diverges at its first step past the limit or not finite; overflow and invalid
-    operations are ignored, as in the loop."""
+    Each block of SETTLE steps draws its own indices. A run diverges at its first step past
+    the limit or not finite, and steps on; overflow and invalid operations are ignored, as
+    in the loop."""
     n = rows.shape[1]
     rngs = [np.random.default_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
     run_rows = rows[[i for i, _, _ in runs]].ravel()
@@ -322,8 +325,8 @@ def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
     alpha = np.zeros(len(runs) * n)
     v = np.zeros((len(runs), sigma.size))
     diverged = {}
-    for t0 in range(0, config.iterations, INDEX_CHUNK):
-        k = min(INDEX_CHUNK, config.iterations - t0)
+    for t0 in range(0, config.iterations, SETTLE):
+        k = min(SETTLE, config.iterations - t0)
         draws = np.stack([rng.integers(0, n, (k, config.batch_size)) for rng in rngs], axis=1)
         draws += own
         for t, own_rows in zip(range(t0, t0 + k), draws):
@@ -331,13 +334,10 @@ def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
             batch = feats[sample_rows]
             with np.errstate(over="ignore", invalid="ignore"):
                 step = steps[t] * (np.matmul(batch, v[:, :, None])[..., 0] - labels[sample_rows])
-                if diverged:
-                    step[list(diverged)] = 0.0
                 np.subtract.at(alpha, own_rows, step)
                 v -= sigma * np.matmul(step[:, None, :], batch)[:, 0]
             for r in np.flatnonzero(~(np.abs(step).max(axis=1) <= trainers.DIVERGENCE_LIMIT)):
-                diverged[r] = t + 1
-                v[r] = alpha[r * n:(r + 1) * n] = 0.0
+                diverged.setdefault(r, t + 1)
     message = None
     if diverged:
         r = min(diverged)
@@ -373,8 +373,8 @@ def assert_sgm_runs_match_the_literal_loop(features, labels, rows, cfg, kernel, 
     [
         (48, 1, 1, 30, False),  # R = 1, b = 1
         (48, 4, 12, 30, False),  # R = 4, b = n_local
-        (96, 2, 3, 2 * INDEX_CHUNK + 9, False),  # T > INDEX_CHUNK
-        (1024, 4, 1, INDEX_CHUNK + 40, True),  # one run diverges mid-chunk
+        (96, 2, 3, 8 * SETTLE + 9, False),  # several blocks and a partial one
+        (1024, 4, 1, 4 * SETTLE + 40, True),  # one run diverges inside a block
     ],
 )
 def test_sgm_runs_equal_a_literal_step_loop_bit_for_bit(
@@ -383,13 +383,13 @@ def test_sgm_runs_equal_a_literal_step_loop_bit_for_bit(
     data, rows, cfg, runs = lockstep_case(small_problem, n_total, partitions, batch, iterations)
     labels = data.labels.copy()
     if poisoned:
-        # Poison the row that run 1 first draws nearest the middle of a chunk.
+        # Poison the row that run 1 first draws nearest 20 steps into its fifth block.
         rng = np.random.default_rng(partition_stream_seed(runs[1][2], runs[1][1]))
         draws = rng.integers(0, n_total // partitions, iterations)
         first = {j: int(np.argmax(draws == j)) + 1 for j in np.unique(draws)}
-        mid = INDEX_CHUNK + 20
+        mid = 4 * SETTLE + 20
         j = min(first, key=lambda j: abs(first[j] - mid))
-        assert 1 < first[j] % INDEX_CHUNK
+        assert 1 < first[j] % SETTLE
         labels[rows[1, j]] = 1e20
     message = assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg, kernel,
                                                      runs)
@@ -398,10 +398,10 @@ def test_sgm_runs_equal_a_literal_step_loop_bit_for_bit(
         assert message.endswith(f"iteration {first[j]} on partition 1")
 
 
-def test_settled_blocks_equal_the_literal_loop_across_chunks_with_duplicate_draws(
+def test_settled_blocks_equal_the_literal_loop_across_blocks_with_duplicate_draws(
     small_problem, kernel
 ):
-    iterations = INDEX_CHUNK + SETTLE + 13
+    iterations = 5 * SETTLE + 13
     data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 8, iterations)
     # A batch that draws a row twice settles both of its steps, in slot order.
     draws = np.random.default_rng(partition_stream_seed(17, 0)).integers(0, 48, (iterations, 8))
@@ -411,7 +411,7 @@ def test_settled_blocks_equal_the_literal_loop_across_chunks_with_duplicate_draw
 
 
 def test_a_coefficient_past_the_limit_is_no_divergence(small_problem, kernel, monkeypatch):
-    data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 3, 2 * INDEX_CHUNK + 9)
+    data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 3, 8 * SETTLE + 9)
     # Every |step| of this case is about 0.0225 at most and some |alpha| about 0.154;
     # the rule reads the steps, so a limit between the two is not passed.
     monkeypatch.setattr(trainers, "DIVERGENCE_LIMIT", 0.05)
@@ -424,7 +424,7 @@ def test_a_coefficient_past_the_limit_is_no_divergence(small_problem, kernel, mo
 
 @pytest.mark.parametrize("where", ["inside the first block", "on a block's last step"])
 def test_a_divergence_is_read_at_its_step_within_a_block(small_problem, kernel, where):
-    iterations = INDEX_CHUNK + 40
+    iterations = 4 * SETTLE + 40
     data, rows, cfg, runs = lockstep_case(small_problem, 1024, 4, 1, iterations)
     draws = np.random.default_rng(partition_stream_seed(17, 1)).integers(0, 256, iterations)
     first = {j: int(np.argmax(draws == j)) + 1 for j in np.unique(draws)}
@@ -599,7 +599,7 @@ def test_one_partition_sa_is_sa_local_on_the_sample(data, kernel, small_problem,
 def test_one_partition_sgm_is_its_permuted_block(small_problem, kernel, n):
     # The one block keeps its permuted index stream, so training is the permuted block's.
     data = sample_dataset(small_problem, n, seed=5)
-    cfg = SgmConfig(partitions=1, batch_size=3, iterations=INDEX_CHUNK + 9,
+    cfg = SgmConfig(partitions=1, batch_size=3, iterations=4 * SETTLE + 9,
                     step_schedule=0.05, base_seed=21)
     model = distributed_sgm(data, cfg, kernel, partition_seed=8)
     (block,) = partition_data(data, 1, 8)
