@@ -30,6 +30,11 @@ from .trainers import (
 #: Minimum replication counts (datasets, index draws) for decompose_error.
 MIN_DECOMPOSE_REPS = (50, 20)
 
+#: Most replications of any count, a sweep point's or decompose_error's: a sweep lists
+#: every (N, rep) task before one runs, and decompose_error sizes its arrays by its
+#: counts, so a count past this is a parameter error, not a failed allocation.
+MAX_REPLICATIONS = 2**16
+
 
 def mode_projection(problem: SpectralProblem, model) -> np.ndarray:
     """Eigenbasis coefficients of a model's prediction function.
@@ -115,13 +120,16 @@ def decompose_error(
     * total       = E ||sgm - f||^2.
 
     The three pieces need not sum to the total exactly; the report carries
-    the gap and a combined standard error to judge it against.
+    the gap and a combined standard error to judge it against. Both counts
+    follow the integer rule (:func:`~kdc.seeding.check_integer`) and lie
+    between MIN_DECOMPOSE_REPS and MAX_REPLICATIONS.
     """
     n_data, n_index = replications
-    if n_data < MIN_DECOMPOSE_REPS[0] or n_index < MIN_DECOMPOSE_REPS[1]:
-        raise InvalidParameterError(
-            f"replications must be at least {MIN_DECOMPOSE_REPS} (got {replications})"
-        )
+    for name, count, least in zip(("n_data", "n_index"), replications, MIN_DECOMPOSE_REPS):
+        check_integer(name, count)
+        if not least <= count <= MAX_REPLICATIONS:
+            raise InvalidParameterError(
+                f"{name} replications must lie in [{least}, {MAX_REPLICATIONS}], got {count}")
     partitions = config.partitions
     kernel = spectral_kernel(problem)
     base = config.base_seed

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InvalidParameterError, InvalidRegimeError, KdcError
-from .evaluation import _se, excess_risk_exact, fit_rate, theory_exponent
+from .evaluation import MAX_REPLICATIONS, _se, excess_risk_exact, fit_rate, theory_exponent
 from .filters import FILTER_TAGS, FilterSpec, filter_from_tag
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, check_integer, derive_seed
@@ -43,10 +43,6 @@ from .spectral_model import (
 from .trainers import (
     SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
 )
-
-#: Most replications a sweep point may ask for: run_experiment lists every (N, rep) task
-#: before one runs, so a count whose task list would not fit in memory is a parameter error.
-MAX_REPLICATIONS = 2**16
 
 #: JSON kind (a key of spectral_model.JSON_KINDS) of each config key that sweeps and
 #: the CLI read; other keys are ignored.
@@ -170,6 +166,8 @@ class RunRecord:
     m_requested: int | None
     m: int | None
     n_local: int | None
+    #: The plan's flag for m past the partition budget, where bias dominates the average.
+    partition_warning: bool | None
     batch_size: int | None
     iterations: int | None
     eta: float | None
@@ -189,30 +187,31 @@ class RunRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
-#: Cell type of each column, read from the annotations ("int | None" -> int).
-_CELL_TYPES = {
-    f.name: {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
-    for f in fields(RunRecord)
-}
+#: Cell type of each column, read from the annotations ("int | None" -> "int").
+_CELL_TYPES = {f.name: f.type.split(" | ")[0] for f in fields(RunRecord)}
+
+#: How a cell of each type is read; a bool cell is written by str().
+_CELL_READERS = {"int": int, "float": float, "str": str,
+                 "bool": {"True": True, "False": False}.__getitem__}
 
 
 def _format_cell(name: str, value) -> str:
     if value is None:
         return ""
-    if _CELL_TYPES[name] is float:
+    if _CELL_TYPES[name] == "float":
         return f"{float(value):.17g}"
     return str(value)
 
 
 def _parse_cell(name: str, text: str, line: int):
     kind = _CELL_TYPES[name]
-    if text == "" and kind is not str:
+    if text == "" and kind != "str":
         return None
     try:
-        return kind(text)
-    except ValueError:
+        return _CELL_READERS[kind](text)
+    except (ValueError, KeyError):
         raise InvalidParameterError(
-            f"records CSV line {line}, column {name}: cannot read {text!r} as {kind.__name__}"
+            f"records CSV line {line}, column {name}: cannot read {text!r} as {kind}"
         ) from None
 
 
@@ -332,14 +331,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             )
             if plan.algorithm == "sgm":
                 fit = plan
-                columns = (plan.batch_size, plan.iterations, plan.eta, plan.eta_raw, None)
+                columns = (plan.partition_warning, plan.batch_size, plan.iterations, plan.eta,
+                           plan.eta_raw, None)
             else:
                 # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
                 fit = filter_from_tag(config.filter, problem.kappa_sq, plan.lam)
-                columns = (None, None if fit.step_sizes is None else fit.step_sizes.size,
+                columns = (plan.partition_warning, None,
+                           None if fit.step_sizes is None else fit.step_sizes.size,
                            None, None, fit.lam)
         except KdcError as exc:  # recorded once; the point runs no task
-            points.append((n_total, m_requested, m, (None,) * 5, f"{type(exc).__name__}: {exc}"))
+            points.append((n_total, m_requested, m, (None,) * 6, f"{type(exc).__name__}: {exc}"))
         else:
             points.append((n_total, m_requested, m, columns, None))
             tasks += [(fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
@@ -353,7 +354,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
 
     records = []
     remaining = iter(results)
-    for n_total, m_requested, m, (batch_size, iterations, eta, eta_raw, lam), plan_error in points:
+    for n_total, m_requested, m, plan_columns, plan_error in points:
+        partition_warning, batch_size, iterations, eta, eta_raw, lam = plan_columns
         chunk = [] if plan_error else [next(remaining) for _ in range(reps)]
         risks = np.array([c["risk"] for c in chunk])
         good = risks[np.isfinite(risks)]
@@ -375,6 +377,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             m_requested=m_requested,
             m=m,
             n_local=None if m is None else n_total // m,
+            partition_warning=partition_warning,
             batch_size=batch_size,
             iterations=iterations,
             eta=eta,

@@ -5,11 +5,13 @@ The kernel is the spectrally truncated sine kernel tied to a
 known spectrum. It has an exact rank-``dim`` feature map,
 K(x, u) = sum_i sigma_i phi_i(x) phi_i(u), so the trainers work on the
 n x dim feature matrix and, when n > dim, on the dim x dim covariance
-built from it: one linear solve for Tikhonov, one ``eigh`` for the other
-filters. An n x n array appears only when n <= dim. ``gram`` and
-``sym_eigendecompose`` are the coefficient-space (dual) route on plain
-arrays, and the latter checks every Gram matrix; tests and
-:func:`kdc.filters.apply_filter` use them to check the trainers.
+Phi^T Phi, which for sine features is built from 2 dim + 1 moments of Phi
+in O(n dim) (:func:`kdc.spectral_model.basis_covariance`): one linear solve
+for Tikhonov, one ``eigh`` for the other filters. An n x n array appears
+only when n <= dim. ``gram`` and ``sym_eigendecompose`` are the
+coefficient-space (dual) route on plain arrays, and the latter checks every
+Gram matrix; tests and :func:`kdc.filters.apply_filter` use them to check
+the trainers.
 """
 from __future__ import annotations
 

@@ -10,6 +10,8 @@ experiments meaningful at small sample sizes.
 A sampled :class:`Dataset` keeps the basis matrix Phi of its inputs as the
 read-only ``features``, so each sample's basis is evaluated once. Phi comes
 from angle doubling, at least as accurate as np.sin, and kappa_sq from one FFT.
+The covariance Phi^T Phi of sine features is Hankel minus Toeplitz in 2 dim + 1
+moments (:func:`basis_covariance`), so it costs O(n dim), not O(n dim^2).
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InvalidParameterError
 from .seeding import check_integer, is_integer, make_rng
@@ -223,7 +226,10 @@ class Dataset:
     ``seed`` is the 64-bit seed that makes the draw reproducible.
     ``features``, when set, is Phi = basis_matrix(dim, inputs) of that
     problem, read-only; :func:`sample_dataset` sets it, and a dataset built
-    by hand has None.
+    by hand has None. The trainers use ``features`` in place of evaluating Phi
+    when the problem id and the shape match, and the covariance of a fit with
+    more rows than dim (:func:`basis_covariance`) is right only because they are
+    basis_matrix of ``inputs``.
     """
 
     inputs: np.ndarray
@@ -274,6 +280,24 @@ def basis_matrix(dim: int, x) -> np.ndarray:
             known *= 2
         np.multiply(z.imag[:, :len(rows)].T, math.sqrt(2.0), out=rows)
     return phi
+
+
+def basis_covariance(phi: np.ndarray) -> np.ndarray:
+    """Phi^T Phi of a sine basis matrix Phi = basis_matrix(dim, x), shape (dim, dim).
+
+    2 sin(k t) sin(l t) = cos((k - l) t) - cos((k + l) t), so the (k, l) entry is
+    Q[k + l] - Q[|k - l|], Hankel minus Toeplitz in 2 dim + 1 moments read off Phi's
+    columns: Q_0 = Q_1 = 0, Q_2i = sum_j Phi_ji^2 and Q_2i+1 = sum_j Phi_ji Phi_j,i+1.
+    O(n dim) for the moments, with no n x dim temporary, and one dim x dim array for
+    the result, exactly symmetric. It holds only for rows of ``basis_matrix``.
+    """
+    dim = phi.shape[1]
+    q = np.zeros(2 * dim + 1)
+    q[2::2] = np.einsum("ji,ji->i", phi, phi)
+    q[3::2] = np.einsum("ji,ji->i", phi[:, :-1], phi[:, 1:])
+    # Q[|m - (dim - 1)|] for m = 0 ... 2 dim - 2, whose windows read backwards are Q[|k - l|].
+    toeplitz = np.concatenate((q[dim - 1:0:-1], q[:dim]))
+    return np.subtract(sliding_window_view(q[2:], dim), sliding_window_view(toeplitz, dim)[::-1])
 
 
 def _in_domain(x) -> np.ndarray:

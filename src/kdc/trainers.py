@@ -15,14 +15,17 @@ its blocks' modes and builds no per-block model.
 Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
 steps all its runs together in one loop over blocks of SETTLE steps: a block
 draws its indices, steps, checks its record of steps for a divergence (a
-step past DIVERGENCE_LIMIT) and settles alpha once.
+step past DIVERGENCE_LIMIT) and settles alpha once. The loop ends with the
+block in which run 0 diverges, since the error it raises is then fixed.
 Every spectral filter runs through one path, ``_mode_filter``; gradient
 descent is on it too, since T steps of it are the Landweber filter G_T of
 K/n at lambda = 1/sum(eta). A ``FilterSpec`` carries its own lambda, so no
 estimator takes one beside it. The path works on the smaller Gram side of
 the scaled features Psi = Phi diag(sqrt(sigma / n)): the dim x dim
-covariance, built from Phi^T Phi when n > dim so that no scaled copy of Phi
-is made, and else the n x n matrix K/n, which is then no larger than Phi.
+covariance when n > dim, built from the 2 dim + 1 sine moments of Phi in
+O(n dim) (:func:`kdc.spectral_model.basis_covariance`), so that no scaled copy
+of Phi and no O(n dim^2) product is made, and else the n x n matrix K/n, which
+is then no larger than Phi.
 Tikhonov fits take one linear solve of that side plus lambda I; the other
 filters take one ``eigh`` of it. The Gram route (:func:`kdc.kernels.gram`,
 :func:`kdc.filters.apply_filter`) is the reference they are tested against.
@@ -55,7 +58,9 @@ from .filters import (
 )
 from .kernels import KernelSpec, kernel_features
 from .seeding import check_integer, make_rng, partition_stream_seed
-from .spectral_model import Dataset, check_exponents, check_positive, check_sample_size
+from .spectral_model import (
+    Dataset, basis_covariance, check_exponents, check_positive, check_sample_size,
+)
 
 #: SGM step magnitude (eta_t / b)|prediction - y| beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -258,7 +263,8 @@ def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray,
     shape (n,), or c of them, shape (n, c). With Psi = Phi diag(sqrt(sigma))
     / sqrt(n), K/n = Psi Psi^T; the smaller of C = Psi^T Psi (dim x dim, when
     n > dim) and Psi Psi^T (n x n) carries the fit. For n > dim, C is built
-    as (Phi^T Phi) scaled by the outer product of sqrt(sigma / n), and Psi is
+    as Phi^T Phi from its 2 dim + 1 sine moments (:func:`basis_covariance`,
+    O(n dim)) scaled by the outer product of sqrt(sigma / n), and Psi is
     applied as Phi (sqrt(sigma / n) * z), so no n x dim array is formed.
 
     Tikhonov takes one ``solve`` of that side plus lambda I:
@@ -276,14 +282,15 @@ def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray,
 
     Eigenvalues are clamped at 0, and exact zeros, whose directions Psi
     annihilates, drop out of the ratio; ``filter_value`` raises DomainError
-    for one above kappa_sq. Costs O(n min(n, dim)^2).
+    for one above kappa_sq. Costs O(n dim + dim^3) for n > dim and
+    O(n^2 dim + n^3) otherwise, each plus O(n dim c) for the labels.
     """
     n = y.shape[0]
     cols = y.reshape(n, -1)
     scale = np.sqrt(kernel.problem.eigenvalues / n)
     primal = n > scale.size
     if primal:
-        side = features.T @ features
+        side = basis_covariance(features)
         side *= np.outer(scale, scale)
         rhs = scale[:, None] * (features.T @ cols)
     else:
@@ -327,10 +334,11 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     block's record, and updates the modes. If the block's largest |step|
     fails the limit, each bad run's first bad iteration is read from the
     record. One ``np.subtract.at`` of the record settles alpha in the order
-    of per-step calls, bit-identical to a step-by-step loop. A diverged run
-    steps on, as the raise leaves its state unread. Overflow and invalid
-    operations, which arise only in a diverging run, are ignored under any
-    caller error state.
+    of per-step calls, bit-identical to a step-by-step loop. Once run 0 has
+    diverged the error raised is fixed, so the loop stops after that block;
+    a later run that diverges steps on, as the raise leaves its state
+    unread. Overflow and invalid operations, which arise only in a diverging
+    run, are ignored under any caller error state.
     """
     n = rows.shape[1]
     if config.batch_size > n:
@@ -379,6 +387,8 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
                 bad = ~(np.abs(step_block) <= DIVERGENCE_LIMIT).all(axis=2)
                 for r in np.flatnonzero(bad.any(axis=0)):
                     diverged.setdefault(r, t0 + int(np.argmax(bad[:, r])) + 1)
+                if 0 in diverged:  # the lowest run has met its first bad iteration
+                    break
             np.subtract.at(alpha, own_block.ravel(), step_block.ravel())
     if diverged:
         r = min(diverged)

@@ -198,11 +198,12 @@ def test_decomposition_gives_the_same_bits_without_sampled_features(
 
 
 def test_decomposition_enforces_minimum_replications(small_problem):
+    # Both counts follow the integer rule and the replication bound too.
     cfg = SgmConfig(partitions=1, batch_size=1, iterations=5, step_schedule=0.1, base_seed=0)
-    with pytest.raises(InvalidParameterError):
-        decompose_error(small_problem, 16, cfg, replications=(49, 20))
-    with pytest.raises(InvalidParameterError):
-        decompose_error(small_problem, 16, cfg, replications=(50, 19))
+    for reps in [(49, 20), (50, 19), (50.0, 20), (50, 20.0), (True, 20), (2**62, 20),
+                 (50, 2**62)]:
+        with pytest.raises(InvalidParameterError):
+            decompose_error(small_problem, 16, cfg, replications=reps)
 
 
 def test_oversplitting_saturates_the_averaged_estimator():

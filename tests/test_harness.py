@@ -25,7 +25,8 @@ from kdc.seeding import TAG_DATA
 from kdc.trainers import plan_parameters, theory_step_cap
 
 GOLDEN_HEADER = (
-    "version,algorithm,regime,n_total,m_requested,m,n_local,batch_size,iterations,"
+    "version,algorithm,regime,n_total,m_requested,m,n_local,partition_warning,batch_size,"
+    "iterations,"
     "eta,eta_raw,lam,scale,filter,replications,base_seed,data_seed_first,risk_mean,risk_se,"
     "wall_ms,error"
 )
@@ -225,14 +226,30 @@ def test_records_csv_rejects_foreign_headers():
         records_from_csv("a,b,c\n1,2,3\n")
 
 
-def test_records_csv_names_the_line_and_column_of_a_bad_cell():
+@pytest.mark.parametrize("column,text,kind", [
+    ("risk_mean", "abc", "float"), ("partition_warning", "yes", "bool"),
+    ("partition_warning", "1", "bool"),
+])
+def test_records_csv_names_the_line_and_column_of_a_bad_cell(column, text, kind):
     lines = records_to_csv(run_experiment(tiny_config())).splitlines()
     cells = lines[2].split(",")
-    cells[CSV_COLUMNS.index("risk_mean")] = "abc"
+    cells[CSV_COLUMNS.index(column)] = text
     lines[2] = ",".join(cells)
     with pytest.raises(InvalidParameterError,
-                       match="line 3, column risk_mean: cannot read 'abc' as float"):
+                       match=f"line 3, column {column}: cannot read '{text}' as {kind}"):
         records_from_csv("\n".join(lines))
+
+
+@pytest.mark.parametrize("algorithm,regime", [("sgm", "cor1.1"), ("sa", "cor5")])
+def test_records_carry_the_plans_partition_warning_through_csv(algorithm, regime):
+    # At 2 zeta + gamma = 2 the budget is sqrt(N): m = 8 passes it at N = 16, not at 64.
+    records = run_experiment(tiny_config(algorithm=algorithm, regime=regime, n_list=[16, 64],
+                                         m_rule=8, replications=1))
+    assert [r.partition_warning for r in records] == [True, False]
+    for rec in records:
+        plan = plan_parameters(regime, rec.n_total, rec.m, 0.5, 1.0)
+        assert rec.partition_warning == plan.partition_warning
+    assert records_from_csv(records_to_csv(records)) == records
 
 
 def test_records_csv_names_the_line_of_a_row_with_the_wrong_field_count():
@@ -360,7 +377,9 @@ def test_a_point_whose_plan_fails_records_it_once_and_runs_no_task(monkeypatch):
     assert calls == []
     assert rec.error == "ConstraintViolationError: regime cor3.1 requires partitions == 1"
     assert rec.wall_ms == 0.0 and math.isnan(rec.risk_mean)
-    assert (rec.batch_size, rec.iterations, rec.eta, rec.eta_raw, rec.lam) == (None,) * 5
+    assert (rec.partition_warning, rec.batch_size, rec.iterations, rec.eta, rec.eta_raw,
+            rec.lam) == (None,) * 6
+    assert records_from_csv(records_to_csv([rec]))[0].partition_warning is None
 
 
 def test_a_point_planned_past_the_iteration_bound_is_a_row_error(monkeypatch):
@@ -387,8 +406,9 @@ def test_a_row_whose_every_fit_fails_keeps_its_plan(monkeypatch):
     ksq = build_problem(dim=20, noise_sd=0.1).kappa_sq
     for rec in records:
         plan = plan_parameters("cor1.1", rec.n_total, rec.m, 0.5, 1.0, kappa_sq=ksq)
-        assert (rec.batch_size, rec.iterations, rec.eta, rec.eta_raw, rec.lam) == (
-            plan.batch_size, plan.iterations, plan.eta, plan.eta_raw, None)
+        assert (rec.partition_warning, rec.batch_size, rec.iterations, rec.eta, rec.eta_raw,
+                rec.lam) == (plan.partition_warning, plan.batch_size, plan.iterations,
+                             plan.eta, plan.eta_raw, None)
         assert rec.error == "DivergenceError: diverged (+1 more)"
         assert math.isnan(rec.risk_mean)
 

@@ -66,12 +66,13 @@ def test_distributed_sgm_copies_no_feature_matrix(default_problem, sample):
     assert traced_peak(lambda: distributed_sgm(sample, cfg, kernel, 4)) < PEAK_LIMIT_BYTES
 
 
-@pytest.mark.parametrize("tag", ["tikhonov", "landweber"])
-def test_distributed_sa_copies_no_feature_matrix(default_problem, sample, tag):
-    ksq = default_problem.kappa_sq
-    spec = filter_from_tag(tag, ksq, 0.05)
+@pytest.mark.parametrize("tag", FILTER_TAGS)
+@pytest.mark.parametrize("partitions", [32, 1])  # at 1, n = 8192 is fitted in place
+def test_distributed_sa_copies_no_feature_matrix(default_problem, sample, partitions, tag):
+    spec = filter_from_tag(tag, default_problem.kappa_sq, 0.05)
     kernel = spectral_kernel(default_problem)
-    assert traced_peak(lambda: distributed_sa(sample, spec, kernel, 32, 4)) < PEAK_LIMIT_BYTES
+    peak = traced_peak(lambda: distributed_sa(sample, spec, kernel, partitions, 4))
+    assert peak < PEAK_LIMIT_BYTES
 
 
 @pytest.mark.parametrize("tag", FILTER_TAGS)
@@ -79,13 +80,6 @@ def test_sa_local_scales_no_copy_of_the_features(default_problem, sample, tag):
     spec = filter_from_tag(tag, default_problem.kappa_sq, 0.05)
     kernel = spectral_kernel(default_problem)
     assert traced_peak(lambda: sa_local(sample, spec, kernel)) < PEAK_LIMIT_BYTES
-
-
-@pytest.mark.parametrize("tag", FILTER_TAGS)
-def test_one_partition_sa_copies_no_feature_matrix(default_problem, sample, tag):
-    spec = filter_from_tag(tag, default_problem.kappa_sq, 0.05)
-    kernel = spectral_kernel(default_problem)
-    assert traced_peak(lambda: distributed_sa(sample, spec, kernel, 1, 4)) < PEAK_LIMIT_BYTES
 
 
 def test_one_partition_sgm_copies_no_feature_matrix(default_problem, sample):

@@ -440,6 +440,53 @@ def test_a_divergence_is_read_at_its_step_within_a_block(small_problem, kernel, 
     assert message == f"SGM diverged at iteration {first[j]} on partition 1"
 
 
+class CountingRng:
+    """An index stream that records each of its draws."""
+
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(args)
+        return self.rng.integers(*args, **kwargs)
+
+
+def count_draws(monkeypatch) -> list:
+    """Record every index draw of the SGM core from now on: one per run and block."""
+    draws = []
+    monkeypatch.setattr(trainers, "make_rng", lambda seed: CountingRng(make_rng(seed), draws))
+    return draws
+
+
+@pytest.mark.parametrize("poisoned, blocks", [(None, 5), (0, 1), (1, 5)])
+def test_sgm_runs_stop_at_the_block_in_which_run_0_diverges(
+    small_problem, kernel, monkeypatch, poisoned, blocks
+):
+    # Runs 0 and 2 train partition 0, runs 1 and 3 partition 1; 5 blocks of steps.
+    data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 3, 4 * SETTLE + 9)
+    labels = data.labels.copy()
+    if poisoned is not None:
+        labels[rows[poisoned]] = np.inf
+    draws = count_draws(monkeypatch)
+    message = assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg, kernel,
+                                                     runs)
+    assert len(draws) == len(runs) * blocks
+    if poisoned is not None:
+        assert message == f"SGM diverged at iteration 1 on partition {poisoned}"
+
+
+def test_sgm_local_stops_at_the_block_of_its_divergence(small_problem, kernel, monkeypatch):
+    data = sample_dataset(small_problem, 48, seed=5)
+    poisoned = Dataset(inputs=data.inputs, labels=np.full(48, np.inf),
+                       problem_id=data.problem_id, seed=0)
+    cfg = SgmConfig(partitions=1, batch_size=3, iterations=4 * SETTLE + 9, step_schedule=0.05,
+                    base_seed=17)
+    draws = count_draws(monkeypatch)
+    with pytest.raises(DivergenceError, match="iteration 1 on partition 2$"):
+        sgm_local(poisoned, cfg, kernel, partition_index=2)
+    assert len(draws) == 1
+
+
 def test_an_infinite_label_diverges_under_any_error_state_and_restores_it(
     small_problem, kernel
 ):
