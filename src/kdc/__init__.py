@@ -66,9 +66,8 @@ from .spectral_model import (
     sup_norm_bound,
 )
 from .trainers import (
-    AveragedModel,
     Constant,
-    LocalModel,
+    Model,
     SgmConfig,
     StepConditionReport,
     TrainPlan,

@@ -23,9 +23,7 @@ from .filters import landweber
 from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, check_integer, derive_seed
 from .spectral_model import SpectralProblem, check_exponents, is_finite, sample_dataset
-from .trainers import (
-    AveragedModel, LocalModel, SgmConfig, _blocks, _filter_fits, _sgm_runs, resolve_schedule,
-)
+from .trainers import Model, SgmConfig, _blocks, _filter_fits, _sgm_runs, resolve_schedule
 
 #: Minimum replication counts (datasets, index draws) for decompose_error.
 MIN_DECOMPOSE_REPS = (50, 20)
@@ -39,13 +37,13 @@ MAX_REPLICATIONS = 2**16
 def mode_projection(problem: SpectralProblem, model) -> np.ndarray:
     """Eigenbasis coefficients of a model's prediction function.
 
-    Returns the model's read-only ``modes``: for a local model with
-    coefficients alpha at inputs x, mode i carries
-    sigma_i * sum_j alpha_j phi_i(x_j); an averaged model is its modes, the
+    Returns the model's read-only ``modes``: a fit whose predictor weights
+    the kernel sections at inputs x by alpha has mode i equal to
+    sigma_i * sum_j alpha_j phi_i(x_j), and an averaged model's modes are the
     mean of its blocks'. The model must use the problem's own spectral kernel.
     """
-    if not isinstance(model, (LocalModel, AveragedModel)):
-        raise InvalidParameterError("expected a LocalModel or AveragedModel")
+    if not isinstance(model, Model):
+        raise InvalidParameterError("expected a Model")
     if model.kernel.key() != spectral_kernel(problem).key():
         raise KernelMismatchError("model kernel does not match this problem")
     return model.modes
@@ -120,12 +118,17 @@ def decompose_error(
     * total       = E ||sgm - f||^2.
 
     The three pieces need not sum to the total exactly; the report carries
-    the gap and a combined standard error to judge it against. Both counts
-    follow the integer rule (:func:`~kdc.seeding.check_integer`) and lie
-    between MIN_DECOMPOSE_REPS and MAX_REPLICATIONS.
+    the gap and a combined standard error to judge it against.
+    ``replications`` is a pair, or InvalidParameterError is raised; both
+    counts follow the integer rule (:func:`~kdc.seeding.check_integer`) and
+    lie between MIN_DECOMPOSE_REPS and MAX_REPLICATIONS.
     """
-    n_data, n_index = replications
-    for name, count, least in zip(("n_data", "n_index"), replications, MIN_DECOMPOSE_REPS):
+    try:
+        n_data, n_index = replications
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"replications must be a pair (n_data, n_index), got {replications!r}") from None
+    for name, count, least in zip(("n_data", "n_index"), (n_data, n_index), MIN_DECOMPOSE_REPS):
         check_integer(name, count)
         if not least <= count <= MAX_REPLICATIONS:
             raise InvalidParameterError(
@@ -155,7 +158,7 @@ def decompose_error(
         # Every index replication of every partition runs in one lockstep loop.
         runs = [(s, s, derive_seed(base, TAG_INDEX, d, r))
                 for r in range(n_index) for s in range(partitions)]
-        _, modes = _sgm_runs(feats, ds.labels, rows, config, kernel, runs)
+        modes = _sgm_runs(feats, ds.labels, rows, config, kernel, runs)
         del ds, feats  # one sample at a time: the next is drawn without this one
         sgm = modes.reshape(n_index, partitions, -1).mean(axis=1)
         cv_d[d] = float(np.mean(np.sum((sgm - batch) ** 2, axis=1)))

@@ -15,18 +15,25 @@ the error and runs no task. Replications are independent tasks keyed by
 they execute in a process pool, whose workers each parse the problem's JSON
 once, and serial tasks share the calling process's problem. Results are
 aggregated in task order, so parallel runs produce byte-identical records.
+Records depend on the BLAS thread count at rounding level, so every task
+runs with numpy's OpenBLAS on one thread: a pool worker sets it when it
+starts, and a serial sweep sets it for its tasks and then restores the
+count it found. Where numpy ships no such library, no count is set.
 Every task partitions its sample with its partition seed; at m = 1 an SA fit
 uses the whole sample in place and does not depend on the seed.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -285,12 +292,41 @@ def _run_point(problem: SpectralProblem, fit: TrainPlan | FilterSpec, n_total: i
     return {"risk": risk, "error": error, "wall_ms": 1e3 * (time.perf_counter() - t0)}
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled scipy-openblas, looked up once per
+    process in ``numpy.libs``; None where this numpy ships no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Run numpy's OpenBLAS on ``count`` threads and return the count it had; return None,
+    setting nothing, where :func:`_openblas_threads` finds no library."""
+    controls = _openblas_threads()
+    if controls is None:
+        return None
+    previous = controls[0]()
+    controls[1](count)
+    return previous
+
+
 #: The sweep's problem in a pool worker, parsed once by :func:`_init_worker`.
 _worker_problem: SpectralProblem | None = None
 
 
 def _init_worker(problem_json: str) -> None:
     global _worker_problem
+    _set_blas_threads(1)
     _worker_problem = problem_from_json(problem_json)
 
 
@@ -305,8 +341,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     Each point is planned once. A point whose partition count, plan or
     filter cannot be resolved records that error and runs no task;
     otherwise ``workers`` processes run its replications (0 = one per CPU
-    that this process may run on); ``workers`` is an integer by the rule of
-    :func:`~kdc.seeding.check_integer`. Per-replication failures are folded into
+    that this process may run on), each with one BLAS thread, as the calling
+    process has while it runs them serially; ``workers`` is an integer by the
+    rule of :func:`~kdc.seeding.check_integer`. Per-replication failures are folded into
     the row's ``error`` column; the risk statistics then cover the surviving
     replications (NaN if none survive). Rows come back in ``n_list`` order.
     """
@@ -345,12 +382,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             points.append((n_total, m_requested, m, columns, None))
             tasks += [(fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
 
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(problem_to_json(problem),)) as pool:
-            results = list(pool.map(_run_pooled, *zip(*tasks)))
-    else:
-        results = [_run_point(problem, *task) for task in tasks]
+    # One BLAS thread on either path; set here, the library is found before the pool forks.
+    previous = _set_blas_threads(1)
+    try:
+        if workers > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=(problem_to_json(problem),)) as pool:
+                results = list(pool.map(_run_pooled, *zip(*tasks)))
+        else:
+            results = [_run_point(problem, *task) for task in tasks]
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
 
     records = []
     remaining = iter(results)

@@ -4,34 +4,33 @@ a regime tag to concrete (eta, batch size, iterations) or lambda choices.
 A step schedule is a float, a sequence of one step per iteration, or a
 ``Constant``; a spectral filter is a ``FilterSpec``.
 
-A local model is a weight vector alpha over its training inputs, predicting
-x -> sum_j alpha_j K(x, x_j); it carries that predictor's eigenbasis
-coefficients sigma * Phi^T alpha as ``modes``. The estimators compute
-alpha from the n x dim feature matrix Phi of the spectral kernel
-(K = Phi diag(sigma) Phi^T): a sampled dataset's ``features``, or else
-evaluated once per call, and hand that Phi to the LocalModel constructor.
-An averaged model is its mode vector alone: every distributed fit averages
-its blocks' modes and builds no per-block model.
-Every SGM estimator runs through one lockstep core, ``_sgm_runs``, which
-steps all its runs together in one loop over blocks of SETTLE steps: a block
-draws its indices, steps, checks its record of steps for a divergence (a
-step past DIVERGENCE_LIMIT) and settles alpha once. The loop ends with the
-block in which run 0 diverges, since the error it raises is then fixed.
-Every spectral filter runs through one path, ``_mode_filter``; gradient
-descent is on it too, since T steps of it are the Landweber filter G_T of
-K/n at lambda = 1/sum(eta). A ``FilterSpec`` carries its own lambda, so no
-estimator takes one beside it. The path works on the smaller Gram side of
-the scaled features Psi = Phi diag(sqrt(sigma / n)): the dim x dim
-covariance when n > dim, built from the 2 dim + 1 sine moments of Phi in
-O(n dim) (:func:`kdc.spectral_model.basis_covariance`), so that no scaled copy
-of Phi and no O(n dim^2) product is made, and else the n x n matrix K/n, which
-is then no larger than Phi.
+A fit, local or averaged, is a ``Model``: its mode vector, the coefficients
+of its predictor in the eigenbasis of the spectral kernel
+(K = Phi diag(sigma) Phi^T, Phi the n x dim feature matrix: a sampled
+dataset's ``features``, or else evaluated once per call). Weights over the
+inputs appear only inside a filter fit with n <= dim, on its way to the modes.
+Every SGM estimator runs through one lockstep core, ``_sgm_runs``, whose
+state is the runs' mode vectors alone. It steps all its runs together in
+one loop over blocks of SETTLE steps: a block draws its indices, steps and
+checks its record of steps for a divergence (a step past DIVERGENCE_LIMIT).
+One run steps on 2-D arrays, several on stacks of them. The loop ends with
+the block in which run 0 diverges, since the error it raises is then fixed.
+Every spectral filter runs through one path, ``_mode_filter``, which
+returns modes; gradient descent is on it too, since T steps of it are the
+Landweber filter G_T of K/n at lambda = 1/sum(eta). A ``FilterSpec``
+carries its own lambda, so no estimator takes one beside it. The path works
+on the smaller Gram side of the scaled features
+Psi = Phi diag(sqrt(sigma / n)): the dim x dim covariance when n > dim,
+built from the 2 dim + 1 sine moments of Phi in O(n dim)
+(:func:`kdc.spectral_model.basis_covariance`), from which the modes follow
+with no n x dim product, and else the n x n matrix K/n, which is then no
+larger than Phi.
 Tikhonov fits take one linear solve of that side plus lambda I; the other
 filters take one ``eigh`` of it. The Gram route (:func:`kdc.kernels.gram`,
 :func:`kdc.filters.apply_filter`) is the reference they are tested against.
 Gradient descent on the noiseless labels f(x_j) is ``gm_local`` on them.
 Distributed training partitions one dataset uniformly at random, trains
-each block independently, and averages the block predictors uniformly; the
+each block independently, and averages the blocks' modes uniformly; the
 layout is ``_blocks``: a block is a row of sample indices, so no second
 N x dim matrix is copied, and one partition's filter fit uses the sample in place.
 Steps have one runtime contract, eta <= 1/kappa_sq; every tighter cap (the
@@ -40,7 +39,7 @@ Steps have one runtime contract, eta <= 1/kappa_sq; every tighter cap (the
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -66,7 +65,7 @@ from .spectral_model import (
 DIVERGENCE_LIMIT = 1e12
 
 #: SGM steps per block: a block draws its indices (in blocks, a run's stream is unchanged),
-#: steps, checks its record for divergence and settles the coefficient updates at once.
+#: steps and checks its record of steps for divergence at once.
 SETTLE = 64
 
 #: Most iterations a schedule may have: 2**27 steps are a 1 GiB schedule and minutes of
@@ -133,48 +132,12 @@ class SgmConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class LocalModel:
-    """Predictor trained on one partition: coefficients alpha at its inputs.
-
-    ``modes`` is computed once from them: the eigenbasis coefficients
-    v = sigma * Phi^T alpha of the prediction function, read-only. A trainer
-    that already holds Phi = kernel_features(kernel, inputs) hands it over as
-    the init-only ``_features``, whose shape is checked; otherwise Phi is
-    evaluated. Raises DomainError for inputs outside [0, 1].
-    """
-
-    inputs: np.ndarray
-    coeffs: np.ndarray
-    kernel: KernelSpec
-    _features: InitVar[np.ndarray | None] = None
-    modes: np.ndarray = field(init=False)
-
-    def __post_init__(self, features: np.ndarray | None) -> None:
-        x = np.asarray(self.inputs, dtype=float)
-        a = np.asarray(self.coeffs, dtype=float)
-        if x.ndim != 1 or a.shape != x.shape:
-            raise InvalidParameterError("inputs and coeffs must be matching 1-D arrays")
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError("model coefficients are not finite")
-        if features is None:
-            features = kernel_features(self.kernel, x)
-        elif features.shape != (x.size, self.kernel.problem.dim):
-            raise InvalidParameterError(
-                f"features of shape {features.shape} do not match {x.size} inputs"
-            )
-        v = self.kernel.problem.eigenvalues * (features.T @ a)
-        for name, arr in (("inputs", x), ("coeffs", a), ("modes", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True, eq=False)
-class AveragedModel:
-    """Uniform average of per-partition predictors, given by its mode vector.
+class Model:
+    """A fitted predictor, local or averaged, given by its mode vector.
 
     ``modes``, of shape (dim,), are the eigenbasis coefficients of the
-    averaged prediction function, kept as a read-only float copy. Modes of
-    another shape raise InvalidParameterError, non-finite ones DivergenceError.
+    prediction function, kept as a read-only float copy. Modes of another
+    shape raise InvalidParameterError, non-finite ones DivergenceError.
     """
 
     modes: np.ndarray
@@ -191,18 +154,18 @@ class AveragedModel:
         object.__setattr__(self, "modes", v)
 
 
-def average_models(models: Sequence[LocalModel]) -> AveragedModel:
-    """Average local predictors uniformly, the modes in list order; all must share one kernel."""
+def average_models(models: Sequence[Model]) -> Model:
+    """Average models uniformly, the modes in list order; all must share one kernel."""
     if len(models) == 0:
         raise InvalidParameterError("averaged model needs at least one local model")
     key = models[0].kernel.key()
     if any(m.kernel.key() != key for m in models[1:]):
         raise KernelMismatchError("local models were trained with different kernels")
-    return AveragedModel(sum(m.modes for m in models) / len(models), models[0].kernel)
+    return Model(sum(m.modes for m in models) / len(models), models[0].kernel)
 
 
-def predict(model, xs):
-    """Evaluate a LocalModel or AveragedModel at points xs from its modes."""
+def predict(model: Model, xs):
+    """Evaluate a model at points xs from its modes."""
     vals = kernel_features(model.kernel, xs) @ model.modes
     if np.isscalar(xs) or np.ndim(xs) == 0:
         return float(vals[0])
@@ -257,31 +220,25 @@ def theory_step_cap(kappa_sq: float, iterations: int) -> float:
 
 def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray,
                  spec: FilterSpec) -> np.ndarray:
-    """Coefficients alpha = G(K/n) y / n for the filter G of ``spec``, at its level.
+    """Modes sigma * Phi^T G(K/n) y / n of the fit by the filter G of ``spec``, at its level.
 
     ``features`` is Phi at the n inputs and ``y`` holds one label vector,
-    shape (n,), or c of them, shape (n, c). With Psi = Phi diag(sqrt(sigma))
-    / sqrt(n), K/n = Psi Psi^T; the smaller of C = Psi^T Psi (dim x dim, when
-    n > dim) and Psi Psi^T (n x n) carries the fit. For n > dim, C is built
-    as Phi^T Phi from its 2 dim + 1 sine moments (:func:`basis_covariance`,
-    O(n dim)) scaled by the outer product of sqrt(sigma / n), and Psi is
-    applied as Phi (sqrt(sigma / n) * z), so no n x dim array is formed.
+    shape (n,), or c of them, shape (n, c); the modes have shape (dim,) or
+    (c, dim). With s = sqrt(sigma / n) and Psi = Phi diag(s), K/n = Psi Psi^T;
+    the smaller of C = Psi^T Psi (dim x dim, when n > dim) and Psi Psi^T
+    (n x n) carries the fit. For n > dim, Psi^T G(Psi Psi^T) = G(C) Psi^T,
+    so the modes come off C alone as s * z, z = G(C) r with r = s * Phi^T y;
+    C is built as Phi^T Phi from its 2 dim + 1 sine moments
+    (:func:`basis_covariance`, O(n dim)) scaled by the outer product of s,
+    so no n x dim array is formed. For n <= dim, z = G(K/n) y gives the
+    coefficients z / n at the inputs, and the modes are sigma * Phi^T z / n.
 
-    Tikhonov takes one ``solve`` of that side plus lambda I:
-    alpha = (K/n + lambda I)^-1 y / n for n <= dim, and for n > dim
-
-        alpha = (y - Psi (C + lambda I)^-1 Psi^T y) / (lambda n).
-
-    It does so only when trace(K/n) <= kappa_sq; the trace bounds every
-    eigenvalue, so there the ``eigh`` route could not raise. Every other
-    case, and every other filter, takes one ``eigh``. For n > dim, K/n
-    vanishes off range(Psi), where G takes the value G(0), so with
-    C = W diag(s^2) W^T
-
-        alpha = (G(0) y + Psi W diag((G(s^2) - G(0)) / s^2) W^T Psi^T y) / n.
-
-    Eigenvalues are clamped at 0, and exact zeros, whose directions Psi
-    annihilates, drop out of the ratio; ``filter_value`` raises DomainError
+    Tikhonov, G(u) = 1/(u + lambda), takes z from one ``solve`` of that side
+    plus lambda I. It does so only when the side's trace is at most
+    kappa_sq; the trace bounds every eigenvalue, so there the ``eigh`` route
+    could not raise. Every other case, and every other filter, takes one
+    ``eigh`` of the side, W diag(s^2) W^T, and z = W G(s^2) W^T r (or y).
+    Eigenvalues are clamped at 0, and ``filter_value`` raises DomainError
     for one above kappa_sq. Costs O(n dim + dim^3) for n > dim and
     O(n^2 dim + n^3) otherwise, each plus O(n dim c) for the labels.
     """
@@ -300,45 +257,43 @@ def _mode_filter(kernel: KernelSpec, features: np.ndarray, y: np.ndarray,
     if spec.kind == "tikhonov" and np.trace(side) <= spec.kappa_sq:
         side.flat[::len(side) + 1] += spec.lam
         z = np.linalg.solve(side, rhs)
-        alpha = (cols - features @ (scale[:, None] * z)) / spec.lam if primal else z
     else:
         s2, w = np.linalg.eigh(side)
-        s2 = np.maximum(s2, 0.0)
-        if primal:
-            gv = filter_value(spec, np.concatenate(([0.0], s2)))
-            ratio = np.divide(gv[1:] - gv[0], s2, out=np.zeros_like(s2), where=s2 > 0.0)
-            z = w @ (ratio[:, None] * (w.T @ rhs))
-            alpha = gv[0] * cols + features @ (scale[:, None] * z)
-        else:
-            alpha = w @ (filter_value(spec, s2)[:, None] * (w.T @ cols))
-    return (alpha / n).reshape(y.shape)
+        z = w @ (filter_value(spec, np.maximum(s2, 0.0))[:, None] * (w.T @ rhs))
+    if primal:
+        modes = (scale[:, None] * z).T
+    else:
+        modes = kernel.problem.eigenvalues * ((z / n).T @ features)
+    return modes if y.ndim > 1 else modes[0]
 
 
 def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: SgmConfig,
-              kernel: KernelSpec, runs):
-    """Advance independent mini-batch SGM runs in lockstep.
+              kernel: KernelSpec, runs) -> np.ndarray:
+    """Advance independent mini-batch SGM runs in lockstep; returns their modes (R, dim).
 
     Run (block, partition_index, seed) trains on the samples ``rows[block]``
     of Phi ``feats`` and ``labels`` (``rows`` has shape (m, n)) using the
-    index stream partition_stream_seed(seed, partition_index). Returns the
-    coefficients (R, n) and the mode vectors (R, dim). A run diverges at the
-    first iteration at which one of its steps (eta_t / b)(prediction - y) has
-    magnitude above DIVERGENCE_LIMIT or is not finite; the error raised is
-    the first diverged run's, in run order. Rows outside ``feats`` or labels
-    of another length raise InvalidParameterError.
+    index stream partition_stream_seed(seed, partition_index). Its state is
+    the mode vector v of its predictor; a step with batch rows B and labels
+    y_B moves it by -sigma * B^T (eta_t / b)(B v - y_B). A run diverges at
+    the first iteration at which one of its steps (eta_t / b)(prediction - y)
+    has magnitude above DIVERGENCE_LIMIT or is not finite; the error raised
+    is the first diverged run's, in run order. Rows outside ``feats`` or
+    labels of another length raise InvalidParameterError.
 
     The loop runs in blocks of SETTLE steps. A block draws each run's
-    indices, looks up their sample rows and labels, and steps: a step
+    indices and looks up their sample rows and labels, and steps: a step
     gathers its batch rows from ``feats`` into a buffer made before the
     loop, forms its predictions, overwrites its labels with its step in the
-    block's record, and updates the modes. If the block's largest |step|
-    fails the limit, each bad run's first bad iteration is read from the
-    record. One ``np.subtract.at`` of the record settles alpha in the order
-    of per-step calls, bit-identical to a step-by-step loop. Once run 0 has
-    diverged the error raised is fixed, so the loop stops after that block;
-    a later run that diverges steps on, as the raise leaves its state
-    unread. Overflow and invalid operations, which arise only in a diverging
-    run, are ignored under any caller error state.
+    block's record, and updates the modes. The buffers are shaped
+    lead + (b, dim): one run (lead = ()) steps on 2-D arrays with
+    ``np.dot``, several (lead = (R,)) on stacks with ``np.matmul``, and
+    either gives a run the same bits. If the block's largest |step| fails
+    the limit, each bad run's first bad iteration is read from the record.
+    Once run 0 has diverged the error raised is fixed, so the loop stops
+    after that block; a later run that diverges steps on, as the raise
+    leaves its state unread. Overflow and invalid operations, which arise
+    only in a diverging run, are ignored under any caller error state.
     """
     n = rows.shape[1]
     if config.batch_size > n:
@@ -349,51 +304,51 @@ def _sgm_runs(feats: np.ndarray, labels: np.ndarray, rows: np.ndarray, config: S
     check_step_bound(etas, kernel.problem.kappa_sq)
 
     rngs = [make_rng(partition_stream_seed(seed, s)) for _, s, seed in runs]
-    # Sample row of each run's local index, laid out like alpha.
-    run_rows = rows[[i for i, _, _ in runs]].ravel()
-    own = n * np.arange(len(runs))[:, None]
     sigma = kernel.problem.eigenvalues
     rates = etas / float(config.batch_size)
 
-    alpha = np.zeros(len(runs) * n)
-    v = np.zeros((len(runs), sigma.size))
-    batch = np.empty((len(runs), config.batch_size, sigma.size))
-    pred = np.empty((len(runs), config.batch_size))
+    lead = (len(runs),) if len(runs) > 1 else ()
+    v = np.zeros(lead + (sigma.size,))
+    batch = np.empty(lead + (config.batch_size, sigma.size))
+    pred = np.empty(batch.shape[:-1])
     update = np.empty_like(v)
     draws = np.empty((min(SETTLE, config.iterations),) + pred.shape, dtype=np.int64)
-    block_rows = np.empty_like(draws)
     # A block's labels, each overwritten by its step.
     record = np.empty(draws.shape)
+    if lead:  # column and row views, made once, for the stacked products
+        product, v_in, pred_out = np.matmul, v[..., None], pred[..., None]
+        update_out, step_rows = update[:, None], record[:, :, None]
+    else:
+        product, v_in, pred_out, update_out, step_rows = np.dot, v, pred, update, record
     diverged: dict[int, int] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, config.iterations, SETTLE):
             k = min(SETTLE, config.iterations - t0)
-            own_block = draws[:k]
-            for r, rng in enumerate(rngs):
-                own_block[:, r] = rng.integers(0, n, (k, config.batch_size))
-            own_block += own
-            sample_block = np.take(run_rows, own_block, out=block_rows[:k], mode="clip")
-            step_block = np.take(labels, sample_block, out=record[:k], mode="clip")
-            for rate, sample_rows, step in zip(rates[t0:], sample_block, step_block):
+            sample_block = draws[:k]
+            by_run = sample_block.reshape(k, len(runs), config.batch_size)
+            for r, ((block, _, _), rng) in enumerate(zip(runs, rngs)):
+                by_run[:, r] = rows[block].take(rng.integers(0, n, (k, config.batch_size)))
+            step_block = labels.take(sample_block, out=record[:k], mode="clip")
+            for rate, sample_rows, step, step_row in zip(rates[t0:], sample_block, step_block,
+                                                         step_rows):
                 # mode="clip" writes straight into the buffer; every index is in range.
-                np.take(feats, sample_rows, axis=0, out=batch, mode="clip")
-                np.matmul(batch, v[:, :, None], out=pred[:, :, None])
+                feats.take(sample_rows, axis=0, out=batch, mode="clip")
+                product(batch, v_in, out=pred_out)
                 np.subtract(pred, step, out=step)  # the label becomes the step
                 step *= rate
-                np.matmul(step[:, None, :], batch, out=update[:, None, :])
+                product(step_row, batch, out=update_out)
                 np.subtract(v, np.multiply(sigma, update, out=update), out=v)
             # Written so that a NaN or an infinity fails the comparison too.
             if not np.maximum(step_block.max(), -step_block.min()) <= DIVERGENCE_LIMIT:
-                bad = ~(np.abs(step_block) <= DIVERGENCE_LIMIT).all(axis=2)
+                bad = ~(np.abs(step_block) <= DIVERGENCE_LIMIT).all(axis=-1).reshape(k, -1)
                 for r in np.flatnonzero(bad.any(axis=0)):
                     diverged.setdefault(r, t0 + int(np.argmax(bad[:, r])) + 1)
                 if 0 in diverged:  # the lowest run has met its first bad iteration
                     break
-            np.subtract.at(alpha, own_block.ravel(), step_block.ravel())
     if diverged:
         r = min(diverged)
         raise DivergenceError(f"SGM diverged at iteration {diverged[r]} on partition {runs[r][1]}")
-    return alpha.reshape(len(runs), n), v
+    return v.reshape(len(runs), sigma.size)
 
 
 def sgm_local(
@@ -401,29 +356,29 @@ def sgm_local(
     config: SgmConfig,
     kernel: KernelSpec,
     partition_index: int,
-) -> LocalModel:
+) -> Model:
     """Mini-batch SGM on one partition, sampling with replacement.
 
     Per iteration t, a batch of ``batch_size`` indices is drawn i.i.d.
-    uniformly from the partition; the coefficient update is
+    uniformly from the partition, and the predictor takes the step
 
-        alpha[j] -= (eta_t / b) * sum over batch slots with index j of
-                    (prediction(x_j) - y_j),
+        f -= (eta_t / b) * sum over batch slots j of (f(x_j) - y_j) K(x_j, .),
 
-    all residuals evaluated at the iteration-start coefficients. The
-    predictions come from the mode vector v = sigma * Phi^T alpha, updated
-    alongside alpha, so a step costs O(batch_size * dim). Index draws come
-    from a dedicated stream seeded by (base_seed, partition_index) so
-    partitions and replications are independent and reproducible. Raises
-    DivergenceError if a step blows past DIVERGENCE_LIMIT or goes non-finite.
+    all residuals evaluated at the iteration-start predictor. The predictor
+    is carried as its mode vector v, which the step moves by
+    -sigma * Phi_B^T (eta_t / b)(Phi_B v - y_B), so a step costs
+    O(batch_size * dim). Index draws come from a dedicated stream seeded by
+    (base_seed, partition_index) so partitions and replications are
+    independent and reproducible. Raises DivergenceError if a step blows
+    past DIVERGENCE_LIMIT or goes non-finite.
     """
-    feats = _dataset_features(kernel, subset)
-    alpha, _ = _sgm_runs(feats, subset.labels, np.arange(len(subset))[None], config, kernel,
-                         [(0, partition_index, config.base_seed)])
-    return LocalModel(subset.inputs, alpha[0], kernel, _features=feats)
+    modes = _sgm_runs(_dataset_features(kernel, subset), subset.labels,
+                      np.arange(len(subset))[None], config, kernel,
+                      [(0, partition_index, config.base_seed)])
+    return Model(modes[0], kernel)
 
 
-def gm_local(subset: Dataset, step_schedule, iterations: int, kernel: KernelSpec) -> LocalModel:
+def gm_local(subset: Dataset, step_schedule, iterations: int, kernel: KernelSpec) -> Model:
     """Full-batch gradient descent on one partition.
 
     This is the batch limit of sgm_local. T steps of it are the Landweber
@@ -434,16 +389,15 @@ def gm_local(subset: Dataset, step_schedule, iterations: int, kernel: KernelSpec
     return sa_local(subset, spec, kernel)
 
 
-def sa_local(subset: Dataset, filter_spec: FilterSpec, kernel: KernelSpec) -> LocalModel:
+def sa_local(subset: Dataset, filter_spec: FilterSpec, kernel: KernelSpec) -> Model:
     """Spectral-algorithm estimator on one partition.
 
     Applies the filter, at its own level lambda, to the scaled kernel matrix
-    K/n and the label vector, which gives the same coefficients as
-    :func:`kdc.filters.apply_filter`.
+    K/n and the label vector; the modes are those of the coefficients
+    :func:`kdc.filters.apply_filter` gives.
     """
-    feats = _dataset_features(kernel, subset)
-    alpha = _mode_filter(kernel, feats, subset.labels, filter_spec)
-    return LocalModel(subset.inputs, alpha, kernel, _features=feats)
+    return Model(_mode_filter(kernel, _dataset_features(kernel, subset), subset.labels,
+                              filter_spec), kernel)
 
 
 def _blocks(dataset: Dataset, kernel: KernelSpec, partitions: int, seed: int):
@@ -454,16 +408,12 @@ def _blocks(dataset: Dataset, kernel: KernelSpec, partitions: int, seed: int):
 def _filter_fits(feats: np.ndarray, rows: np.ndarray, labels: np.ndarray,
                  filter_spec: FilterSpec, kernel: KernelSpec) -> np.ndarray:
     """The mean over blocks of the filter fit's modes, (c, dim), one row per column of
-    ``labels`` (N, c). A block fits all columns with one :func:`_mode_filter` and adds its
-    modes sigma * (A^T Phi_p), A its (n, c) coefficients, in block order. One partition
-    fits the sample in place: a filter fit does not depend on the order of its rows."""
-    sigma = kernel.problem.eigenvalues
-    total = np.zeros((labels.shape[1], sigma.size))
+    ``labels`` (N, c). A block fits all columns with one :func:`_mode_filter` on its copy of
+    Phi's rows, and its modes are added in block order. One partition fits the sample in
+    place: a filter fit does not depend on the order of its rows."""
+    total = np.zeros((labels.shape[1], kernel.problem.dim))
     for idx in [slice(None)] if len(rows) == 1 else rows:
-        block_feats = feats[idx]
-        alphas = _mode_filter(kernel, block_feats, labels[idx], filter_spec)
-        total += sigma * (alphas.T @ block_feats)
-        del block_feats  # one block's copy of Phi at a time
+        total += _mode_filter(kernel, feats[idx], labels[idx], filter_spec)
     return total / len(rows)
 
 
@@ -472,16 +422,16 @@ def distributed_sgm(
     config: SgmConfig,
     kernel: KernelSpec,
     partition_seed: int,
-) -> AveragedModel:
+) -> Model:
     """Partition, train SGM on every block in lockstep, and average the predictors.
 
     Every block, one partition's too, trains on its rows of the sample permuted
     by ``partition_seed``; the average is the mean of the runs' mode vectors.
     """
     feats, rows = _blocks(dataset, kernel, config.partitions, partition_seed)
-    _, modes = _sgm_runs(feats, dataset.labels, rows, config, kernel,
-                         [(s, s, config.base_seed) for s in range(config.partitions)])
-    return AveragedModel(modes.mean(axis=0), kernel)
+    modes = _sgm_runs(feats, dataset.labels, rows, config, kernel,
+                      [(s, s, config.base_seed) for s in range(config.partitions)])
+    return Model(modes.mean(axis=0), kernel)
 
 
 def distributed_sa(
@@ -490,7 +440,7 @@ def distributed_sa(
     kernel: KernelSpec,
     partitions: int,
     partition_seed: int,
-) -> AveragedModel:
+) -> Model:
     """Partition, run the spectral algorithm on each block, and average.
 
     A filter estimator does not depend on the order of its rows, so one
@@ -498,8 +448,8 @@ def distributed_sa(
     ``partition_seed`` leaves it unchanged, and no rows are copied.
     """
     feats, rows = _blocks(dataset, kernel, partitions, partition_seed)
-    return AveragedModel(
-        _filter_fits(feats, rows, dataset.labels[:, None], filter_spec, kernel)[0], kernel)
+    return Model(_filter_fits(feats, rows, dataset.labels[:, None], filter_spec, kernel)[0],
+                 kernel)
 
 
 @dataclass(frozen=True)

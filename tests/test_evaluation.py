@@ -12,7 +12,7 @@ from kdc import (
     InsufficientDataError,
     InvalidParameterError,
     KernelMismatchError,
-    LocalModel,
+    Model,
     SgmConfig,
     average_models,
     basis_matrix,
@@ -22,9 +22,11 @@ from kdc import (
     excess_risk_exact,
     fit_rate,
     gm_local,
+    kernel_cross,
     mode_projection,
     partition_data,
     plan_parameters,
+    predict,
     sample_dataset,
     sgm_local,
     spectral_kernel,
@@ -47,13 +49,16 @@ def trained(small_problem, kernel):
 
 
 def test_mode_projection_of_a_single_section(small_problem, kernel):
-    # A model with one unit coefficient at x0 is the kernel section
-    # K(x0, .), whose i-th mode coefficient is sigma_i * phi_i(x0).
+    # The kernel section K(x0, .) has i-th mode coefficient sigma_i * phi_i(x0): a model
+    # with those modes predicts the section, and its projection is its own modes.
     x0 = 0.3
-    model = LocalModel(inputs=np.array([x0]), coeffs=np.array([1.0]), kernel=kernel)
-    proj = mode_projection(small_problem, model)
     expected = small_problem.eigenvalues * basis_matrix(small_problem.dim, np.array([x0]))[0]
-    np.testing.assert_allclose(proj, expected, rtol=1e-12)
+    model = Model(expected, kernel)
+    xs = np.linspace(0.05, 0.95, 7)
+    np.testing.assert_allclose(predict(model, xs), kernel_cross(kernel, xs, np.array([x0]))[:, 0],
+                               rtol=1e-12, atol=1e-12)
+    proj = mode_projection(small_problem, model)
+    np.testing.assert_array_equal(proj, expected)
     assert proj is model.modes
     with pytest.raises(ValueError):
         model.modes[0] = 0.0
@@ -71,7 +76,7 @@ def test_mode_projection_rejects_a_model_of_another_problem(trained):
 
 
 def test_exact_risk_of_the_zero_model(small_problem, kernel):
-    zero = LocalModel(inputs=np.array([0.5]), coeffs=np.array([0.0]), kernel=kernel)
+    zero = Model(np.zeros(small_problem.dim), kernel)
     risk = excess_risk_exact(zero, small_problem)
     assert type(risk) is float
     expected = float(np.sum(small_problem.target_coeffs**2))
@@ -84,16 +89,14 @@ def test_exact_risk_is_the_squared_mode_distance(small_problem, trained):
     assert excess_risk_exact(trained, small_problem) == pytest.approx(expected, rel=1e-12)
 
 
-def test_exact_risk_is_invariant_under_sample_reordering(small_problem, kernel, trained):
-    rng = np.random.default_rng(1)
-    perm = rng.permutation(len(trained.coeffs))
-    shuffled = LocalModel(
-        inputs=trained.inputs[perm],
-        coeffs=trained.coeffs[perm],
-        kernel=kernel,
-    )
-    a = excess_risk_exact(trained, small_problem)
-    b = excess_risk_exact(shuffled, small_problem)
+def test_exact_risk_is_invariant_under_sample_reordering(small_problem, kernel):
+    # A filter fit does not depend on the order of its rows.
+    data = sample_dataset(small_problem, 40, seed=14)
+    perm = np.random.default_rng(1).permutation(len(data))
+    shuffled = dataclasses.replace(data, inputs=data.inputs[perm], labels=data.labels[perm],
+                                   features=data.features[perm])
+    a = excess_risk_exact(gm_local(data, 0.1, 60, kernel), small_problem)
+    b = excess_risk_exact(gm_local(shuffled, 0.1, 60, kernel), small_problem)
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -144,7 +147,7 @@ def test_decomposition_identity_across_partition_and_batch_settings(noiseless_sm
 
 def test_decomposition_matches_a_loop_over_index_replications(small_problem, kernel):
     # The reference trains every (dataset, index seed, partition) run on its
-    # own and projects its coefficients; decompose_error runs them in lockstep.
+    # own and reads its modes; decompose_error runs them in lockstep.
     cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=7)
     report = decompose_error(small_problem, 32, cfg, replications=(50, 20))
     total, comp_var = [], []
@@ -175,7 +178,7 @@ def test_decomposition_fits_both_label_columns_as_separate_calls_would(
     cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=5)
     joint = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
     fit = trainers._mode_filter
-    monkeypatch.setattr(trainers, "_mode_filter", lambda kernel, feats, y, spec: np.column_stack(
+    monkeypatch.setattr(trainers, "_mode_filter", lambda kernel, feats, y, spec: np.stack(
         [fit(kernel, feats, column, spec) for column in y.T]))
     separate = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
     for name in ("total", "bias", "sample_var", "comp_var",

@@ -294,6 +294,43 @@ def test_run_experiment_is_reproducible_and_parallel_consistent(overrides):
     assert [rec.error for rec in serial] == ["", ""]
 
 
+def test_the_blas_thread_count_is_set_only_where_numpy_ships_its_openblas():
+    controls = harness._openblas_threads()
+    previous = harness._set_blas_threads(1)
+    try:
+        if controls is None:
+            assert previous is None  # nothing to set, and nothing was set
+        else:
+            assert previous >= 1 and controls[0]() == 1
+    finally:
+        if previous is not None:
+            harness._set_blas_threads(previous)
+
+
+def test_tasks_run_on_one_blas_thread_and_a_serial_sweep_restores_the_count(monkeypatch):
+    controls = harness._openblas_threads()
+    if controls is None:
+        pytest.skip("this numpy ships no scipy-openblas thread controls")
+    get = controls[0]
+    seen = []
+    run_point = harness._run_point
+    monkeypatch.setattr(harness, "_run_point",
+                        lambda *task: seen.append(get()) or run_point(*task))
+    before = harness._set_blas_threads(2)
+    try:
+        serial = run_experiment(tiny_config(), workers=1)
+        assert seen == [1] * 4 and get() == 2
+        harness._init_worker(harness.problem_to_json(build_problem(dim=20, noise_sd=0.1)))
+        assert get() == 1
+    finally:
+        harness._set_blas_threads(before)
+    # Where the controls are missing nothing is set, and the records are the same.
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+    assert harness._set_blas_threads(1) is None
+    bare = run_experiment(tiny_config(), workers=1)
+    assert [r.risk_mean for r in bare] == [r.risk_mean for r in serial]
+
+
 @pytest.mark.parametrize("affinity", [True, False])
 def test_auto_workers_count_the_cpus_this_process_may_use(monkeypatch, affinity):
     sizes = []

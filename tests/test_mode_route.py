@@ -2,13 +2,15 @@
 
 ``trainers._mode_filter`` works on the smaller Gram side of the scaled
 features, Psi^T Psi when n > dim and Psi Psi^T otherwise, with Psi^T Psi
-built from Phi^T Phi so that no scaled copy of Phi is made. Tikhonov
+built from Phi^T Phi so that no scaled copy of Phi is made, and returns the
+modes of the fit: off Psi^T Psi alone when n > dim, and as sigma * Phi^T alpha
+of the coefficients alpha otherwise. Tikhonov
 takes one linear solve of that side plus lambda I whenever its trace is
 at most kappa_sq; the other filters, and Tikhonov past that trace, take
 one ``eigh``. The shapes around n = dim are where the two branches meet.
-Each estimator must match :func:`kdc.filters.apply_filter` there to 1e-10,
-normalized as in A6, and the route each takes is pinned by counting
-``eigh`` calls.
+Each estimator's modes must match sigma * Phi^T alpha of the coefficients
+alpha of :func:`kdc.filters.apply_filter` there to 1e-10, normalized as in
+A6, and the route each takes is pinned by counting ``eigh`` calls.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ def _count_eigh(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("dim, n", [(200, 199), (200, 200), (200, 201), (200, 203),
-                                    (200, 2048), (20, 48)])
+                                    (200, 2048), (20, 19), (20, 20), (20, 21), (20, 48)])
 def test_mode_filter_matches_apply_filter_around_n_equals_dim(monkeypatch, dim, n):
     eigendecompose = _memoized(sym_eigendecompose)
     monkeypatch.setattr(filters, "sym_eigendecompose", eigendecompose)
@@ -83,6 +85,7 @@ def test_mode_filter_matches_apply_filter_around_n_equals_dim(monkeypatch, dim, 
     g = gram(kernel, data.inputs)
     ksq = problem.kappa_sq
     feats = kernel_features(kernel, data.inputs)
+    labels = np.column_stack((data.labels, regression_value(problem, data.inputs)))
 
     # A cutoff 1e-6 relative above an empirical eigenvalue of K/n.
     evals, _ = eigendecompose(g / n)
@@ -92,15 +95,19 @@ def test_mode_filter_matches_apply_filter_around_n_equals_dim(monkeypatch, dim, 
     for tag, lam in cases:
         steps = filter_from_tag("landweber", ksq, lam).step_sizes
         if tag == "gm_local":
+            spec = landweber(steps, kappa_sq=ksq)
             model = gm_local(data, steps, steps.size, kernel)
-            dual = apply_filter(landweber(steps, kappa_sq=ksq), g, data.labels)
         else:
             spec = filter_from_tag(tag, ksq, lam)
             model = sa_local(data, spec, kernel)
-            dual = apply_filter(spec, g, data.labels)
-        dual_modes = problem.eigenvalues * (feats.T @ dual)
-        err = max(_rel(model.coeffs, dual), _rel(model.modes, dual_modes))
-        assert err <= 1e-10, (tag, lam, err)
+        # The estimator's modes, and both label columns, the noisy and the noiseless, fitted
+        # in one call, against the Gram route.
+        both = _mode_filter(kernel, feats, labels, spec)
+        assert both.shape == (2, dim)
+        for col, modes in zip((data.labels, *labels.T), (model.modes, *both)):
+            dual_modes = problem.eigenvalues * (feats.T @ apply_filter(spec, g, col))
+            err = _rel(modes, dual_modes)
+            assert err <= 1e-10, (tag, lam, err)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0])
@@ -121,11 +128,10 @@ def test_tikhonov_solve_matches_apply_filter_column_by_column(monkeypatch, gamma
         model = sa_local(data, spec, kernel)
         both = _mode_filter(kernel, feats, labels, spec)
         assert len(calls) == before, "Tikhonov left the solve route"
-        dual = apply_filter(spec, g, data.labels)
-        dual_modes = problem.eigenvalues * (feats.T @ dual)
-        err = max(_rel(model.coeffs, dual), _rel(model.modes, dual_modes))
+        dual_modes = problem.eigenvalues * (feats.T @ apply_filter(spec, g, data.labels))
+        err = _rel(model.modes, dual_modes)
         assert err <= 1e-10, (lam, err)
-        singles = np.column_stack([_mode_filter(kernel, feats, col, spec) for col in labels.T])
+        singles = np.stack([_mode_filter(kernel, feats, col, spec) for col in labels.T])
         assert _rel(both, singles) <= 1e-13, lam
 
 
@@ -156,7 +162,9 @@ def test_tikhonov_past_the_trace_bound_takes_eigh_and_keeps_its_domain_error(
     spec = FilterSpec("tikhonov", 0.5 * (top + trace), 1e-3)
     model = sa_local(data, spec, kernel)
     assert len(calls) == 1
-    assert _rel(model.coeffs, apply_filter(spec, g, data.labels)) <= 1e-10
+    feats = kernel_features(kernel, data.inputs)
+    dual_modes = default_problem.eigenvalues * (feats.T @ apply_filter(spec, g, data.labels))
+    assert _rel(model.modes, dual_modes) <= 1e-10
 
     low = 0.5 * top
     with pytest.raises(DomainError, match=re.escape(f"filter argument must lie in [0, {low:.6g}]")):

@@ -20,11 +20,11 @@ from kdc.harness import CONFIG_TYPES
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = (
-    "AveragedModel,Constant,ConstraintViolationError,Dataset,DecompositionReport,"
+    "Constant,ConstraintViolationError,Dataset,DecompositionReport,"
     "DegenerateInputError,DivergenceError,DomainError,EigendecompositionError,"
     "ExperimentConfig,FilterSpec,FilterValidationReport,"
     "IndivisibleDataError,InsufficientDataError,InvalidParameterError,InvalidRegimeError,"
-    "KdcError,KernelMismatchError,KernelSpec,LocalModel,RateFit,RunRecord,"
+    "KdcError,KernelMismatchError,KernelSpec,Model,RateFit,RunRecord,"
     "SgmConfig,SpectralProblem,StepConditionReport,TrainPlan,apply_filter,average_models,"
     "basis_matrix,build_problem,capacity_certificate,check_step_condition,"
     "dataset_to_csv,decompose_error,derive_seed,distributed_sa,distributed_sgm,"
@@ -47,10 +47,9 @@ KNOBS = {
     kdc.TrainPlan: "regime,algorithm,n_total,partitions,n_local,batch_size,iterations,eta,"
                    "eta_raw,lam,scale,zeta,gamma,clamped,partition_warning",
 }
-#: Init fields of each model: a local model is its coefficients, an average its modes.
+#: Init fields of the model type: a fit, local or averaged, is its modes.
 MODEL_FIELDS = {
-    kdc.LocalModel: "inputs,coeffs,kernel",
-    kdc.AveragedModel: "modes,kernel",
+    kdc.Model: "modes,kernel",
 }
 CONFIG_KEYS = (
     "regime,algorithm,filter,n_total,dim,m,replications,base_seed,iterations,batch_size,"
@@ -106,18 +105,18 @@ def test_model_fields_are_pinned():
         assert ",".join(f.name for f in fields(cls) if f.init) == names, cls.__name__
 
 
-def test_an_averaged_model_checks_and_copies_its_modes():
+def test_a_model_checks_and_copies_its_modes():
     kernel = kdc.spectral_kernel(kdc.build_problem(dim=10, noise_sd=0.1))
     given = np.arange(10.0)
-    model = kdc.AveragedModel(given, kernel)
+    model = kdc.Model(given, kernel)
     given[0] = 5.0
     assert model.modes[0] == 0.0 and model.modes.dtype == np.float64
     with pytest.raises(ValueError):
         model.modes[0] = 1.0
-    assert kdc.AveragedModel(list(range(10)), kernel).modes.dtype == np.float64
+    assert kdc.Model(list(range(10)), kernel).modes.dtype == np.float64
     for shape in ((9,), (11,), (1, 10), ()):
         with pytest.raises(kdc.InvalidParameterError, match="do not match dim 10"):
-            kdc.AveragedModel(np.zeros(shape), kernel)
+            kdc.Model(np.zeros(shape), kernel)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(kdc.DivergenceError, match="modes are not finite"):
-            kdc.AveragedModel(np.full(10, bad), kernel)
+            kdc.Model(np.full(10, bad), kernel)

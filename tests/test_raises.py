@@ -10,7 +10,9 @@ import ast
 import inspect
 from pathlib import Path
 
-from kdc import errors
+import pytest
+
+from kdc import InvalidParameterError, SgmConfig, build_problem, decompose_error, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +39,12 @@ def test_every_raise_in_the_source_is_a_kdc_error():
         and _raised_class(node) not in KDC_ERRORS
     ]
     assert not foreign, foreign
+
+
+@pytest.mark.parametrize("replications", [(50,), (50, 20, 5), 50])
+def test_replications_that_are_not_a_pair_are_a_parameter_error(replications):
+    # Unpacked unchecked, they would escape as a ValueError or a TypeError.
+    problem = build_problem(dim=20, gamma=1.0, zeta=0.5, noise_sd=0.1)
+    cfg = SgmConfig(partitions=1, batch_size=1, iterations=5, step_schedule=0.1, base_seed=0)
+    with pytest.raises(InvalidParameterError, match="replications must be a pair"):
+        decompose_error(problem, 16, cfg, replications=replications)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from kdc import (
-    AveragedModel,
     Constant,
     ConstraintViolationError,
     Dataset,
@@ -19,7 +18,7 @@ from kdc import (
     InvalidParameterError,
     InvalidRegimeError,
     KernelMismatchError,
-    LocalModel,
+    Model,
     SgmConfig,
     StepConditionReport,
     apply_filter,
@@ -182,19 +181,24 @@ def test_features_of_another_shape_or_problem_are_never_used(small_problem, kern
 # local SGM
 
 
-def test_sgm_zero_steps_leave_coefficients_at_zero(data, kernel):
+def test_sgm_zero_steps_leave_the_modes_at_zero(data, kernel):
     cfg = SgmConfig(partitions=1, batch_size=1, iterations=10, step_schedule=0.0, base_seed=1)
     model = sgm_local(data, cfg, kernel, 0)
-    np.testing.assert_array_equal(model.coeffs, np.zeros(len(data)))
+    np.testing.assert_array_equal(model.modes, np.zeros(kernel.problem.dim))
 
 
 def test_sgm_is_reproducible_and_seed_sensitive(data, kernel):
     cfg = SgmConfig(partitions=1, batch_size=4, iterations=30, step_schedule=0.1, base_seed=5)
     a = sgm_local(data, cfg, kernel, 0)
     b = sgm_local(data, cfg, kernel, 0)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    np.testing.assert_array_equal(a.modes, b.modes)
     c = sgm_local(data, cfg, kernel, 1)
-    assert not np.array_equal(a.coeffs, c.coeffs)
+    assert not np.array_equal(a.modes, c.modes)
+
+
+def modes_of(kernel, subset, alpha):
+    """Modes sigma * Phi^T alpha of the predictor weighting the sections at the inputs by alpha."""
+    return kernel.problem.eigenvalues * (kernel_features(kernel, subset.inputs).T @ alpha)
 
 
 def gram_replay(kernel, subset, base_seed, partition, batch, iterations, eta):
@@ -220,7 +224,7 @@ def test_sgm_single_full_batch_step_matches_gradient_descent(small_problem, kern
     cfg = SgmConfig(partitions=1, batch_size=8, iterations=12, step_schedule=0.05, base_seed=33)
     model = sgm_local(data, cfg, kernel, 2)
     alpha, _ = gram_replay(kernel, data, 33, 2, 8, 12, 0.05)
-    np.testing.assert_allclose(model.coeffs, alpha, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(model.modes, modes_of(kernel, data, alpha), rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +246,7 @@ def test_distributed_sgm_matches_a_gram_replay_per_partition(
     for s, sub in enumerate(partition_data(data, partitions, 8)):
         alpha, idx = gram_replay(kernel, sub, 21, s, batch, iterations, 0.05)
         duplicates |= any(np.unique(rows).size < batch for rows in idx)
-        modes.append(small_problem.eigenvalues * (kernel_features(kernel, sub.inputs).T @ alpha))
+        modes.append(modes_of(kernel, sub, alpha))
     np.testing.assert_allclose(model.modes, np.mean(modes, axis=0), rtol=1e-12, atol=1e-15)
     assert duplicates
 
@@ -313,6 +317,8 @@ def test_distributed_sgm_raises_the_divergence_met_first_in_partition_order(
 def literal_sgm_runs(feats, labels, rows, config, kernel, runs):
     """The lockstep loop step by step with fresh arrays: (alpha, modes, divergence message).
 
+    Each run's coefficients alpha are kept beside its modes for a test that reads them.
+
     Each block of SETTLE steps draws its own indices. A run diverges at its first step past
     the limit or not finite, and steps on; overflow and invalid operations are ignored, as
     in the loop."""
@@ -355,11 +361,10 @@ def lockstep_case(small_problem, n_total, partitions, batch, iterations):
 
 
 def assert_sgm_runs_match_the_literal_loop(features, labels, rows, cfg, kernel, runs):
-    """Check alpha and modes, or the divergence message, bit for bit; returns the message."""
-    alpha, modes, message = literal_sgm_runs(features, labels, rows, cfg, kernel, runs)
+    """Check the modes, or the divergence message, bit for bit; returns the message."""
+    _, modes, message = literal_sgm_runs(features, labels, rows, cfg, kernel, runs)
     if message is None:
-        got_alpha, got_modes = trainers._sgm_runs(features, labels, rows, cfg, kernel, runs)
-        np.testing.assert_array_equal(got_alpha, alpha)
+        got_modes = trainers._sgm_runs(features, labels, rows, cfg, kernel, runs)
         np.testing.assert_array_equal(got_modes, modes)
     else:
         with pytest.raises(DivergenceError) as err:
@@ -398,12 +403,12 @@ def test_sgm_runs_equal_a_literal_step_loop_bit_for_bit(
         assert message.endswith(f"iteration {first[j]} on partition 1")
 
 
-def test_settled_blocks_equal_the_literal_loop_across_blocks_with_duplicate_draws(
+def test_blocks_equal_the_literal_loop_across_blocks_with_duplicate_draws(
     small_problem, kernel
 ):
     iterations = 5 * SETTLE + 13
     data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, 8, iterations)
-    # A batch that draws a row twice settles both of its steps, in slot order.
+    # A batch that draws a row twice steps on both of its slots.
     draws = np.random.default_rng(partition_stream_seed(17, 0)).integers(0, 48, (iterations, 8))
     assert any(len(set(batch)) < 8 for batch in draws)
     assert assert_sgm_runs_match_the_literal_loop(
@@ -438,6 +443,43 @@ def test_a_divergence_is_read_at_its_step_within_a_block(small_problem, kernel, 
     message = assert_sgm_runs_match_the_literal_loop(data.features, labels, rows, cfg, kernel,
                                                      runs)
     assert message == f"SGM diverged at iteration {first[j]} on partition 1"
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_a_run_stepped_alone_has_the_bits_of_its_row_in_a_lockstep(
+    small_problem, kernel, batch, poisoned
+):
+    # One run steps on 2-D arrays with np.dot, several on stacks with np.matmul.
+    iterations = 3 * SETTLE + 9
+    data, rows, cfg, runs = lockstep_case(small_problem, 96, 2, batch, iterations)
+    labels = data.labels.copy()
+    if poisoned:
+        # Run 1 meets a poisoned row of partition 1 inside its second block.
+        draws = np.random.default_rng(partition_stream_seed(runs[1][2], runs[1][1])).integers(
+            0, 48, (iterations, batch))
+        first = {j: int(np.argmax((draws == j).any(axis=1))) + 1 for j in np.unique(draws)}
+        j = min(first, key=lambda j: abs(first[j] - SETTLE - 20))
+        assert SETTLE < first[j] <= 2 * SETTLE
+        labels[rows[1, j]] = 1e20
+    # sgm_local is the core with one run: run 1, on partition 1's block.
+    block = dataclasses.replace(data, labels=labels[rows[1]], inputs=data.inputs[rows[1]],
+                                features=data.features[rows[1]])
+    run_1 = dataclasses.replace(cfg, partitions=1, base_seed=runs[1][2])
+    if poisoned:
+        for fit in (lambda: trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs),
+                    lambda: trainers._sgm_runs(data.features, labels, rows, cfg, kernel,
+                                               [runs[1]]),
+                    lambda: sgm_local(block, run_1, kernel, 1)):
+            with pytest.raises(DivergenceError) as err:
+                fit()
+            assert str(err.value) == f"SGM diverged at iteration {first[j]} on partition 1"
+        return
+    together = trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs)
+    for r, run in enumerate(runs):
+        alone = trainers._sgm_runs(data.features, labels, rows, cfg, kernel, [run])
+        np.testing.assert_array_equal(alone, together[r:r + 1])
+    np.testing.assert_array_equal(sgm_local(block, run_1, kernel, 1).modes, together[1])
 
 
 class CountingRng:
@@ -605,32 +647,18 @@ def test_the_planner_refuses_more_iterations_than_the_bound(default_problem):
 
 
 @pytest.mark.parametrize("problem_name, n", [("small_problem", 48), ("default_problem", 240)])
-def test_trained_models_carry_the_modes_of_a_fresh_feature_matrix(request, problem_name, n):
-    # The trainers hand their own feature matrix to the model; its modes
-    # must be those of the public formula, bit for bit.
+def test_local_fits_give_the_bits_of_features_evaluated_afresh(request, problem_name, n):
+    # The local trainers read the sample's own feature matrix when it is the kernel's;
+    # their modes must be those of one evaluated from the inputs, bit for bit.
     problem = request.getfixturevalue(problem_name)
     kernel = spectral_kernel(problem)
     data = sample_dataset(problem, n, seed=11)
-    cfg = SgmConfig(partitions=3, batch_size=2, iterations=40, step_schedule=0.05, base_seed=6)
-    models = [
-        sa_local(data, FilterSpec("tikhonov", problem.kappa_sq, 1e-2), kernel),
-        gm_local(data, 0.05, 30, kernel),
-        sgm_local(data, dataclasses.replace(cfg, partitions=1), kernel, 0),
-    ]
-    for model in models:
-        expected = problem.eigenvalues * (kernel_features(kernel, model.inputs).T @ model.coeffs)
-        np.testing.assert_array_equal(model.modes, expected)
-    # A distributed SGM fit averages the modes its step loop carried; they are the
-    # block mean of the formula on the loop's coefficients, to rounding.
-    for m in (3, 1):
-        config = dataclasses.replace(cfg, partitions=m)
-        rows = trainers._partition_rows(n, m, 4)
-        alphas, _ = trainers._sgm_runs(data.features, data.labels, rows, config, kernel,
-                                       [(s, s, config.base_seed) for s in range(m)])
-        expected = np.mean([problem.eigenvalues * (kernel_features(kernel, data.inputs[r]).T @ a)
-                            for r, a in zip(rows, alphas, strict=True)], axis=0)
-        np.testing.assert_allclose(distributed_sgm(data, config, kernel, 4).modes, expected,
-                                   rtol=1e-12)
+    bare = dataclasses.replace(data, features=None)
+    cfg = SgmConfig(partitions=1, batch_size=2, iterations=40, step_schedule=0.05, base_seed=6)
+    for fit in (lambda d: sa_local(d, FilterSpec("tikhonov", problem.kappa_sq, 1e-2), kernel),
+                lambda d: gm_local(d, 0.05, 30, kernel),
+                lambda d: sgm_local(d, cfg, kernel, 0)):
+        assert_same_bits(fit(data), fit(bare))
 
 
 @pytest.mark.parametrize("tag", FILTER_TAGS)
@@ -654,32 +682,20 @@ def test_one_partition_sgm_is_its_permuted_block(small_problem, kernel, n):
     np.testing.assert_allclose(model.modes, permuted.modes, rtol=1e-12, atol=0.0)
 
 
-def test_local_model_checks_the_shape_of_handed_features(data, kernel):
-    with pytest.raises(InvalidParameterError):
-        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)), kernel=kernel,
-                   _features=np.zeros((len(data), kernel.problem.dim + 1)))
-
-
-def test_local_model_needs_one_coefficient_per_input(data, kernel):
-    with pytest.raises(InvalidParameterError, match="inputs and coeffs must be matching 1-D"):
-        LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data) - 1), kernel=kernel)
-
-
 def test_distributed_sa_needs_a_partition(data, kernel, small_problem):
     with pytest.raises(InvalidParameterError, match="partitions must be >= 1"):
         distributed_sa(data, FilterSpec("tikhonov", small_problem.kappa_sq, 0.1), kernel, 0, 0)
 
 
-def test_local_model_rejects_nonfinite_coefficients(data, kernel):
-    bad = np.full(len(data), np.inf)
-    with pytest.raises(DivergenceError):
-        LocalModel(inputs=data.inputs, coeffs=bad, kernel=kernel)
-
-
 @pytest.mark.parametrize("x", [1.5, -0.25])
-def test_local_model_rejects_inputs_outside_the_unit_interval(kernel, x):
+def test_local_fits_reject_inputs_outside_the_unit_interval(small_problem, kernel, x):
+    sample = Dataset(inputs=np.array([0.5, x]), labels=np.ones(2),
+                     problem_id=small_problem.problem_id, seed=0)
+    cfg = SgmConfig(partitions=1, batch_size=1, iterations=2, step_schedule=0.1, base_seed=0)
     with pytest.raises(DomainError):
-        LocalModel(inputs=np.array([x]), coeffs=np.array([1.0]), kernel=kernel)
+        sa_local(sample, FilterSpec("tikhonov", small_problem.kappa_sq, 0.1), kernel)
+    with pytest.raises(DomainError):
+        sgm_local(sample, cfg, kernel, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +708,16 @@ def test_gm_matches_the_filter_route(data, kernel, small_problem):
     g = gram(kernel, data.inputs)
     spec = landweber(etas, kappa_sq=small_problem.kappa_sq)
     coeffs = apply_filter(spec, g, data.labels)
-    np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(model.modes, modes_of(kernel, data, coeffs), rtol=1e-10, atol=1e-13)
 
 
 def test_gm_first_step_closed_form(data, kernel):
     model = gm_local(data, [0.07], 1, kernel)
-    np.testing.assert_allclose(model.coeffs, 0.07 * data.labels / len(data), rtol=1e-15)
+    # The modes come out of one eigh, W diag(G) W^T with G = 0.07 everywhere, so they are
+    # exact to 1e-15 of the largest mode, not of each one.
+    expected = modes_of(kernel, data, 0.07 * data.labels / len(data))
+    np.testing.assert_allclose(model.modes, expected, rtol=0.0,
+                               atol=1e-15 * np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
@@ -708,7 +728,6 @@ def test_gm_zero_steps_change_nothing(small_problem, kernel, n):
     padded = [0.0, 0.1, 0.05, 0.0, 0.12, 0.08, 0.0]
     a = gm_local(data, etas, len(etas), kernel)
     b = gm_local(data, padded, len(padded), kernel)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
     np.testing.assert_array_equal(a.modes, b.modes)
 
 
@@ -729,14 +748,14 @@ def test_pseudo_gm_equals_gm_without_noise(noiseless_small_problem):
     data = sample_dataset(noiseless_small_problem, 32, seed=4)
     a = gm_local(data, 0.1, 25, kernel)
     b = gm_local(pseudo(data, noiseless_small_problem), 0.1, 25, kernel)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    np.testing.assert_array_equal(a.modes, b.modes)
 
 
 def test_pseudo_gm_strips_label_noise(small_problem, kernel):
     data = sample_dataset(small_problem, 32, seed=4)
     a = gm_local(data, 0.1, 25, kernel)
     b = gm_local(pseudo(data, small_problem), 0.1, 25, kernel)
-    assert not np.array_equal(a.coeffs, b.coeffs)
+    assert not np.array_equal(a.modes, b.modes)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +797,7 @@ def test_average_models_takes_the_plain_mean(data, kernel):
     a = sgm_local(data, cfg, kernel, 0)
     b = sgm_local(data, cfg, kernel, 1)
     avg = average_models([a, b])
-    assert isinstance(avg, AveragedModel)
+    assert isinstance(avg, Model)
     xs = np.linspace(0.05, 0.95, 7)
     np.testing.assert_allclose(
         predict(avg, xs), 0.5 * (predict(a, xs) + predict(b, xs)), rtol=1e-12
@@ -792,8 +811,7 @@ def test_average_models_rejects_mixed_kernels(data, kernel):
     # one length, so only the kernel check stands between the average and a silent risk.
     for problem in (build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1),
                     build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1)):
-        b = LocalModel(inputs=data.inputs, coeffs=np.zeros(len(data)),
-                       kernel=spectral_kernel(problem))
+        b = Model(np.zeros(problem.dim), spectral_kernel(problem))
         with pytest.raises(KernelMismatchError):
             average_models([a, b])
 
@@ -805,12 +823,13 @@ def test_average_models_needs_a_model():
 
 @pytest.mark.parametrize("n", [12, 48])  # below and above dim = 20
 def test_predict_expands_in_kernel_sections(small_problem, kernel, n):
-    # predict reads the model's modes; this checks them against its coefficients.
+    # predict reads the model's modes; this checks them against the replayed coefficients.
     data = sample_dataset(small_problem, n, seed=2)
     cfg = SgmConfig(partitions=1, batch_size=2, iterations=15, step_schedule=0.1, base_seed=8)
     model = sgm_local(data, cfg, kernel, 0)
+    alpha, _ = gram_replay(kernel, data, 8, 0, 2, 15, 0.1)
     xs = np.array([0.2, 0.55, 0.9])
-    expected = kernel_cross(kernel, xs, data.inputs) @ model.coeffs
+    expected = kernel_cross(kernel, xs, data.inputs) @ alpha
     np.testing.assert_allclose(predict(model, xs), expected, rtol=1e-12)
 
 
