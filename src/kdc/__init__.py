@@ -36,12 +36,10 @@ from .harness import (
     ExperimentConfig,
     RunRecord,
     emit_rate_table,
-    read_records_csv,
     records_from_csv,
     records_to_csv,
     resolve_m,
     run_experiment,
-    write_records_csv,
 )
 from .kernels import (
     KernelSpec,

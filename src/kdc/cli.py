@@ -5,7 +5,9 @@ sample a dataset, train a single configuration, sweep a size grid, split
 the error of one configuration, fit a rate from recorded sweeps, and
 validate the shipped regularization filters. All subcommands read a JSON
 config file; ``--seed`` overrides its base seed and ``--out`` chooses the
-output path.
+output path. This is the one module that opens files: the library returns
+records and text, and the commands read and write them here. A file that
+cannot be read or written is an error with exit code 2.
 """
 from __future__ import annotations
 
@@ -20,10 +22,10 @@ from .harness import (
     ExperimentConfig,
     check_config_types,
     emit_rate_table,
-    read_records_csv,
+    records_from_csv,
+    records_to_csv,
     resolve_m,
     run_experiment,
-    write_records_csv,
 )
 from .spectral_model import (
     PROBLEM_PARAMS, build_problem, dataset_to_csv, problem_to_json, sample_dataset,
@@ -31,13 +33,19 @@ from .spectral_model import (
 from .trainers import SgmConfig, theory_step_cap
 
 
+def _read_text(path: str, what: str, parse=str):
+    """``parse`` the text of the file at ``path``; a file that cannot be read or parsed
+    raises InvalidParameterError naming it as ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_config(args) -> dict:
     """Read the ``--config`` JSON object, check its key types, and let ``--seed`` set base_seed."""
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InvalidParameterError(f"cannot read config {args.config}: {exc}") from exc
+    raw = _read_text(args.config, "config", json.loads)
     if not isinstance(raw, dict):
         raise InvalidParameterError("config file must hold a JSON object")
     check_config_types(raw)
@@ -60,9 +68,13 @@ def _problem_from_config(raw: dict):
 
 
 def _write_text(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -101,16 +113,16 @@ def _cmd_train(args) -> int:
     records = run_experiment(cfg, workers=args.workers)
     _print_records(records)
     if args.out:
-        write_records_csv(records, args.out)
+        _write_text(records_to_csv(records), args.out)
     return 0 if all(not r.error for r in records) else 1
 
 
 def _cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_config(args))
-    records = run_experiment(cfg, workers=args.workers)
+    raw = _load_config(args)
+    records = run_experiment(ExperimentConfig.from_dict(raw), workers=args.workers)
     _print_records(records)
-    out = args.out or cfg.out_path or "records.csv"
-    write_records_csv(records, out)
+    out = args.out or raw.get("out_path") or "records.csv"
+    _write_text(records_to_csv(records), out)
     print(f"wrote {len(records)} records to {out}")
     return 0 if all(not r.error for r in records) else 1
 
@@ -148,8 +160,11 @@ def _cmd_rate_fit(args) -> int:
     records_path = args.records or raw.get("out_path")
     if not records_path:
         raise InvalidParameterError("need --records or out_path in the config")
-    records = read_records_csv(records_path)
-    emit_rate_table(records, raw.get("zeta", 0.5), raw.get("gamma", 1.0), out_path=args.out)
+    records = records_from_csv(_read_text(records_path, "records"))
+    problem = _problem_from_config(raw)
+    _, table = emit_rate_table(records, problem.zeta, problem.gamma)
+    if args.out:
+        _write_text(table, args.out)
     return 0
 
 

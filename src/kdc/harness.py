@@ -3,18 +3,21 @@
 A sweep takes one experiment configuration, runs the planned algorithm for
 every sample size in ``n_list`` with ``replications`` independent datasets
 each, and produces one run record per (N, m) point. Records serialize to
-CSV with enough precision to round-trip exactly. Failures inside a point
-(divergence, constraint violations) are recorded on the row instead of
-aborting the sweep.
+CSV text with enough precision to round-trip exactly. The harness returns
+records and text and opens no file; the CLI reads and writes them. Failures
+inside a point (divergence, constraint violations) are recorded on the row
+instead of aborting the sweep.
 
 Each (N, m) point is planned once, in the calling process: its tasks get
 the point's TrainPlan (SGM) or FilterSpec (SA), and its record's plan
-columns come from the same object. A point that cannot be planned records
-the error and runs no task. Replications are independent tasks keyed by
-(N, rep); with ``workers`` > 1 (0 = one per CPU that the process may use)
-they execute in a process pool, whose workers each parse the problem's JSON
-once, and serial tasks share the calling process's problem. Results are
-aggregated in task order, so parallel runs produce byte-identical records.
+columns (:data:`PLAN_COLUMNS`) are read by name off the point's TrainPlan,
+an SA plan carrying its filter's realized level and step count. A point
+that cannot be planned records the error and runs no task. Replications
+are independent tasks keyed by (N, rep); with ``workers`` > 1 (0 = one
+per CPU that the process may use) they execute in a process pool, whose
+workers each parse the problem's JSON once, and serial tasks share the
+calling process's problem. Results are aggregated in task order, so
+parallel runs produce byte-identical records.
 Records depend on the BLAS thread count at rounding level, so every task
 runs with numpy's OpenBLAS on one thread: a pool worker sets it when it
 starts, and a serial sweep sets it for its tasks and then restores the
@@ -32,7 +35,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +91,6 @@ class ExperimentConfig:
     m_rule: int | str = 1
     replications: int = 1
     base_seed: int = 0
-    out_path: str | None = None
     theory_compliant: bool = False
 
     def __post_init__(self) -> None:
@@ -115,7 +117,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Build from a parsed config file; unrelated keys are ignored."""
+        """Build from a parsed config file, checking the kind of every CONFIG_TYPES key;
+        keys that are not fields (``out_path`` among them) are otherwise ignored."""
+        check_config_types(raw)
         known = {f.name for f in fields(ExperimentConfig)}
         kwargs = {k: v for k, v in raw.items() if k in known}
         missing = {"regime", "n_list"} - kwargs.keys()
@@ -194,6 +198,9 @@ class RunRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
+#: The record columns read by name off a point's TrainPlan; None where the point has no plan.
+PLAN_COLUMNS = ("partition_warning", "batch_size", "iterations", "eta", "eta_raw", "lam")
+
 #: Cell type of each column, read from the annotations ("int | None" -> "int").
 _CELL_TYPES = {f.name: f.type.split(" | ")[0] for f in fields(RunRecord)}
 
@@ -251,21 +258,6 @@ def records_from_csv(text: str) -> list[RunRecord]:
         kwargs = {c: _parse_cell(c, cell, reader.line_num) for c, cell in zip(CSV_COLUMNS, row)}
         out.append(RunRecord(**kwargs))
     return out
-
-
-def write_records_csv(records, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(records_to_csv(records))
-
-
-def read_records_csv(path: str) -> list[RunRecord]:
-    """Read the records of a CSV file; one that cannot be read raises InvalidParameterError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as exc:
-        raise InvalidParameterError(f"cannot read records {path}: {exc}") from exc
-    return records_from_csv(text)
 
 
 def _run_point(problem: SpectralProblem, fit: TrainPlan | FilterSpec, n_total: int, m: int,
@@ -366,20 +358,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
                 config.regime, n_total, m, problem.zeta, problem.gamma, config.scale,
                 kappa_sq=problem.kappa_sq, theory_compliant=config.theory_compliant,
             )
-            if plan.algorithm == "sgm":
-                fit = plan
-                columns = (plan.partition_warning, plan.batch_size, plan.iterations, plan.eta,
-                           plan.eta_raw, None)
-            else:
+            fit = plan
+            if plan.algorithm == "sa":
                 # Landweber runs its T steps at their level 1/sum(eta), just below plan.lam.
                 fit = filter_from_tag(config.filter, problem.kappa_sq, plan.lam)
-                columns = (plan.partition_warning, None,
-                           None if fit.step_sizes is None else fit.step_sizes.size,
-                           None, None, fit.lam)
+                plan = replace(plan, lam=fit.lam, iterations=None if fit.step_sizes is None
+                               else fit.step_sizes.size)
         except KdcError as exc:  # recorded once; the point runs no task
-            points.append((n_total, m_requested, m, (None,) * 6, f"{type(exc).__name__}: {exc}"))
+            points.append((n_total, m_requested, m, dict.fromkeys(PLAN_COLUMNS),
+                           f"{type(exc).__name__}: {exc}"))
         else:
-            points.append((n_total, m_requested, m, columns, None))
+            points.append((n_total, m_requested, m,
+                           {name: getattr(plan, name) for name in PLAN_COLUMNS}, None))
             tasks += [(fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
 
     # One BLAS thread on either path; set here, the library is found before the pool forks.
@@ -398,7 +388,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     records = []
     remaining = iter(results)
     for n_total, m_requested, m, plan_columns, plan_error in points:
-        partition_warning, batch_size, iterations, eta, eta_raw, lam = plan_columns
         chunk = [] if plan_error else [next(remaining) for _ in range(reps)]
         risks = np.array([c["risk"] for c in chunk])
         good = risks[np.isfinite(risks)]
@@ -420,12 +409,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
             m_requested=m_requested,
             m=m,
             n_local=None if m is None else n_total // m,
-            partition_warning=partition_warning,
-            batch_size=batch_size,
-            iterations=iterations,
-            eta=eta,
-            eta_raw=eta_raw,
-            lam=lam,
+            **plan_columns,
             scale=config.scale,
             filter=config.filter if config.algorithm == "sa" else "",
             replications=reps,
@@ -439,12 +423,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     return records
 
 
-def emit_rate_table(records, zeta: float, gamma: float, out_path: str | None = None):
+def emit_rate_table(records, zeta: float, gamma: float):
     """Fit the empirical rate from sweep records and print a summary line.
 
     Error rows and non-finite risks are dropped; duplicated sample sizes
-    are averaged. Returns (RateFit, table_csv_text) and, when ``out_path``
-    is given, also writes the table there.
+    are averaged. Returns (RateFit, table_csv_text).
     """
     by_n: dict[int, list[float]] = {}
     for rec in records:
@@ -466,12 +449,8 @@ def emit_rate_table(records, zeta: float, gamma: float, out_path: str | None = N
     writer.writerow(("r_squared", f"{fit.r_squared:.17g}"))
     writer.writerow(("theory_exponent", f"{theory:.17g}"))
     writer.writerow(("gap", f"{fit.slope - theory:.17g}"))
-    table = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(table)
     print(
         f"rate fit: slope={fit.slope:.4f} r2={fit.r_squared:.4f} "
         f"theory={theory:.4f} gap={fit.slope - theory:+.4f}"
     )
-    return fit, table
+    return fit, buf.getvalue()

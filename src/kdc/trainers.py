@@ -469,8 +469,12 @@ class TrainPlan:
     scale: float
     zeta: float
     gamma: float
-    clamped: bool
     partition_warning: bool
+
+    @property
+    def clamped(self) -> bool:
+        """Whether a step-size cap lowered the planned step (eta below eta_raw)."""
+        return self.eta is not None and self.eta < self.eta_raw
 
     def to_config(self, base_seed: int) -> SgmConfig:
         """SGM configuration realizing this plan."""
@@ -563,7 +567,6 @@ def plan_parameters(
     eta_raw: float | None = None
     batch: int | None = None
     iters: int | None = None
-    clamped = False
     if shape is None:
         lam = scale * big_n ** (-1.0 / s)
     else:
@@ -596,7 +599,6 @@ def plan_parameters(
         cap = 1.0 / (CLAMP_SAFETY * kappa_sq)
         if theory_compliant:
             cap = min(cap, theory_step_cap(CLAMP_SAFETY * kappa_sq, iters))
-        clamped = eta_raw > cap
         eta = min(eta_raw, cap)
 
     # m beyond this threshold voids the averaging guarantee (bias dominates).
@@ -617,7 +619,6 @@ def plan_parameters(
         scale=scale,
         zeta=zeta,
         gamma=gamma,
-        clamped=clamped,
         partition_warning=partition_warning,
     )
 

@@ -34,6 +34,11 @@ def excess_risk_mc(model, problem: SpectralProblem, n_test: int, seed: int) -> t
     return float(np.mean(errs)), _se(errs)
 
 
+def textbook_basis(dim: int, x) -> np.ndarray:
+    """The sine basis sqrt(2) sin(i pi x), i = 1..dim, evaluated directly at each point."""
+    return math.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, dim + 1)))
+
+
 def residual_product(step_sizes, u) -> np.ndarray | float:
     """prod_{i=1..t} (1 - eta_i u) for a step schedule; an empty one gives 1."""
     steps = np.atleast_1d(np.asarray(step_sizes, dtype=float))

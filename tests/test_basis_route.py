@@ -11,19 +11,14 @@ agree with a direct cosine sum.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from kdc import kernels, spectral_model, trainers
 from kdc.harness import ExperimentConfig, run_experiment
+from oracles import textbook_basis
 
 RECORD_FLOATS = ("eta", "lam", "risk_mean", "risk_se")
-
-
-def textbook_basis(dim, x):
-    return math.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, dim + 1)))
 
 
 def sweep_config(algorithm, regime, filter_tag):

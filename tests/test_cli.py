@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,12 +11,15 @@ from kdc import (
     build_problem,
     decompose_error,
     derive_seed,
+    emit_rate_table,
     filter_from_tag,
     problem_from_json,
-    read_records_csv,
+    records_from_csv,
+    run_experiment,
     validate_filter,
 )
 from kdc.cli import main
+from kdc.harness import ExperimentConfig
 from kdc.filters import CLAMP_SAFETY, FILTER_TAGS
 from kdc.seeding import TAG_DATA
 from kdc.trainers import theory_step_cap
@@ -27,21 +31,28 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def read_records(path):
+    return records_from_csv(path.read_text(encoding="utf-8"))
+
+
+def without_wall_ms(records):
+    return [dataclasses.replace(rec, wall_ms=0.0) for rec in records]
+
+
+SWEEP = {
+    "regime": "cor1.1",
+    "n_list": [16, 32, 64],
+    "dim": 20,
+    "noise_sd": 0.1,
+    "m_rule": 2,
+    "replications": 2,
+    "base_seed": 3,
+}
+
+
 @pytest.fixture()
 def sweep_config(tmp_path):
-    return write_config(
-        tmp_path,
-        "sweep.json",
-        {
-            "regime": "cor1.1",
-            "n_list": [16, 32, 64],
-            "dim": 20,
-            "noise_sd": 0.1,
-            "m_rule": 2,
-            "replications": 2,
-            "base_seed": 3,
-        },
-    )
+    return write_config(tmp_path, "sweep.json", SWEEP)
 
 
 def test_gen_problem_writes_the_json_description(tmp_path):
@@ -95,7 +106,7 @@ def test_sample_folds_a_negative_seed_into_64_bits(tmp_path, capsys):
 def test_sweep_writes_records_and_exits_clean(tmp_path, sweep_config):
     out = tmp_path / "records.csv"
     assert main(["sweep", "--config", sweep_config, "--out", str(out)]) == 0
-    records = read_records_csv(str(out))
+    records = read_records(out)
     assert [r.n_total for r in records] == [16, 32, 64]
     assert all(r.error == "" for r in records)
 
@@ -103,7 +114,7 @@ def test_sweep_writes_records_and_exits_clean(tmp_path, sweep_config):
 def test_sweep_seed_flag_overrides_the_config_seed(tmp_path, sweep_config):
     out = tmp_path / "records.csv"
     assert main(["sweep", "--config", sweep_config, "--seed", "7", "--out", str(out)]) == 0
-    records = read_records_csv(str(out))
+    records = read_records(out)
     assert [r.base_seed for r in records] == [7, 7, 7]
     assert [r.data_seed_first for r in records] == [
         derive_seed(7, TAG_DATA, n, 0) for n in (16, 32, 64)]
@@ -117,28 +128,27 @@ def test_sweep_reports_failures_through_the_exit_code(tmp_path):
     )
     out = tmp_path / "records.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-    records = read_records_csv(str(out))
+    records = read_records(out)
     assert "ConstraintViolationError" in records[0].error
 
 
 def test_train_runs_a_single_point(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "t.json",
-        {
-            "regime": "cor1.1",
-            "n_list": [24],
-            "dim": 20,
-            "noise_sd": 0.1,
-            "m_rule": 2,
-            "replications": 2,
-        },
-    )
+    payload = {
+        "regime": "cor1.1",
+        "n_list": [24],
+        "dim": 20,
+        "noise_sd": 0.1,
+        "m_rule": 2,
+        "replications": 2,
+    }
+    cfg = write_config(tmp_path, "t.json", payload)
     out = tmp_path / "point.csv"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "risk" in printed
-    assert out.exists()
+    # The written records round-trip to the ones the harness returns, timings aside.
+    expected = run_experiment(ExperimentConfig.from_dict(payload))
+    assert without_wall_ms(read_records(out)) == without_wall_ms(expected)
 
 
 def test_train_rejects_multi_point_configs(tmp_path, sweep_config):
@@ -153,6 +163,41 @@ def test_rate_fit_reads_the_sweep_output(tmp_path, sweep_config, capsys):
     printed = capsys.readouterr().out
     assert "rate fit:" in printed
     assert "slope=" in printed
+
+
+def test_rate_fit_writes_the_table_that_emit_rate_table_returns(tmp_path, sweep_config, capsys):
+    records = tmp_path / "records.csv"
+    main(["sweep", "--config", sweep_config, "--out", str(records)])
+    table = tmp_path / "t.csv"
+    assert main(["rate-fit", "--config", sweep_config, "--records", str(records),
+                 "--out", str(table)]) == 0
+    capsys.readouterr()
+    _, expected = emit_rate_table(read_records(records), zeta=0.5, gamma=1.0)
+    assert table.read_text(encoding="utf-8") == expected
+
+
+def test_sweep_and_rate_fit_default_to_the_configs_out_path(tmp_path, capsys):
+    records = tmp_path / "from-config.csv"
+    cfg = write_config(tmp_path, "with-out.json", {**SWEEP, "out_path": str(records)})
+    assert main(["sweep", "--config", cfg]) == 0
+    assert [r.n_total for r in read_records(records)] == [16, 32, 64]
+    capsys.readouterr()
+    assert main(["rate-fit", "--config", cfg]) == 0
+    assert "rate fit:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sweep", "gen-problem", "rate-fit"])
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, sweep_config, capsys, command):
+    # Exit 1 means a row failed; an output file that cannot be written is an error, exit 2.
+    records = tmp_path / "records.csv"
+    main(["sweep", "--config", sweep_config, "--out", str(records)])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "x.csv"
+    argv = [command, "--config", sweep_config, "--out", str(out)]
+    if command == "rate-fit":
+        argv += ["--records", str(records)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_rate_fit_reports_an_unreadable_records_file(tmp_path, sweep_config, capsys):
@@ -184,7 +229,7 @@ def test_sweep_records_an_oversized_sample_on_its_row(tmp_path, capsys):
                        {"regime": "cor6", "algorithm": "sa", "n_list": [16, 10**30], "dim": 20})
     out = tmp_path / "records.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-    small, big = read_records_csv(str(out))
+    small, big = read_records(out)
     assert small.error == "" and big.n_total == 10**30
     assert big.error.startswith("InvalidParameterError: n_total must be <= 16777216")
 
@@ -322,8 +367,8 @@ def test_workers_flag_matches_serial_output(tmp_path, sweep_config):
     b = tmp_path / "parallel.csv"
     assert main(["sweep", "--config", sweep_config, "--out", str(a)]) == 0
     assert main(["sweep", "--config", sweep_config, "--workers", "2", "--out", str(b)]) == 0
-    ra = read_records_csv(str(a))
-    rb = read_records_csv(str(b))
+    ra = read_records(a)
+    rb = read_records(b)
     for x, y in zip(ra, rb):
         assert x.risk_mean == y.risk_mean
         assert x.risk_se == y.risk_se

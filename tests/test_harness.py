@@ -13,10 +13,8 @@ from kdc import (
     build_problem,
     derive_seed,
     emit_rate_table,
-    read_records_csv,
     records_from_csv,
     records_to_csv,
-    write_records_csv,
 )
 from kdc import harness, spectral_model
 from kdc.filters import CLAMP_SAFETY, filter_from_tag
@@ -208,17 +206,13 @@ def test_theory_compliant_sweeps_run_at_the_log_cap():
 # record serialization
 
 
-def test_records_csv_golden_header_and_round_trip(tmp_path):
+def test_records_csv_golden_header_and_round_trip():
     records = run_experiment(tiny_config())
     text = records_to_csv(records)
     assert text.splitlines()[0] == GOLDEN_HEADER
     assert tuple(GOLDEN_HEADER.split(",")) == CSV_COLUMNS
     clone = records_from_csv(text)
     assert clone == records
-
-    path = tmp_path / "records.csv"
-    write_records_csv(records, str(path))
-    assert read_records_csv(str(path)) == records
 
 
 def test_records_csv_rejects_foreign_headers():
@@ -257,12 +251,6 @@ def test_records_csv_names_the_line_of_a_row_with_the_wrong_field_count():
     lines[2] += ",extra"
     with pytest.raises(InvalidParameterError, match="malformed records CSV row at line 3"):
         records_from_csv("\n".join(lines))
-
-
-def test_reading_a_missing_records_file_names_it(tmp_path):
-    path = tmp_path / "missing.csv"
-    with pytest.raises(InvalidParameterError, match=f"cannot read records {path}"):
-        read_records_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +511,7 @@ def test_landweber_schedule_matches_its_target_level():
 # rate tables
 
 
-def test_emit_rate_table_fits_clean_records(tmp_path, capsys):
+def test_emit_rate_table_fits_clean_records(capsys):
     records = run_experiment(tiny_config())
     # Overwrite risks with an exact power law to pin the expected slope.
     doctored = [
@@ -533,10 +521,8 @@ def test_emit_rate_table_fits_clean_records(tmp_path, capsys):
     doctored.append(
         doctored[0].__class__(**{**doctored[0].__dict__, "n_total": 64, "risk_mean": 0.5})
     )
-    out = tmp_path / "table.csv"
-    fit, table = emit_rate_table(doctored, zeta=0.5, gamma=1.0, out_path=str(out))
+    fit, table = emit_rate_table(doctored, zeta=0.5, gamma=1.0)
     assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-    assert out.exists() and out.read_text() == table
     printed = capsys.readouterr().out
     assert "rate fit:" in printed
     assert "slope=" in printed and "theory=" in printed

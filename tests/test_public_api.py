@@ -32,20 +32,20 @@ PUBLIC_NAMES = (
     "filter_value,fit_rate,gm_local,gram,kernel_cross,landweber,"
     "mode_projection,partition_data,partition_stream_seed,plan_parameters,"
     "predict,problem_from_json,problem_to_json,"
-    "read_records_csv,records_from_csv,records_to_csv,regression_value,"
+    "records_from_csv,records_to_csv,regression_value,"
     "resolve_m,resolve_schedule,run_experiment,sa_local,sample_dataset,"
     "sgm_local,spectral_kernel,splitmix64,sup_norm_bound,"
     "sym_eigendecompose,theory_exponent,"
-    "validate_filter,write_records_csv"
+    "validate_filter"
 )
 
 #: Fields of each settable dataclass, in order, and the keys a config file may set.
 KNOBS = {
     kdc.ExperimentConfig: "regime,n_list,dim,gamma,zeta,source_norm,noise_sd,algorithm,scale,"
-                          "filter,m_rule,replications,base_seed,out_path,theory_compliant",
+                          "filter,m_rule,replications,base_seed,theory_compliant",
     kdc.SgmConfig: "partitions,batch_size,iterations,step_schedule,base_seed",
     kdc.TrainPlan: "regime,algorithm,n_total,partitions,n_local,batch_size,iterations,eta,"
-                   "eta_raw,lam,scale,zeta,gamma,clamped,partition_warning",
+                   "eta_raw,lam,scale,zeta,gamma,partition_warning",
 }
 #: Init fields of the model type: a fit, local or averaged, is its modes.
 MODEL_FIELDS = {

@@ -32,7 +32,7 @@ from kdc import (
     sup_norm_bound,
 )
 from kdc.spectral_model import MAX_DIM, MAX_N_TOTAL
-from oracles import second_moment_bound, tail_mass
+from oracles import second_moment_bound, tail_mass, textbook_basis
 
 # Two-mode problem, worked by hand: sigma = [1, 1/2], weights w = [1, 1/2],
 # |w| = sqrt(5)/2, so g = [2, 1]/sqrt(5) and
@@ -203,10 +203,6 @@ def test_sample_dataset_is_deterministic_and_in_domain(default_problem):
     assert not np.array_equal(a.labels, c.labels)
     assert np.all((a.inputs >= 0.0) & (a.inputs <= 1.0))
     assert len(a) == 64
-
-
-def textbook_basis(dim, x):
-    return math.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, dim + 1)))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
