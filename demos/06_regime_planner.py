@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 
-from kdc import ConstraintViolationError, check_step_condition, plan_parameters
+from kdc import ConstraintViolationError, build_problem, check_step_condition, plan_parameters
 from kdc.trainers import SA_REGIMES, SGM_REGIMES
 
 N_TOTAL = 4096
 ZETA = 0.5
 GAMMA = 1.0
-KAPPA_SQ = 6.573641035543138
+KAPPA_SQ = build_problem(dim=200, gamma=GAMMA, zeta=ZETA).kappa_sq
 
 
 def main() -> None:

@@ -7,7 +7,8 @@ validate the shipped regularization filters. All subcommands read a JSON
 config file; ``--seed`` overrides its base seed and ``--out`` chooses the
 output path. This is the one module that opens files: the library returns
 records and text, and the commands read and write them here. A file that
-cannot be read or written is an error with exit code 2.
+cannot be read or written is an error with exit code 2, and an output path
+is checked before the work that fills it.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import json
 import sys
 
 from .errors import InvalidParameterError, KdcError
-from .evaluation import decompose_error
+from .evaluation import DECOMPOSE_REPS, decompose_error
 from .filters import CLAMP_SAFETY, FILTER_TAGS, filter_from_tag, validate_filter
 from .harness import (
     ExperimentConfig,
@@ -67,11 +68,11 @@ def _problem_from_config(raw: dict):
     return build_problem(**kwargs)
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(text: str, out: str | None, mode: str = "w") -> None:
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty."""
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(out, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise InvalidParameterError(f"cannot write {out}: {exc}") from exc
@@ -79,6 +80,13 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _check_writable(out: str | None) -> None:
+    """Raise now the error that writing ``out`` after the work would: appending nothing
+    opens the file without truncating it."""
+    if out:
+        _write_text("", out, mode="a")
 
 
 def _cmd_gen_problem(args) -> int:
@@ -110,6 +118,7 @@ def _cmd_train(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_config(args))
     if len(cfg.n_list) != 1:
         raise InvalidParameterError("train expects a single-entry n_list; use sweep for grids")
+    _check_writable(args.out)
     records = run_experiment(cfg, workers=args.workers)
     _print_records(records)
     if args.out:
@@ -119,9 +128,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     raw = _load_config(args)
-    records = run_experiment(ExperimentConfig.from_dict(raw), workers=args.workers)
-    _print_records(records)
+    cfg = ExperimentConfig.from_dict(raw)
     out = args.out or raw.get("out_path") or "records.csv"
+    _check_writable(out)
+    records = run_experiment(cfg, workers=args.workers)
+    _print_records(records)
     _write_text(records_to_csv(records), out)
     print(f"wrote {len(records)} records to {out}")
     return 0 if all(not r.error for r in records) else 1
@@ -141,7 +152,8 @@ def _cmd_decompose(args) -> int:
         partitions=m, batch_size=raw.get("batch_size", 1), iterations=iterations,
         step_schedule=raw.get("eta", cap), base_seed=raw.get("base_seed", 0),
     )
-    reps = (raw.get("n_data", 100), raw.get("n_index", 50))
+    reps = (raw.get("n_data", DECOMPOSE_REPS[0]), raw.get("n_index", DECOMPOSE_REPS[1]))
+    _check_writable(args.out)
     report = decompose_error(problem, n_total, config, replications=reps)
     parts = [(name, getattr(report, name), getattr(report, f"se_{name}"))
              for name in ("total", "bias", "sample_var", "comp_var")]
@@ -162,6 +174,7 @@ def _cmd_rate_fit(args) -> int:
         raise InvalidParameterError("need --records or out_path in the config")
     records = records_from_csv(_read_text(records_path, "records"))
     problem = _problem_from_config(raw)
+    _check_writable(args.out)
     _, table = emit_rate_table(records, problem.zeta, problem.gamma)
     if args.out:
         _write_text(table, args.out)
@@ -173,6 +186,7 @@ def _cmd_validate_filters(args) -> int:
     ksq = _problem_from_config(raw).kappa_sq
     lam = raw.get("lam", 0.01)
     tags = FILTER_TAGS if args.filter == "all" else (args.filter,)
+    _check_writable(args.out)
     all_ok = True
     results = {}
     for tag in tags:

@@ -25,7 +25,8 @@ from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, check_integer, derive_s
 from .spectral_model import SpectralProblem, check_exponents, is_finite, sample_dataset
 from .trainers import Model, SgmConfig, _blocks, _filter_fits, _sgm_runs, resolve_schedule
 
-#: Minimum replication counts (datasets, index draws) for decompose_error.
+#: Default and minimum replication counts (datasets, index draws) for decompose_error.
+DECOMPOSE_REPS = (100, 50)
 MIN_DECOMPOSE_REPS = (50, 20)
 
 #: Most replications of any count, a sweep point's or decompose_error's: a sweep lists
@@ -102,7 +103,7 @@ def decompose_error(
     problem: SpectralProblem,
     n_total: int,
     config: SgmConfig,
-    replications: tuple[int, int] = (100, 50),
+    replications: tuple[int, int] = DECOMPOSE_REPS,
 ) -> DecompositionReport:
     """Split the averaged-SGM excess risk into three orthogonal-ish pieces.
 

@@ -6,7 +6,9 @@ of the (truncated) kernel then has exactly the prescribed eigenvalues
 sigma_i = i^(-1/gamma), and the regression function is an explicit finite
 sine series, so excess risk, effective dimension, and smoothness norms are
 all computable in closed form. That exactness is what makes convergence-rate
-experiments meaningful at small sample sizes.
+experiments meaningful at small sample sizes. A problem is its five parameters
+(PROBLEM_PARAMS): the spectrum, the target and kappa_sq are derived from them,
+never given, and a problem document must match them.
 A sampled :class:`Dataset` keeps the basis matrix Phi of its inputs as the
 read-only ``features``, so each sample's basis is evaluated once. Phi comes
 from angle doubling, at least as accurate as np.sin, and kappa_sq from one FFT.
@@ -20,7 +22,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -140,72 +142,56 @@ def reduce_through_init(obj):
 
 @dataclass(frozen=True, eq=False)
 class SpectralProblem:
-    """A synthetic learning problem defined by its kernel spectrum.
+    """A synthetic learning problem: its five parameters (PROBLEM_PARAMS), and what they fix.
+
+    Only the parameters are given. The spectrum, the target and kappa_sq are
+    derived from them, so they cannot disagree, and neither the constructor
+    nor ``dataclasses.replace`` takes them.
 
     Attributes
     ----------
     dim : int
         Number of retained eigenpairs (truncation order).
-    eigenvalues : ndarray of shape (dim,)
-        Spectrum sigma_1 >= sigma_2 >= ... > 0 of the integral operator.
-    target_coeffs : ndarray of shape (dim,)
-        Coefficients a_i of the regression function in the sine basis.
+    gamma : float
+        Capacity exponent in (0, 1]; eigenvalues decay like i^(-1/gamma).
     zeta : float
         Source-condition exponent the target is certified for (larger =
         smoother): sum (a_i / sigma_i^zeta)^2 == R^2. It is a lower bound
-        on the target's smoothness, not its exact value; targets from
-        ``build_problem`` also satisfy the condition, with a norm bounded
-        in dim, for every exponent below zeta + gamma/2.
-    gamma : float
-        Capacity exponent in (0, 1]; eigenvalues decay like i^(-1/gamma).
+        on the target's smoothness, not its exact value.
     source_norm : float
         The smoothness norm R: sum (a_i / sigma_i^zeta)^2 == R^2.
     noise_sd : float
         Standard deviation of the additive Gaussian label noise.
-    kappa_sq : float
-        Computed bound sup_x K(x, x) over the evaluation grid.
+    eigenvalues : ndarray of shape (dim,), derived
+        Spectrum sigma_i = i^(-1/gamma) of the integral operator.
+    target_coeffs : ndarray of shape (dim,), derived
+        Coefficients a_i of the regression function in the sine basis
+        (:func:`build_problem` says how they are chosen).
+    kappa_sq : float, derived
+        The bound sup_x K(x, x), maximized over the evaluation grid.
     """
 
     dim: int
-    eigenvalues: np.ndarray
-    target_coeffs: np.ndarray
-    zeta: float
     gamma: float
+    zeta: float
     source_norm: float
     noise_sd: float
-    kappa_sq: float
+    eigenvalues: np.ndarray = field(init=False)
+    target_coeffs: np.ndarray = field(init=False)
+    kappa_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_problem_params(self.dim, self.gamma, self.zeta, self.source_norm, self.noise_sd)
-        check_positive("kappa_sq", self.kappa_sq)
+        sigma = _eigenvalues(self.dim, self.gamma)
+        weights = 1.0 / np.arange(1, self.dim + 1, dtype=float)
+        target = sigma**self.zeta * (self.source_norm * weights / np.linalg.norm(weights))
+        for name, array in (("eigenvalues", sigma), ("target_coeffs", target)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "kappa_sq", _kappa_sq(self.dim, self.gamma))
         # Stored as floats, so that a problem and its JSON round trip share one id.
-        for name in ("gamma", "zeta", "source_norm", "noise_sd", "kappa_sq"):
+        for name in PROBLEM_PARAMS[1:]:
             object.__setattr__(self, name, float(getattr(self, name)))
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        tc = np.asarray(self.target_coeffs, dtype=float)
-        if ev.shape != (self.dim,) or tc.shape != (self.dim,):
-            raise InvalidParameterError(
-                "eigenvalues and target_coeffs must have length dim"
-            )
-        if not np.all(ev > 0) or np.any(np.diff(ev) > 0):
-            raise InvalidParameterError(
-                "eigenvalues must be strictly positive and non-increasing"
-            )
-        if self.kappa_sq < ev[0]:
-            raise InvalidParameterError(
-                "kappa_sq must dominate the operator norm (largest eigenvalue)"
-            )
-        smoothness = float(np.sum((tc / ev**self.zeta) ** 2))
-        if not math.isclose(smoothness, self.source_norm**2, rel_tol=1e-10):
-            raise InvalidParameterError(
-                "target_coeffs violate the smoothness certificate: "
-                f"sum (a/sigma^zeta)^2 = {smoothness!r}, expected "
-                f"{self.source_norm**2!r}"
-            )
-        ev.setflags(write=False)
-        tc.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "target_coeffs", tc)
 
     __reduce__ = reduce_through_init
 
@@ -332,7 +318,8 @@ def build_problem(
     source_norm: float = 1.0,
     noise_sd: float = 0.0,
 ) -> SpectralProblem:
-    """Construct a problem with polynomial eigenvalue decay i^(-1/gamma).
+    """Construct a problem with polynomial eigenvalue decay i^(-1/gamma): the
+    :class:`SpectralProblem` of these parameters, which derives the rest.
 
     The target coefficients are a_i = sigma_i^zeta * g_i with
     g = source_norm * w / ||w||_2 and mixing weights w_i = 1/i, so the
@@ -346,22 +333,7 @@ def build_problem(
     is evaluated once per pair and process and then memoized; every call
     still returns a new problem object.
     """
-    check_problem_params(dim, gamma, zeta, source_norm, noise_sd)
-    eigenvalues = _eigenvalues(dim, gamma)
-    weights = 1.0 / np.arange(1, dim + 1, dtype=float)
-    mix = source_norm * weights / np.linalg.norm(weights)
-    target_coeffs = eigenvalues**zeta * mix
-
-    return SpectralProblem(
-        dim=dim,
-        eigenvalues=eigenvalues,
-        target_coeffs=target_coeffs,
-        zeta=zeta,
-        gamma=gamma,
-        source_norm=source_norm,
-        noise_sd=noise_sd,
-        kappa_sq=_kappa_sq(dim, gamma),
-    )
+    return SpectralProblem(dim, gamma, zeta, source_norm, noise_sd)
 
 
 def regression_value(problem: SpectralProblem, x):
@@ -446,12 +418,13 @@ def problem_to_json(problem: SpectralProblem) -> str:
 
 
 def problem_from_json(text: str) -> SpectralProblem:
-    """Inverse of :func:`problem_to_json`; validates the field set and their JSON kinds.
+    """Inverse of :func:`problem_to_json`: the problem of the document's parameters.
 
     A document that is not JSON, not an object of exactly these fields, or
     holds a value of the wrong kind raises InvalidParameterError: ``dim`` is
     an integer, the arrays are lists of numbers and the other fields numbers,
-    each number a finite float.
+    each number a finite float. So does one whose arrays or kappa_sq are not
+    the ones its parameters derive.
     """
     try:
         doc = json.loads(text)
@@ -465,7 +438,13 @@ def problem_from_json(text: str) -> SpectralProblem:
             f"got {sorted(doc)}"
         )
     check_json_types(doc, _JSON_FIELDS, "problem document has a malformed field")
-    return SpectralProblem(**doc)
+    problem = SpectralProblem(*(doc[name] for name in PROBLEM_PARAMS))
+    derived = json.loads(problem_to_json(problem))
+    wrong = [name for name in _JSON_FIELDS if doc[name] != derived[name]]
+    if wrong:
+        raise InvalidParameterError(
+            f"problem document does not match its parameters: {', '.join(wrong)}")
+    return problem
 
 
 def dataset_to_csv(ds: Dataset) -> str:

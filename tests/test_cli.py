@@ -14,6 +14,7 @@ from kdc import (
     emit_rate_table,
     filter_from_tag,
     problem_from_json,
+    problem_to_json,
     records_from_csv,
     run_experiment,
     validate_filter,
@@ -62,6 +63,20 @@ def test_gen_problem_writes_the_json_description(tmp_path):
     problem = problem_from_json(out.read_text())
     assert problem.dim == 20
     assert problem.kappa_sq > 0
+
+
+@pytest.mark.parametrize("params", [
+    {}, dict(dim=20, gamma=1, zeta=1, source_norm=2, noise_sd=0),
+    dict(dim=200, gamma=0.5, zeta=0.5, source_norm=1, noise_sd=0.3),
+    dict(dim=7, gamma=0.3, zeta=0.25, source_norm=1, noise_sd=0), dict(dim=1, gamma=1),
+], ids=["defaults", "integers", "gamma-half", "gamma-0.3", "one-mode"])
+def test_every_document_gen_problem_writes_loads_back(tmp_path, params):
+    out = tmp_path / "problem.json"
+    assert main(["gen-problem", "--config", write_config(tmp_path, "p.json", params),
+                 "--out", str(out)]) == 0
+    problem = problem_from_json(out.read_text())
+    assert problem_to_json(problem) == out.read_text()
+    assert problem.problem_id == build_problem(**params).problem_id
 
 
 def test_gen_problem_and_sample_write_to_stdout_without_out(tmp_path, capsys):
@@ -186,18 +201,27 @@ def test_sweep_and_rate_fit_default_to_the_configs_out_path(tmp_path, capsys):
     assert "rate fit:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["sweep", "gen-problem", "rate-fit"])
+@pytest.mark.parametrize("command", ["sweep", "sweep-out-path", "train", "decompose",
+                                     "gen-problem", "rate-fit", "validate-filters"])
 def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, sweep_config, capsys, command):
-    # Exit 1 means a row failed; an output file that cannot be written is an error, exit 2.
+    # Exit 1 means a row failed; an output file that cannot be written is an error, exit 2,
+    # found before the work: no record, component or fit line is printed.
     records = tmp_path / "records.csv"
     main(["sweep", "--config", sweep_config, "--out", str(records)])
     capsys.readouterr()
     out = tmp_path / "missing" / "x.csv"
     argv = [command, "--config", sweep_config, "--out", str(out)]
-    if command == "rate-fit":
+    if command == "sweep-out-path":
+        argv = ["sweep", "--config",
+                write_config(tmp_path, "o.json", {**SWEEP, "out_path": str(out)})]
+    elif command in ("train", "decompose"):
+        argv[2] = write_config(tmp_path, "d.json", DECOMPOSE)
+    elif command == "rate-fit":
         argv += ["--records", str(records)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: cannot write {out}: ")
+    assert printed.out == ""
 
 
 def test_rate_fit_reports_an_unreadable_records_file(tmp_path, sweep_config, capsys):

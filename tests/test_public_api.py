@@ -16,6 +16,7 @@ import pytest
 
 import kdc
 from kdc.harness import CONFIG_TYPES
+from kdc.spectral_model import PROBLEM_PARAMS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +104,18 @@ def test_settable_fields_and_config_keys_are_pinned():
 def test_model_fields_are_pinned():
     for cls, names in MODEL_FIELDS.items():
         assert ",".join(f.name for f in fields(cls) if f.init) == names, cls.__name__
+
+
+def test_a_problem_is_given_its_parameters_and_derives_the_rest():
+    assert tuple(f.name for f in fields(kdc.SpectralProblem) if f.init) == PROBLEM_PARAMS
+
+
+def test_the_config_and_build_problem_default_the_problem_alike():
+    # Both modules write the five defaults; a sweep and a bare build_problem must agree.
+    config = {f.name: f.default for f in fields(kdc.ExperimentConfig)}
+    built = inspect.signature(kdc.build_problem).parameters
+    for name in PROBLEM_PARAMS:
+        assert repr(config[name]) == repr(built[name].default), name
 
 
 def test_a_model_checks_and_copies_its_modes():

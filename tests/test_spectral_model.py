@@ -15,6 +15,7 @@ from kdc import (
     DomainError,
     FilterSpec,
     InvalidParameterError,
+    SpectralProblem,
     basis_matrix,
     build_problem,
     capacity_certificate,
@@ -148,8 +149,20 @@ def test_problem_parameters_must_be_finite(two_mode, name, value, message):
 
 @pytest.mark.parametrize("kappa_sq", [math.nan, math.inf, 10**400])
 def test_a_problem_needs_a_finite_kernel_bound(two_mode, kappa_sq):
-    with pytest.raises(InvalidParameterError, match="kappa_sq must be positive and finite"):
+    # kappa_sq is derived, so replace() refuses it and a document's must be a finite number.
+    with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(two_mode, kappa_sq=kappa_sq)
+    with pytest.raises(InvalidParameterError, match="'kappa_sq': must be a number"):
+        problem_from_json(_problem_document(two_mode, kappa_sq=kappa_sq))
+
+
+@pytest.mark.parametrize("name", ["eigenvalues", "target_coeffs", "kappa_sq"])
+def test_a_problem_is_given_only_its_parameters(two_mode, name):
+    value = getattr(two_mode, name)
+    with pytest.raises(TypeError, match=name):
+        SpectralProblem(2, 1.0, 0.5, 1.0, 0.0, **{name: value})
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(two_mode, **{name: value})
 
 
 def test_effective_dimension_hand_sum():
@@ -287,8 +300,11 @@ def test_a_pickled_problem_is_rebuilt_checked_and_read_only(default_problem):
     assert clone.problem_id == default_problem.problem_id
     assert not clone.eigenvalues.flags.writeable
     assert not clone.target_coeffs.flags.writeable
+    # A copy derives kappa_sq afresh from the parameters, which it checks.
     object.__setattr__(clone, "kappa_sq", -1.0)
-    with pytest.raises(InvalidParameterError, match="kappa_sq must be positive"):
+    assert pickle.loads(pickle.dumps(clone)).kappa_sq == default_problem.kappa_sq
+    object.__setattr__(clone, "gamma", -1.0)
+    with pytest.raises(InvalidParameterError, match=r"gamma must lie in \(0, 1\]"):
         pickle.loads(pickle.dumps(clone))
 
 
@@ -393,10 +409,10 @@ def _problem_document(problem, drop=(), **changes):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (dict(eigenvalues=[1.0, 0.5, 0.25]), "must have length dim"),
-    (dict(eigenvalues=[0.5, 1.0]), "strictly positive and non-increasing"),
-    (dict(kappa_sq=0.5), "kappa_sq must dominate"),
-    (dict(source_norm=2.0), "violate the smoothness certificate"),
+    (dict(eigenvalues=[1.0, 0.5, 0.25]), "does not match its parameters: eigenvalues$"),
+    (dict(eigenvalues=[0.5, 1.0]), "does not match its parameters: eigenvalues$"),
+    (dict(kappa_sq=0.5), "does not match its parameters: kappa_sq$"),
+    (dict(source_norm=2.0), "does not match its parameters: target_coeffs$"),
     (dict(drop=("noise_sd",)), "exactly the fields"),
     (dict(dim="5"), "'dim': must be an integer"),
     (dict(dim=2.0), "'dim': must be an integer"),
@@ -419,6 +435,16 @@ def _problem_document(problem, drop=(), **changes):
 def test_problem_documents_are_checked_field_by_field(two_mode, edit, message):
     with pytest.raises(InvalidParameterError, match=message):
         problem_from_json(_problem_document(two_mode, **edit))
+
+
+def test_a_document_with_a_spectrum_its_gamma_does_not_derive_is_rejected():
+    # gamma 1.0 with the i^-2 spectrum of dim 20, its own target, and a kappa_sq of 1.0,
+    # below the grid maximum of K(x, x) (about 2.42): a step of 0.5 would pass unclamped.
+    doc = _problem_document(build_problem(dim=20, gamma=0.5), gamma=1.0, kappa_sq=1.0)
+    assert json.loads(doc)["eigenvalues"][1] == 0.25
+    with pytest.raises(InvalidParameterError, match="does not match its parameters: "
+                                                   "eigenvalues, target_coeffs, kappa_sq$"):
+        problem_from_json(doc)
 
 
 @pytest.mark.parametrize("text, message", [
