@@ -46,7 +46,10 @@ def main() -> None:
         )
 
     fit, _ = emit_rate_table(records, CONFIG.zeta, CONFIG.gamma)
-    print(f"  guaranteed exponent: {theory_exponent(CONFIG.zeta, CONFIG.gamma):.4f}")
+    theory = theory_exponent(CONFIG.zeta, CONFIG.gamma)
+    print(f"rate fit: slope={fit.slope:.4f} r2={fit.r_squared:.4f} "
+          f"theory={theory:.4f} gap={fit.slope - theory:+.4f}")
+    print(f"  guaranteed exponent: {theory:.4f}")
     print(
         "  (the guarantee is an upper envelope; this target family decays\n"
         "   faster than the worst case, so the fitted slope overshoots it)"

@@ -17,7 +17,7 @@ import json
 import sys
 
 from .errors import InvalidParameterError, KdcError
-from .evaluation import DECOMPOSE_REPS, decompose_error
+from .evaluation import DECOMPOSE_REPS, decompose_error, theory_exponent
 from .filters import CLAMP_SAFETY, FILTER_TAGS, filter_from_tag, validate_filter
 from .harness import (
     ExperimentConfig,
@@ -175,7 +175,10 @@ def _cmd_rate_fit(args) -> int:
     records = records_from_csv(_read_text(records_path, "records"))
     problem = _problem_from_config(raw)
     _check_writable(args.out)
-    _, table = emit_rate_table(records, problem.zeta, problem.gamma)
+    fit, table = emit_rate_table(records, problem.zeta, problem.gamma)
+    theory = theory_exponent(problem.zeta, problem.gamma)
+    print(f"rate fit: slope={fit.slope:.4f} r2={fit.r_squared:.4f} "
+          f"theory={theory:.4f} gap={fit.slope - theory:+.4f}")
     if args.out:
         _write_text(table, args.out)
     return 0

@@ -424,7 +424,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
 
 
 def emit_rate_table(records, zeta: float, gamma: float):
-    """Fit the empirical rate from sweep records and print a summary line.
+    """Fit the empirical rate from sweep records; prints nothing.
 
     Error rows and non-finite risks are dropped; duplicated sample sizes
     are averaged. Returns (RateFit, table_csv_text).
@@ -449,8 +449,4 @@ def emit_rate_table(records, zeta: float, gamma: float):
     writer.writerow(("r_squared", f"{fit.r_squared:.17g}"))
     writer.writerow(("theory_exponent", f"{theory:.17g}"))
     writer.writerow(("gap", f"{fit.slope - theory:.17g}"))
-    print(
-        f"rate fit: slope={fit.slope:.4f} r2={fit.r_squared:.4f} "
-        f"theory={theory:.4f} gap={fit.slope - theory:+.4f}"
-    )
     return fit, buf.getvalue()

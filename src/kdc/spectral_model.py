@@ -8,10 +8,11 @@ sine series, so excess risk, effective dimension, and smoothness norms are
 all computable in closed form. That exactness is what makes convergence-rate
 experiments meaningful at small sample sizes. A problem is its five parameters
 (PROBLEM_PARAMS): the spectrum, the target and kappa_sq are derived from them,
-never given, and a problem document must match them.
-A sampled :class:`Dataset` keeps the basis matrix Phi of its inputs as the
-read-only ``features``, so each sample's basis is evaluated once. Phi comes
-from angle doubling, at least as accurate as np.sin, and kappa_sq from one FFT.
+never given, and a problem document must match them. A sample is its
+inputs and labels: :func:`sample_dataset` attaches the basis matrix Phi it
+evaluates for the labels as the read-only ``features``, so each sample's basis
+is evaluated once, and no other dataset carries one. Phi comes from angle
+doubling, at least as accurate as np.sin, and kappa_sq from one FFT.
 The covariance Phi^T Phi of sine features is Hankel minus Toeplitz in 2 dim + 1
 moments (:func:`basis_covariance`), so it costs O(n dim), not O(n dim^2).
 """
@@ -206,37 +207,30 @@ class SpectralProblem:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An i.i.d. sample (x_j, y_j) drawn from a spectral problem.
+    """An i.i.d. sample (x_j, y_j): its inputs and labels, read-only.
 
-    ``problem_id`` ties the sample back to the generating problem;
-    ``seed`` is the 64-bit seed that makes the draw reproducible.
-    ``features``, when set, is Phi = basis_matrix(dim, inputs) of that
-    problem, read-only; :func:`sample_dataset` sets it, and a dataset built
-    by hand has None. The trainers use ``features`` in place of evaluating Phi
-    when the problem id and the shape match, and the covariance of a fit with
-    more rows than dim (:func:`basis_covariance`) is right only because they are
-    basis_matrix of ``inputs``.
+    ``features`` is derived, never given: :func:`sample_dataset` sets it to
+    the Phi = basis_matrix(dim, inputs) it evaluates for the labels, read-only,
+    and every other dataset (built by hand, by ``dataclasses.replace``, by a
+    copy or by :func:`kdc.trainers.partition_data`) has None. So a fit reads
+    the Phi of the rows it fits, whichever way the sample was made; the
+    trainers evaluate Phi when ``features`` is None or not dim wide.
     """
 
     inputs: np.ndarray
     labels: np.ndarray
-    problem_id: str
-    seed: int
-    features: np.ndarray | None = None
+    features: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.inputs, dtype=float)
         y = np.asarray(self.labels, dtype=float)
         if x.ndim != 1 or y.shape != x.shape:
             raise InvalidParameterError("inputs and labels must be equal-length 1-d")
-        arrays = {"inputs": x, "labels": y}
-        if self.features is not None:
-            arrays["features"] = np.asarray(self.features, dtype=float)
-            if arrays["features"].ndim != 2 or arrays["features"].shape[0] != x.size:
-                raise InvalidParameterError("features must hold one row per input")
-        for name, arr in arrays.items():
+        for name, arr in (("inputs", x), ("labels", y)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    __reduce__ = reduce_through_init
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -351,7 +345,9 @@ def regression_value(problem: SpectralProblem, x):
 def sample_dataset(problem: SpectralProblem, n_total: int, seed: int) -> Dataset:
     """Draw n_total i.i.d. points: x uniform on [0,1], y = f(x) + noise.
 
-    Deterministic given (problem, n_total, seed).
+    Deterministic given (problem, n_total, seed). The dataset carries the
+    Phi = basis_matrix(problem.dim, inputs) of its labels as its read-only
+    ``features``; this is the one place a dataset is given them.
     """
     check_sample_size(n_total)
     rng = make_rng(seed)
@@ -360,8 +356,10 @@ def sample_dataset(problem: SpectralProblem, n_total: int, seed: int) -> Dataset
     labels = features @ problem.target_coeffs
     if problem.noise_sd > 0:
         labels = labels + problem.noise_sd * rng.standard_normal(n_total)
-    return Dataset(inputs=inputs, labels=labels, problem_id=problem.problem_id, seed=seed,
-                   features=features)
+    dataset = Dataset(inputs, labels)
+    features.setflags(write=False)
+    object.__setattr__(dataset, "features", features)
+    return dataset
 
 
 def effective_dimension(problem: SpectralProblem, lam: float) -> float:

@@ -39,7 +39,7 @@ Steps have one runtime contract, eta <= 1/kappa_sq; every tighter cap (the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ from .kernels import KernelSpec, kernel_features
 from .seeding import check_integer, make_rng, partition_stream_seed
 from .spectral_model import (
     Dataset, basis_covariance, check_exponents, check_positive, check_sample_size,
+    reduce_through_init,
 )
 
 #: SGM step magnitude (eta_t / b)|prediction - y| beyond which a run is declared divergent.
@@ -153,6 +154,8 @@ class Model:
         v.setflags(write=False)
         object.__setattr__(self, "modes", v)
 
+    __reduce__ = reduce_through_init
+
 
 def average_models(models: Sequence[Model]) -> Model:
     """Average models uniformly, the modes in list order; all must share one kernel."""
@@ -190,21 +193,22 @@ def _partition_rows(n_total: int, partitions: int, seed: int) -> np.ndarray:
 def partition_data(dataset: Dataset, partitions: int, seed: int) -> list[Dataset]:
     """Split a dataset into ``partitions`` equal blocks, uniformly at random.
 
-    The blocks of ``_partition_rows``, each with its rows of ``features``.
+    The blocks of ``_partition_rows``, each ``Dataset(inputs[idx], labels[idx])``
+    and so without ``features``: a fit of a block evaluates its Phi.
     Raises IndivisibleDataError unless partitions divides len(dataset).
     """
-    return [
-        replace(dataset, inputs=dataset.inputs[idx], labels=dataset.labels[idx],
-                features=None if dataset.features is None else dataset.features[idx])
-        for idx in _partition_rows(len(dataset), partitions, seed)
-    ]
+    return [Dataset(dataset.inputs[idx], dataset.labels[idx])
+            for idx in _partition_rows(len(dataset), partitions, seed)]
 
 
 def _dataset_features(kernel: KernelSpec, dataset: Dataset) -> np.ndarray:
-    """Phi at the dataset's inputs: its ``features`` when they are the kernel's, else evaluated."""
+    """Phi at the dataset's inputs: its ``features`` when set and dim wide, else evaluated.
+
+    Phi depends only on dim and the inputs, and only :func:`sample_dataset` sets
+    ``features``, to basis_matrix(dim, inputs) of that dataset's own inputs.
+    """
     feats = dataset.features
-    if (feats is not None and feats.shape == (len(dataset), kernel.problem.dim)
-            and dataset.problem_id == kernel.problem.problem_id):
+    if feats is not None and feats.shape[1] == kernel.problem.dim:
         return feats
     return kernel_features(kernel, dataset.inputs)
 
@@ -454,11 +458,9 @@ def distributed_sa(
 
 @dataclass(frozen=True)
 class TrainPlan:
-    """Planner output: concrete hyperparameters for one (regime, N, m)."""
+    """Planner output: the hyperparameters it decides for one (regime, N, m)."""
 
-    regime: str
     algorithm: str
-    n_total: int
     partitions: int
     n_local: int
     batch_size: int | None
@@ -466,9 +468,6 @@ class TrainPlan:
     eta: float | None
     eta_raw: float | None
     lam: float | None
-    scale: float
-    zeta: float
-    gamma: float
     partition_warning: bool
 
     @property
@@ -606,9 +605,7 @@ def plan_parameters(
     partition_warning = m > threshold
 
     return TrainPlan(
-        regime=regime,
         algorithm=algorithm,
-        n_total=n_total,
         partitions=m,
         n_local=n_local,
         batch_size=batch,
@@ -616,9 +613,6 @@ def plan_parameters(
         eta=eta,
         eta_raw=eta_raw,
         lam=lam,
-        scale=scale,
-        zeta=zeta,
-        gamma=gamma,
         partition_warning=partition_warning,
     )
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kdc import (
+    Dataset,
     DegenerateInputError,
     FilterSpec,
     InsufficientDataError,
@@ -93,8 +94,7 @@ def test_exact_risk_is_invariant_under_sample_reordering(small_problem, kernel):
     # A filter fit does not depend on the order of its rows.
     data = sample_dataset(small_problem, 40, seed=14)
     perm = np.random.default_rng(1).permutation(len(data))
-    shuffled = dataclasses.replace(data, inputs=data.inputs[perm], labels=data.labels[perm],
-                                   features=data.features[perm])
+    shuffled = dataclasses.replace(data, inputs=data.inputs[perm], labels=data.labels[perm])
     a = excess_risk_exact(gm_local(data, 0.1, 60, kernel), small_problem)
     b = excess_risk_exact(gm_local(shuffled, 0.1, 60, kernel), small_problem)
     assert b == pytest.approx(a, rel=1e-12)
@@ -194,8 +194,12 @@ def test_decomposition_gives_the_same_bits_without_sampled_features(
     cfg = SgmConfig(partitions=2, batch_size=2, iterations=15, step_schedule=0.1, base_seed=5)
     sampled = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
     sample = evaluation.sample_dataset
-    monkeypatch.setattr(evaluation, "sample_dataset",
-                        lambda *args: dataclasses.replace(sample(*args), features=None))
+
+    def bare_sample(*args):
+        data = sample(*args)
+        return Dataset(data.inputs, data.labels)
+
+    monkeypatch.setattr(evaluation, "sample_dataset", bare_sample)
     bare = decompose_error(small_problem, n_total, cfg, replications=(50, 20))
     assert dataclasses.asdict(sampled) == dataclasses.asdict(bare)
 

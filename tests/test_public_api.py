@@ -1,14 +1,16 @@
-"""The public names of ``kdc``, its settable knobs and its model fields are pinned, so
-an API change, a new setting or a new model field is a deliberate edit here.
+"""The public names of ``kdc``, its settable knobs and its model and sample fields are
+pinned, so an API change, a new setting or a new given field is a deliberate edit here.
 
 Submodules are left out: which of them are attributes of the package
 depends on what has been imported before.
 """
 from __future__ import annotations
 
+import copy
 import inspect
+import pickle
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +47,14 @@ KNOBS = {
     kdc.ExperimentConfig: "regime,n_list,dim,gamma,zeta,source_norm,noise_sd,algorithm,scale,"
                           "filter,m_rule,replications,base_seed,theory_compliant",
     kdc.SgmConfig: "partitions,batch_size,iterations,step_schedule,base_seed",
-    kdc.TrainPlan: "regime,algorithm,n_total,partitions,n_local,batch_size,iterations,eta,"
-                   "eta_raw,lam,scale,zeta,gamma,partition_warning",
+    kdc.TrainPlan: "algorithm,partitions,n_local,batch_size,iterations,eta,eta_raw,lam,"
+                   "partition_warning",
 }
-#: Init fields of the model type: a fit, local or averaged, is its modes.
+#: Init fields of the model and sample types: a fit, local or averaged, is its modes, and a
+#: sample its inputs and labels.
 MODEL_FIELDS = {
     kdc.Model: "modes,kernel",
+    kdc.Dataset: "inputs,labels",
 }
 CONFIG_KEYS = (
     "regime,algorithm,filter,n_total,dim,m,replications,base_seed,iterations,batch_size,"
@@ -133,3 +137,32 @@ def test_a_model_checks_and_copies_its_modes():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(kdc.DivergenceError, match="modes are not finite"):
             kdc.Model(np.full(10, bad), kernel)
+
+
+def arrays_of(obj) -> list:
+    """Every array an object holds, through the dataclasses it holds."""
+    found = []
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif is_dataclass(value):
+            found += arrays_of(value)
+    return found
+
+
+CHECKED = {
+    "problem": lambda p: p,
+    "filter": lambda p: kdc.landweber(np.full(5, 0.05), p.kappa_sq),
+    "model": lambda p: kdc.Model(np.arange(10.0), kdc.spectral_kernel(p)),
+    "sample": lambda p: kdc.sample_dataset(p, 16, seed=3),
+}
+
+
+@pytest.mark.parametrize("copier", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("kind", CHECKED)
+def test_a_copy_keeps_every_array_read_only(kind, copier):
+    # A copy is rebuilt through __init__, so it is checked and read-only like the original.
+    clone = copier(CHECKED[kind](kdc.build_problem(dim=10, noise_sd=0.1)))
+    assert arrays_of(clone)
+    assert not any(array.flags.writeable for array in arrays_of(clone))

@@ -261,9 +261,10 @@ def test_sampled_datasets_carry_their_read_only_basis_matrix(default_problem):
 
 
 def test_dataset_features_need_one_row_per_input(default_problem):
+    # Features are derived, never given: not even a matching Phi can be swapped in.
     data = sample_dataset(default_problem, 10, seed=6)
-    for bad in (data.features[:9], data.features[0]):
-        with pytest.raises(InvalidParameterError):
+    for bad in (data.features[:9], data.features[0], data.features):
+        with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(data, features=bad)
 
 
@@ -495,7 +496,7 @@ def test_an_oversized_sample_is_a_parameter_error(two_mode, n_total):
 
 def test_invalid_sampling_and_spectral_parameters_are_rejected(two_mode):
     with pytest.raises(InvalidParameterError, match="inputs and labels must be equal-length"):
-        Dataset(inputs=np.array([0.1, 0.2]), labels=np.array([0.3]), problem_id="", seed=0)
+        Dataset(inputs=np.array([0.1, 0.2]), labels=np.array([0.3]))
     with pytest.raises(InvalidParameterError, match="n_total must be >= 1"):
         sample_dataset(two_mode, 0, seed=0)
     for lam in (0.0, -1.0, math.nan, math.inf, None):

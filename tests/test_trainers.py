@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import warnings
@@ -23,7 +24,6 @@ from kdc import (
     StepConditionReport,
     apply_filter,
     average_models,
-    basis_matrix,
     build_problem,
     check_step_condition,
     distributed_sa,
@@ -124,11 +124,12 @@ def test_partition_requires_divisibility(data):
         partition_data(data, 5, seed=0)
 
 
-def test_partition_blocks_carry_their_rows_of_the_features(data, small_problem):
+def test_partition_blocks_carry_no_features(data):
+    # A block is its inputs and labels; a fit of it evaluates its own Phi.
     for block in partition_data(data, 4, seed=9):
-        np.testing.assert_array_equal(block.features, basis_matrix(small_problem.dim, block.inputs))
-        assert not block.features.flags.writeable
-    bare = dataclasses.replace(data, features=None)
+        assert block.features is None
+        assert not block.inputs.flags.writeable and not block.labels.flags.writeable
+    bare = Dataset(data.inputs, data.labels)
     assert all(block.features is None for block in partition_data(bare, 4, seed=9))
 
 
@@ -155,26 +156,46 @@ def assert_same_bits(a, b):
 def test_sampled_features_give_the_bits_of_features_evaluated_afresh(
         small_problem, kernel, n_total, partitions):
     data = sample_dataset(small_problem, n_total, seed=3)
-    bare = dataclasses.replace(data, features=None)
+    bare = Dataset(data.inputs, data.labels)
     for fit in distributed_fits(kernel, partitions).values():
         assert_same_bits(fit(data), fit(bare))
 
 
-def test_features_of_another_shape_or_problem_are_never_used(small_problem, kernel):
+def test_sampled_features_are_used_only_at_the_kernels_dim(small_problem, kernel):
+    # Phi depends only on dim and the inputs: a sample of another problem of the same dim
+    # reuses its Phi, and one of another dim has it evaluated afresh; the bits are those of
+    # the bare sample either way.
+    wider = sample_dataset(build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1), 48, seed=3)
+    steeper = sample_dataset(build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1), 48, seed=3)
+    assert wider.features.shape == (48, 21)
+    for fit in distributed_fits(kernel, 4).values():
+        for data in (wider, steeper):
+            assert_same_bits(fit(data), fit(Dataset(data.inputs, data.labels)))
+
+
+def test_a_reordered_sample_fits_as_one_built_afresh(small_problem, kernel):
+    # replace() keeps no Phi of the old row order: the fit reads the rows it is given.
+    data = sample_dataset(small_problem, 64, seed=3)
+    reversed_ = dataclasses.replace(data, inputs=data.inputs[::-1], labels=data.labels[::-1])
+    fresh = Dataset(reversed_.inputs, reversed_.labels)
+    ksq = small_problem.kappa_sq
+    cfg = SgmConfig(partitions=1, batch_size=3, iterations=4 * SETTLE + 9, step_schedule=0.05,
+                    base_seed=12)
+    fits = {**distributed_fits(kernel, 4),
+            "sgm_local": lambda d: sgm_local(d, cfg, kernel, 0),
+            "sa_local": lambda d: sa_local(d, FilterSpec("tikhonov", ksq, 1e-2), kernel)}
+    for fit in fits.values():
+        assert_same_bits(fit(reversed_), fit(fresh))
+
+
+def test_features_are_derived_never_given(small_problem):
     data = sample_dataset(small_problem, 48, seed=3)
-    other = build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1)
-    garbage = np.full(data.features.shape, 0.25)
-    foreign = [
-        dataclasses.replace(data, features=np.zeros((48, 21))),
-        dataclasses.replace(data, features=garbage, problem_id=other.problem_id),
-    ]
-    trusted = dataclasses.replace(data, features=garbage)
-    for name, fit in distributed_fits(kernel, 4).items():
-        expected = fit(data)
-        for ds in foreign:
-            assert_same_bits(fit(ds), expected)
-        # The check is not vacuous: features that pass it are used as given.
-        assert not np.array_equal(fit(trusted).modes, expected.modes), name
+    with pytest.raises(TypeError):
+        Dataset(data.inputs, data.labels, features=data.features)
+    with pytest.raises(ValueError):
+        dataclasses.replace(data, features=data.features)
+    assert dataclasses.replace(data, labels=-data.labels).features is None
+    assert copy.deepcopy(data).features is None
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +322,7 @@ def test_distributed_sgm_raises_the_divergence_met_first_in_partition_order(
         labels = data.labels.copy()
         for s, j, value in marks:
             labels[data.inputs == subs[s].inputs[j]] = value
-        return Dataset(inputs=data.inputs, labels=labels, problem_id=data.problem_id, seed=0)
+        return Dataset(inputs=data.inputs, labels=labels)
 
     cfg = SgmConfig(
         partitions=m, batch_size=batch, iterations=iterations, step_schedule=0.05, base_seed=base
@@ -463,8 +484,7 @@ def test_a_run_stepped_alone_has_the_bits_of_its_row_in_a_lockstep(
         assert SETTLE < first[j] <= 2 * SETTLE
         labels[rows[1, j]] = 1e20
     # sgm_local is the core with one run: run 1, on partition 1's block.
-    block = dataclasses.replace(data, labels=labels[rows[1]], inputs=data.inputs[rows[1]],
-                                features=data.features[rows[1]])
+    block = dataclasses.replace(data, labels=labels[rows[1]], inputs=data.inputs[rows[1]])
     run_1 = dataclasses.replace(cfg, partitions=1, base_seed=runs[1][2])
     if poisoned:
         for fit in (lambda: trainers._sgm_runs(data.features, labels, rows, cfg, kernel, runs),
@@ -519,8 +539,7 @@ def test_sgm_runs_stop_at_the_block_in_which_run_0_diverges(
 
 def test_sgm_local_stops_at_the_block_of_its_divergence(small_problem, kernel, monkeypatch):
     data = sample_dataset(small_problem, 48, seed=5)
-    poisoned = Dataset(inputs=data.inputs, labels=np.full(48, np.inf),
-                       problem_id=data.problem_id, seed=0)
+    poisoned = Dataset(inputs=data.inputs, labels=np.full(48, np.inf))
     cfg = SgmConfig(partitions=1, batch_size=3, iterations=4 * SETTLE + 9, step_schedule=0.05,
                     base_seed=17)
     draws = count_draws(monkeypatch)
@@ -653,7 +672,7 @@ def test_local_fits_give_the_bits_of_features_evaluated_afresh(request, problem_
     problem = request.getfixturevalue(problem_name)
     kernel = spectral_kernel(problem)
     data = sample_dataset(problem, n, seed=11)
-    bare = dataclasses.replace(data, features=None)
+    bare = Dataset(data.inputs, data.labels)
     cfg = SgmConfig(partitions=1, batch_size=2, iterations=40, step_schedule=0.05, base_seed=6)
     for fit in (lambda d: sa_local(d, FilterSpec("tikhonov", problem.kappa_sq, 1e-2), kernel),
                 lambda d: gm_local(d, 0.05, 30, kernel),
@@ -689,8 +708,7 @@ def test_distributed_sa_needs_a_partition(data, kernel, small_problem):
 
 @pytest.mark.parametrize("x", [1.5, -0.25])
 def test_local_fits_reject_inputs_outside_the_unit_interval(small_problem, kernel, x):
-    sample = Dataset(inputs=np.array([0.5, x]), labels=np.ones(2),
-                     problem_id=small_problem.problem_id, seed=0)
+    sample = Dataset(inputs=np.array([0.5, x]), labels=np.ones(2))
     cfg = SgmConfig(partitions=1, batch_size=1, iterations=2, step_schedule=0.1, base_seed=0)
     with pytest.raises(DomainError):
         sa_local(sample, FilterSpec("tikhonov", small_problem.kappa_sq, 0.1), kernel)
