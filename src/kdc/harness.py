@@ -13,11 +13,13 @@ the point's TrainPlan (SGM) or FilterSpec (SA), and its record's plan
 columns (:data:`PLAN_COLUMNS`) are read by name off the point's TrainPlan,
 an SA plan carrying its filter's realized level and step count. A point
 that cannot be planned records the error and runs no task. Replications
-are independent tasks keyed by (N, rep); with ``workers`` > 1 (0 = one
-per CPU that the process may use) they execute in a process pool, whose
-workers each parse the problem's JSON once, and serial tasks share the
-calling process's problem. Results are aggregated in task order, so
-parallel runs produce byte-identical records.
+are independent tasks keyed by (N, rep). Each task carries the sweep's
+problem, and one :func:`_run_point` runs it, in the calling process or,
+with ``workers`` > 1 (0 = one per CPU that the process may use), in a
+process pool: a problem pickles as its five parameters, so a worker
+rebuilds and checks it, and no sweep serializes it to JSON or hashes it.
+Results are aggregated in task order, so parallel runs produce
+byte-identical records.
 Records depend on the BLAS thread count at rounding level, so every task
 runs with numpy's OpenBLAS on one thread: a pool worker sets it when it
 starts, and a serial sweep sets it for its tasks and then restores the
@@ -34,7 +36,6 @@ import io
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -48,8 +49,10 @@ from .kernels import spectral_kernel
 from .seeding import TAG_DATA, TAG_INDEX, TAG_PARTITION, check_integer, derive_seed
 from .spectral_model import (
     PROBLEM_PARAMS, SpectralProblem, build_problem, check_json_types, check_positive,
-    check_sample_size, problem_from_json, problem_to_json, sample_dataset,
+    check_sample_size, sample_dataset,
 )
+# No sweep calls these; they stay bound here, where benchmarks/tracing.py times them.
+from .spectral_model import problem_from_json, problem_to_json  # noqa: F401
 from .trainers import (
     SA_REGIMES, SGM_REGIMES, TrainPlan, distributed_sa, distributed_sgm, plan_parameters,
 )
@@ -312,21 +315,6 @@ def _set_blas_threads(count: int) -> int | None:
     return previous
 
 
-#: The sweep's problem in a pool worker, parsed once by :func:`_init_worker`.
-_worker_problem: SpectralProblem | None = None
-
-
-def _init_worker(problem_json: str) -> None:
-    global _worker_problem
-    _set_blas_threads(1)
-    _worker_problem = problem_from_json(problem_json)
-
-
-def _run_pooled(*task) -> dict:
-    """:func:`_run_point` on the worker's problem."""
-    return _run_point(_worker_problem, *task)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """Run a full sweep and return one record per (N, m) point.
 
@@ -370,17 +358,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
         else:
             points.append((n_total, m_requested, m,
                            {name: getattr(plan, name) for name in PLAN_COLUMNS}, None))
-            tasks += [(fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
+            tasks += [(problem, fit, n_total, m, rep, config.base_seed) for rep in range(reps)]
 
     # One BLAS thread on either path; set here, the library is found before the pool forks.
     previous = _set_blas_threads(1)
     try:
         if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                     initargs=(problem_to_json(problem),)) as pool:
-                results = list(pool.map(_run_pooled, *zip(*tasks)))
+            from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps load it
+
+            with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                                     initargs=(1,)) as pool:
+                results = list(pool.map(_run_point, *zip(*tasks)))
         else:
-            results = [_run_point(problem, *task) for task in tasks]
+            results = [_run_point(*task) for task in tasks]
     finally:
         if previous is not None:
             _set_blas_threads(previous)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigendecompositionError, InvalidParameterError
-from .spectral_model import SpectralProblem, _in_domain, basis_matrix
+from .spectral_model import PROBLEM_PARAMS, SpectralProblem, _in_domain, basis_matrix
 
 #: Relative tolerance (times trace/n) below which negative eigenvalues of a
 #: Gram matrix are treated as floating-point noise and clamped to zero.
@@ -40,8 +40,9 @@ class KernelSpec:
     problem: SpectralProblem
 
     def key(self):
-        """Hashable identity used to check that models share a kernel."""
-        return ("spectral", self.problem.problem_id)
+        """Hashable identity used to check that models share a kernel: the problem's
+        parameters (PROBLEM_PARAMS), which fix everything else it holds."""
+        return ("spectral", *(getattr(self.problem, name) for name in PROBLEM_PARAMS))
 
 
 def spectral_kernel(problem: SpectralProblem) -> KernelSpec:

@@ -190,7 +190,7 @@ class SpectralProblem:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "kappa_sq", _kappa_sq(self.dim, self.gamma))
-        # Stored as floats, so that a problem and its JSON round trip share one id.
+        # Stored as floats, so that a problem and its JSON round trip share one label.
         for name in PROBLEM_PARAMS[1:]:
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -198,16 +198,14 @@ class SpectralProblem:
 
     @property
     def problem_id(self) -> str:
-        """Stable content hash identifying this problem across processes (computed once)."""
-        if "_id" not in vars(self):
-            digest = hashlib.sha256(problem_to_json(self).encode()).hexdigest()
-            object.__setattr__(self, "_id", digest[:12])
-        return self._id
+        """A 12-hex-digit content hash of the problem's JSON, the label ``kdc gen-problem``
+        prints; models are matched to problems by their parameters, not by this label."""
+        return hashlib.sha256(problem_to_json(self).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An i.i.d. sample (x_j, y_j): its inputs and labels, read-only.
+    """An i.i.d. sample (x_j, y_j): its inputs and labels, copied and read-only.
 
     ``features`` is derived, never given: :func:`sample_dataset` sets it to
     the Phi = basis_matrix(dim, inputs) it evaluates for the labels, read-only,
@@ -222,8 +220,8 @@ class Dataset:
     features: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.inputs, dtype=float)
-        y = np.asarray(self.labels, dtype=float)
+        x = np.array(self.inputs, dtype=float)  # a copy: the caller's arrays stay writable
+        y = np.array(self.labels, dtype=float)
         if x.ndim != 1 or y.shape != x.shape:
             raise InvalidParameterError("inputs and labels must be equal-length 1-d")
         for name, arr in (("inputs", x), ("labels", y)):

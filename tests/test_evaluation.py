@@ -28,6 +28,8 @@ from kdc import (
     partition_data,
     plan_parameters,
     predict,
+    problem_from_json,
+    problem_to_json,
     sample_dataset,
     sgm_local,
     spectral_kernel,
@@ -70,10 +72,15 @@ def test_mode_projection_rejects_a_non_model(small_problem, trained):
         mode_projection(small_problem, trained.modes)
 
 
-def test_mode_projection_rejects_a_model_of_another_problem(trained):
-    other = build_problem(dim=20, gamma=0.5, zeta=0.5, source_norm=1.0, noise_sd=0.1)
+@pytest.mark.parametrize("edit", [{"dim": 21}, {"gamma": 0.5}, {"zeta": 1.0}, {"source_norm": 2.0},
+                                  {"noise_sd": 0.2}], ids=lambda edit: next(iter(edit)))
+def test_mode_projection_rejects_a_model_of_another_problem(small_problem, trained, edit):
+    # A problem is its five parameters: a twin of them matches, one changed does not.
+    for twin in (problem_from_json(problem_to_json(small_problem)),
+                 dataclasses.replace(small_problem)):
+        assert mode_projection(twin, trained) is trained.modes
     with pytest.raises(KernelMismatchError):
-        mode_projection(other, trained)
+        mode_projection(dataclasses.replace(small_problem, **edit), trained)
 
 
 def test_exact_risk_of_the_zero_model(small_problem, kernel):

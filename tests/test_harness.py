@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +300,25 @@ def test_the_blas_thread_count_is_set_only_where_numpy_ships_its_openblas():
             harness._set_blas_threads(previous)
 
 
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs its one worker in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def test_tasks_run_on_one_blas_thread_and_a_serial_sweep_restores_the_count(monkeypatch):
     controls = harness._openblas_threads()
     if controls is None:
@@ -304,14 +328,24 @@ def test_tasks_run_on_one_blas_thread_and_a_serial_sweep_restores_the_count(monk
     run_point = harness._run_point
     monkeypatch.setattr(harness, "_run_point",
                         lambda *task: seen.append(get()) or run_point(*task))
+
+    class FreshWorkerPool(InlinePool):
+        # A new worker starts at the library's own count; only the initializer lowers it.
+        def __init__(self, max_workers, initializer, initargs):
+            harness._set_blas_threads(2)
+            super().__init__(max_workers, initializer, initargs)
+
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FreshWorkerPool)
     before = harness._set_blas_threads(2)
     try:
         serial = run_experiment(tiny_config(), workers=1)
         assert seen == [1] * 4 and get() == 2
-        harness._init_worker(harness.problem_to_json(build_problem(dim=20, noise_sd=0.1)))
-        assert get() == 1
+        pooled = run_experiment(tiny_config(), workers=2)
+        assert InlinePool.sizes == [2] and seen == [1] * 8 and get() == 2
     finally:
         harness._set_blas_threads(before)
+    assert [r.risk_mean for r in pooled] == [r.risk_mean for r in serial]
     # Where the controls are missing nothing is set, and the records are the same.
     monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
     assert harness._set_blas_threads(1) is None
@@ -321,23 +355,8 @@ def test_tasks_run_on_one_blas_thread_and_a_serial_sweep_restores_the_count(monk
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_auto_workers_count_the_cpus_this_process_may_use(monkeypatch, affinity):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     if affinity:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -345,21 +364,40 @@ def test_auto_workers_count_the_cpus_this_process_may_use(monkeypatch, affinity)
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     auto = run_experiment(tiny_config(), workers=0)
     assert [r.risk_mean for r in auto] == [r.risk_mean for r in run_experiment(tiny_config())]
-    assert sizes == [3 if affinity else 64]
+    assert InlinePool.sizes == [3 if affinity else 64]
 
 
-def test_a_serial_sweep_serializes_its_problem_only_for_its_id(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_sweep_serializes_or_hashes_its_problem(monkeypatch, workers):
+    # A problem crosses to a pool worker as its five parameters, and models are matched
+    # to it by them; forked workers inherit these patches, so they are checked too.
     def forbidden(*args):
-        raise AssertionError("a serial sweep has no process boundary to cross")
+        raise AssertionError("a sweep needs no problem document or label")
 
-    monkeypatch.setattr(harness, "problem_to_json", forbidden)
-    monkeypatch.setattr(harness, "problem_from_json", forbidden)
-    calls = []
-    real = spectral_model.problem_to_json
-    monkeypatch.setattr(spectral_model, "problem_to_json", lambda p: calls.append(p) or real(p))
-    records = run_experiment(tiny_config(), workers=1)
+    for module in (harness, spectral_model):
+        monkeypatch.setattr(module, "problem_to_json", forbidden)
+        monkeypatch.setattr(module, "problem_from_json", forbidden)
+    monkeypatch.setattr(spectral_model.SpectralProblem, "problem_id", property(forbidden))
+    records = run_experiment(tiny_config(), workers=workers)
     assert [r.error for r in records] == ["", ""]
-    assert len(calls) == 1
+
+
+def test_serial_sweeps_load_no_process_pool():
+    code = (
+        "import sys\n"
+        "import kdc\n"
+        "from kdc.harness import ExperimentConfig, run_experiment\n"
+        "cfg = ExperimentConfig(regime='cor1.1', n_list=(16, 32), dim=20, m_rule=2,"
+        " replications=2)\n"
+        "assert [r.error for r in run_experiment(cfg, workers=1)] == ['', '']\n"
+        "print(sorted(name for name in sys.modules"
+        " if name.startswith(('concurrent', 'multiprocessing'))))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_run_experiment_records_are_well_formed():

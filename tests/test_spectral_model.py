@@ -260,6 +260,17 @@ def test_sampled_datasets_carry_their_read_only_basis_matrix(default_problem):
     assert not data.features.flags.writeable
 
 
+def test_a_dataset_copies_the_callers_arrays():
+    x, y = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+    data = Dataset(x, y)
+    x[0], y[0] = 0.5, 0.6  # the caller's arrays stay writable ...
+    np.testing.assert_array_equal(data.inputs, [0.1, 0.2])  # ... and the sample's own
+    np.testing.assert_array_equal(data.labels, [0.3, 0.4])
+    assert not data.inputs.flags.writeable and not data.labels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        data.inputs[0] = 0.5
+
+
 def test_dataset_features_need_one_row_per_input(default_problem):
     # Features are derived, never given: not even a matching Phi can be swapped in.
     data = sample_dataset(default_problem, 10, seed=6)
@@ -344,22 +355,20 @@ def test_problem_id_is_stable(default_problem):
     assert build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.0).problem_id != "e4f80fe81dfc"
 
 
-def test_problem_id_is_hashed_once_per_object(monkeypatch):
+def test_a_kernel_key_is_the_problem_parameters_and_serializes_nothing(monkeypatch):
     from kdc import spectral_model
 
-    problem = build_problem(dim=200, gamma=1.0, zeta=0.5, noise_sd=0.3)
-    real = spectral_model.problem_to_json
-    calls = []
-    monkeypatch.setattr(
-        spectral_model, "problem_to_json", lambda p: calls.append(p) or real(p)
-    )
-    kernels = (spectral_kernel(problem), spectral_kernel(problem))
-    assert {k.key() for k in kernels for _ in range(5)} == {("spectral", "e4f80fe81dfc")}
-    assert calls == [problem]
-    # replace() builds a new object, which hashes its own fields afresh.
-    assert dataclasses.replace(problem, noise_sd=0.0).problem_id != "e4f80fe81dfc"
-    assert dataclasses.replace(problem).problem_id == "e4f80fe81dfc"
-    assert len(calls) == 3
+    def forbidden(*args):
+        raise AssertionError("a kernel key needs no problem document or label")
+
+    problem = build_problem(dim=200, gamma=1, zeta=0.5, noise_sd=0.3)
+    monkeypatch.setattr(spectral_model, "problem_to_json", forbidden)
+    monkeypatch.setattr(spectral_model.SpectralProblem, "problem_id", property(forbidden))
+    key = spectral_kernel(problem).key()
+    assert key == ("spectral", 200, 1.0, 0.5, 1.0, 0.3)
+    assert list(map(type, key)) == [str, int, float, float, float, float]
+    assert spectral_kernel(dataclasses.replace(problem)).key() == key
+    assert spectral_kernel(dataclasses.replace(problem, noise_sd=0.0)).key() != key
 
 
 def test_kappa_sq_is_the_grid_maximum_on_first_and_repeated_builds():

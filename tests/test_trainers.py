@@ -35,6 +35,8 @@ from kdc import (
     partition_data,
     plan_parameters,
     predict,
+    problem_from_json,
+    problem_to_json,
     regression_value,
     resolve_schedule,
     sa_local,
@@ -822,16 +824,22 @@ def test_average_models_takes_the_plain_mean(data, kernel):
     )
 
 
-def test_average_models_rejects_mixed_kernels(data, kernel):
+@pytest.mark.parametrize("edit", [{"dim": 21}, {"gamma": 0.5}, {"zeta": 1.0}, {"source_norm": 2.0},
+                                  {"noise_sd": 0.2}], ids=lambda edit: next(iter(edit)))
+def test_average_models_rejects_mixed_kernels(small_problem, data, kernel, edit):
     cfg = SgmConfig(partitions=1, batch_size=2, iterations=5, step_schedule=0.1, base_seed=3)
     a = sgm_local(data, cfg, kernel, 0)
-    # Another dim, then the same dim at another gamma: there the mode vectors have
-    # one length, so only the kernel check stands between the average and a silent risk.
-    for problem in (build_problem(dim=21, gamma=1.0, zeta=0.5, noise_sd=0.1),
-                    build_problem(dim=20, gamma=0.5, zeta=0.5, noise_sd=0.1)):
-        b = Model(np.zeros(problem.dim), spectral_kernel(problem))
-        with pytest.raises(KernelMismatchError):
-            average_models([a, b])
+    # A twin of the problem's parameters shares its kernel.
+    for twin in (problem_from_json(problem_to_json(small_problem)),
+                 dataclasses.replace(small_problem)):
+        twin_zero = Model(np.zeros(twin.dim), spectral_kernel(twin))
+        np.testing.assert_array_equal(average_models([a, twin_zero]).modes, 0.5 * a.modes)
+    # Past dim the mode vectors have one length, so only the kernel check stands
+    # between the average and a silent risk.
+    problem = dataclasses.replace(small_problem, **edit)
+    b = Model(np.zeros(problem.dim), spectral_kernel(problem))
+    with pytest.raises(KernelMismatchError):
+        average_models([a, b])
 
 
 def test_average_models_needs_a_model():
